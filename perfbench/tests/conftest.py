@@ -1,0 +1,7 @@
+"""The benchmark's own tests: python3 -m pytest perfbench/tests (from the repo root)."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
