@@ -15,6 +15,7 @@ Conventions: 0^0 = 1 (so chi_0 is identically 1), x^inf = 0 for x < 1 and
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -219,12 +220,51 @@ class GramReport:
         return out
 
 
-def psd_check_exact(mat) -> tuple:
-    """Exact PSD decision for a symmetric matrix of Fractions.
+def _integer_rows(mat) -> list:
+    """Fresh rows of integers: the matrix scaled by the lcm of its denominators."""
+    rows = [list(row) for row in mat]
+    if all(isinstance(x, int) for row in rows for x in row):
+        return rows
+    rows = [[Fraction(x) for x in row] for row in rows]
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
-    Fraction-free in spirit: symmetric elimination over the rationals with
-    diagonal pivoting.  Returns (True, None) or (False, witness) where the
-    witness v satisfies v^T M v < 0 exactly.
+
+def psd_check_exact(mat) -> tuple:
+    """Exact PSD decision for a symmetric matrix of ints or Fractions.
+
+    Symmetric fraction-free (Bareiss) elimination over the integers, after
+    scaling by the lcm of the denominators, with diagonal pivoting.  Each step
+    divides exactly by the previous pivot, so the remaining block is the Schur
+    complement times a positive leading minor: a negative diagonal entry, or
+    an all-zero diagonal beside a nonzero entry, means not PSD.  Returns
+    (True, None) or (False, witness) where the witness v satisfies
+    v^T M v < 0 exactly; only a failure pays for `_psd_witness`.
+    """
+    a = _integer_rows(mat)
+    prev = 1
+    while a:
+        diag = [row[k] for k, row in enumerate(a)]
+        if min(diag) < 0:
+            return _psd_witness(mat)
+        piv = next((k for k, x in enumerate(diag) if x > 0), None)
+        if piv is None:
+            return _psd_witness(mat) if any(map(any, a)) else (True, None)
+        if piv:
+            a[0], a[piv] = a[piv], a[0]
+            for row in a:
+                row[0], row[piv] = row[piv], row[0]
+        d, top = a[0][0], a[0][1:]
+        a = [[(d * x - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in a[1:]]
+        prev = d
+    return True, None
+
+
+def _psd_witness(mat) -> tuple:
+    """The oracle for `psd_check_exact` and the source of its witness.
+
+    Symmetric elimination over the rationals with the same diagonal pivoting,
+    carrying the change of basis.  Returns (True, None) or (False, witness).
     """
     n = len(mat)
     a = [[Fraction(x) for x in row] for row in mat]
@@ -298,7 +338,10 @@ def gram_matrix(
 ) -> GramReport:
     """The matrix chi_alpha(g_i g_j^-1) with a PSD certificate.
 
-    Exact elimination decides integer and infinite exponents unconditionally.
+    Its base mu(Fix(g_i g_j^-1)) is the share of points where g_i and g_j
+    agree; each distinct share is raised to alpha once.  `psd_check_exact`
+    decides integer and infinite exponents unconditionally, on the entries
+    scaled to integers over their common denominator.
     For non-integer exponents the verdict uses floating eigenvalues at
     relative tolerance 2^-40; a "not PSD" verdict is then backed by a witness
     whose quadratic form is re-certified negative by interval arithmetic.
@@ -311,21 +354,25 @@ def gram_matrix(
     level = max(g.level for g in elements)
     lifted = [embed_head(g, level) if g.level < level else g for g in elements]
     names = tuple(cycle_string(g) for g in lifted)
-    inverses = [g.inverse() for g in lifted]
     n = len(lifted)
-    bases = [
-        [fixed_fraction_of(compose(lifted[i], inverses[j])) for j in range(n)]
-        for i in range(n)
-    ]
+    counts = [[1 << level] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            agree = sum(map(operator.eq, lifted[i].images, lifted[j].images))
+            counts[i][j] = counts[j][i] = agree
+    base_of = {c: Dyadic(c, level) for row in counts for c in row}
 
     if alpha.is_classified:
-        values = [[char_power(alpha, bases[i][j]) for j in range(n)] for i in range(n)]
-        frac = [[v.as_fraction() for v in row] for row in values]
-        ok, witness = psd_check_exact(frac)
-        matrix = tuple(tuple(str(v) for v in row) for row in values)
+        value_of = {c: char_power(alpha, b) for c, b in base_of.items()}
+        text_of = {c: str(v) for c, v in value_of.items()}
+        qmax = max(v.q for v in value_of.values())
+        int_of = {c: v.p << (qmax - v.q) for c, v in value_of.items()}
+        scaled = [[int_of[c] for c in row] for row in counts]
+        ok, witness = psd_check_exact(scaled)
+        matrix = tuple(tuple(text_of[c] for c in row) for row in counts)
         if ok:
             return GramReport(str(alpha), level, names, matrix, "PSD", "exact")
-        value = quadratic_form(frac, witness)
+        value = quadratic_form(scaled, witness) / (1 << qmax)
         return GramReport(
             str(alpha),
             level,
@@ -338,6 +385,7 @@ def gram_matrix(
         )
 
     # non-integer channel
+    bases = [[base_of[c] for c in row] for row in counts]
     exponent = alpha.fraction
     mid = np.array(
         [[BasePower(bases[i][j], exponent).midpoint_float() for j in range(n)] for i in range(n)]

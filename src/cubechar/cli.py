@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import appendix, gnsfinite, obstruction, verify
+from .certreal import DEFAULT_PRECISION
 from .characters import Alpha, BasePower, char_eval, gram_matrix
 from .cube import NiceSet
 from .dyadic import Dyadic
@@ -41,12 +42,20 @@ def _print_json(payload) -> None:
 def _parse_m_range(text: str) -> list:
     text = text.strip()
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(part) for part in text.split("..", 1))
+        if lo > hi:
+            raise ValueError(f"reversed range {text!r}: write the smaller end first")
+        return list(range(lo, hi + 1))
     return [int(text)]
 
 
+def _check_precision(precision: int) -> None:
+    if precision < DEFAULT_PRECISION:
+        raise ValueError(f"precision must be at least {DEFAULT_PRECISION}")
+
+
 def cmd_char_eval(args) -> int:
+    _check_precision(args.precision)
     alpha = Alpha.parse(args.alpha)
     perm = parse_permutation(args.perm)
     value = char_eval(alpha, perm)
@@ -70,6 +79,7 @@ def cmd_char_eval(args) -> int:
 
 
 def cmd_gram(args) -> int:
+    _check_precision(args.precision)
     alpha = Alpha.parse(args.alpha)
     if args.all_level is not None:
         if args.all_level > 2:

@@ -17,9 +17,12 @@ class Dyadic:
     def __init__(self, p: int, q: int = 0):
         if q < 0:
             raise ValueError("exponent must be non-negative")
-        while q > 0 and p % 2 == 0:
-            p //= 2
-            q -= 1
+        if p == 0:
+            q = 0
+        elif q:
+            shift = min(q, (p & -p).bit_length() - 1)
+            p >>= shift
+            q -= shift
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 

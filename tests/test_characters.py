@@ -1,18 +1,23 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubechar import (
     Alpha,
     BasePower,
+    CubePermutation,
     Dyadic,
     NiceSet,
     PreconditionError,
     centrality_check,
     char_eval,
+    char_power,
     compose,
     conjugate,
     embed_head,
+    fixed_fraction,
     fixproj_identity_check,
     gram_matrix,
     identity,
@@ -23,6 +28,7 @@ from cubechar import (
     random_permutation,
     transposition,
 )
+from cubechar.characters import _psd_witness
 
 ALPHAS = [Alpha(0), Alpha(1), Alpha(2), Alpha(3), Alpha.infinity(), Alpha(Fraction(3, 2))]
 
@@ -157,6 +163,67 @@ def test_psd_small_matrices():
     assert not ok and quadratic_form([[F(0), F(1)], [F(1), F(0)]], w) < 0
     ok, w = psd_check_exact([[F(-1)]])
     assert not ok and w == (F(1),)
+
+
+ENTRY_KINDS = {
+    "integer": st.integers(-4, 4),
+    "dyadic": st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 4, 8])),
+    "fraction": st.fractions(min_value=-3, max_value=3, max_denominator=12),
+}
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """(matrix, known_psd): free symmetric or zero-diagonal matrices, which
+    are mostly indefinite, or Hadamard powers of a possibly rank-deficient
+    B B^T, which are PSD by the Schur product theorem."""
+    n = draw(st.integers(1, 6))
+    entry = ENTRY_KINDS[draw(st.sampled_from(sorted(ENTRY_KINDS)))]
+    shape = draw(st.sampled_from(["free", "zero-diagonal", "gram"]))
+    if shape == "gram":
+        k = draw(st.integers(1, n))
+        b = [[draw(entry) for _ in range(k)] for _ in range(n)]
+        power = draw(st.integers(1, 3))
+        return [[sum(x * y for x, y in zip(bi, bj)) ** power for bj in b] for bi in b], True
+    mat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            mat[i][j] = mat[j][i] = 0 if i == j and shape == "zero-diagonal" else draw(entry)
+    return mat, False
+
+
+@given(symmetric_matrices())
+def test_psd_check_matches_rational_elimination(case):
+    mat, known_psd = case
+    ok, witness = psd_check_exact(mat)
+    assert (ok, witness) == _psd_witness(mat)
+    if known_psd:
+        assert ok
+    if not ok:
+        assert quadratic_form(mat, witness) < 0
+
+
+cube_perms = st.integers(2, 4).flatmap(
+    lambda level: st.permutations(range(1 << level)).map(lambda t: CubePermutation(level, t))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(cube_perms, min_size=1, max_size=8), st.sampled_from(ALPHAS))
+def test_gram_entries_match_compose_oracle(elements, alpha):
+    report = gram_matrix(alpha, elements)
+    level = max(g.level for g in elements)
+    lifted = [embed_head(g, level) for g in elements]
+    assert report.level == level
+    for i, gi in enumerate(lifted):
+        for j, gj in enumerate(lifted):
+            value = char_power(alpha, fixed_fraction(compose(gi, gj.inverse())))
+            if isinstance(value, BasePower):
+                assert report.matrix[i][j] == repr(value.midpoint_float())
+            else:
+                assert report.matrix[i][j] == str(value)
+    if alpha.is_classified:
+        assert report.is_psd and report.method == "exact"
 
 
 def test_gram_single_identity():

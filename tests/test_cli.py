@@ -54,6 +54,12 @@ def test_parse_failure_exit_code(capsys):
     assert code == 2
 
 
+def test_char_eval_rejects_low_precision(capsys):
+    code, out = run_cli(["char-eval", "--alpha", "1.5", "--perm", "identity(2)", "--precision", "-5"])
+    assert code == 2 and out == ""
+    assert "precision must be at least 64" in capsys.readouterr().err
+
+
 # -- gram ----------------------------------------------------------------------
 
 
@@ -81,6 +87,14 @@ def test_gram_rejects_large_level():
     assert code == 2
 
 
+def test_gram_rejects_low_precision(capsys):
+    code, out = run_cli(
+        ["gram", "--alpha", "1.5", "--all-level", "2", "--witness", "signs", "--precision", "1"]
+    )
+    assert code == 2 and out == ""
+    assert "precision must be at least 64" in capsys.readouterr().err
+
+
 # -- obstruction ---------------------------------------------------------------
 
 
@@ -96,6 +110,12 @@ def test_obstruction_csv_row():
 def test_obstruction_single_m():
     code, out = run_cli(["obstruction", "--alpha", "2", "--m", "2", "--format", "text"])
     assert code == 0 and "= 4" in out
+
+
+def test_obstruction_rejects_reversed_range(capsys):
+    code, out = run_cli(["obstruction", "--alpha", "3", "--m", "5..1"])
+    assert code == 2 and out == ""
+    assert "reversed range" in capsys.readouterr().err
 
 
 def test_obstruction_witness():

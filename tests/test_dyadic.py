@@ -16,6 +16,8 @@ def test_canonical_form():
     assert (d.p, d.q) == (3, 2)
     assert Dyadic(0, 7).q == 0
     assert Dyadic(8, 2) == Dyadic(2, 0) == 2
+    assert (Dyadic(-6, 3).p, Dyadic(-6, 3).q) == (-3, 2)
+    assert (Dyadic(-8, 2).p, Dyadic(-8, 2).q) == (-2, 0)
 
 
 def test_negative_exponent_rejected():
@@ -26,6 +28,13 @@ def test_negative_exponent_rejected():
 @given(dyadics)
 def test_canonical_invariant(d):
     assert d.p % 2 == 1 or d.q == 0
+
+
+@given(st.integers(-(2**40), 2**40), st.integers(0, 40), st.integers(0, 40))
+def test_trailing_zero_bits_strip_to_one_form(p, q, k):
+    a, b = Dyadic(p << k, q + k), Dyadic(p, q)
+    assert a == b and (a.p, a.q) == (b.p, b.q)
+    assert a.as_fraction() == Fraction(p, 1 << q)
 
 
 @given(dyadics, dyadics)
