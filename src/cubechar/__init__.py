@@ -47,7 +47,6 @@ from .errors import (
 from .gnsfinite import (
     ProjectionIdentityReport,
     RepMatrix,
-    TruncatedRep,
     matrix_character,
     projection_identity_checks,
     rep_matrix,
@@ -81,12 +80,10 @@ from .perm import (
     conjugate,
     cycle_string,
     cycle_type,
-    cycle_type_of,
     embed_head,
     embed_tail,
     fixed_count,
     fixed_fraction,
-    fixed_fraction_of,
     fixed_set,
     flip_perm,
     from_cycles,

@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .cube import NiceSet
 from .errors import FalsificationError, PreconditionError
 from .perm import (
     CubePermutation,
     ProductFormPermutation,
+    compose_tables,
     cycle_type,
     fixed_set,
     identity,
@@ -26,11 +26,6 @@ from .perm import (
     table_cycles,
     table_from_cycles,
 )
-
-
-def _transposition_string(size: int, pairs) -> tuple:
-    """Image table of a product of transpositions, rightmost applied first."""
-    return table_from_cycles(size, pairs)
 
 
 @dataclass(frozen=True)
@@ -44,7 +39,7 @@ class CyclePair:
     g2: tuple
 
     def __post_init__(self):
-        quotient = _compose_quotient(self.g1, self.g2)
+        quotient = self.quotient()
         for g, name in ((self.g1, "g1"), (self.g2, "g2")):
             bad = [c for c in table_cycle_lengths(g) if c not in (1, self.k)]
             if bad:
@@ -54,12 +49,7 @@ class CyclePair:
             raise FalsificationError(f"quotient has odd cycle lengths {bad}")
 
     def quotient(self) -> tuple:
-        return _compose_quotient(self.g1, self.g2)
-
-
-def _compose_quotient(g1, g2) -> tuple:
-    inv = invert_table(g2)
-    return tuple(g1[inv[i]] for i in range(len(g1)))
+        return compose_tables(self.g1, invert_table(self.g2))
 
 
 def lemma_g1(k: int, degree: int) -> CyclePair:
@@ -80,7 +70,7 @@ def lemma_g1(k: int, degree: int) -> CyclePair:
         # (2k-4,2k-5)(2k-5,2k-6)...(k+1,k) x (k-3,k-2)(k-2,k-1)(k-1,k), 1-based
         pairs = [(i, i - 1) for i in range(2 * k - 5, k - 1, -1)]
         pairs += [(k - 4, k - 3), (k - 3, k - 2), (k - 2, k - 1)]
-        g2 = _transposition_string(degree, pairs)
+        g2 = table_from_cycles(degree, pairs)
     return CyclePair(k, degree, g1, g2)
 
 
@@ -100,7 +90,7 @@ class MkGenerators:
             bad = [c for c in table_cycle_lengths(g.images) if self.k % c]
             if bad:
                 raise FalsificationError(f"{name} has cycle lengths {bad} not dividing {self.k}")
-        quotient = _compose_quotient(self.g1.images, self.g2.images)
+        quotient = compose_tables(self.g1.images, invert_table(self.g2.images))
         bad = [c for c in table_cycle_lengths(quotient) if c != 1 and c % 2]
         if bad:
             raise FalsificationError(f"g1 g2^-1 has odd cycle lengths {bad}")
@@ -334,9 +324,3 @@ def verify_si_properties(s: CubePermutation, family) -> SiVerification:
         even_failures=tuple(even_failures),
         strong_12_form=strong,
     )
-
-
-def si_fix_set(s: CubePermutation, tail_level: int) -> NiceSet:
-    """Fix(s) x (full tail) as a nice set at the family level, for reports."""
-    base = NiceSet.from_indices(s.level, sorted(fixed_set(s)))
-    return base.lift(s.level + tail_level) if tail_level else base

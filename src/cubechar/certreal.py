@@ -55,11 +55,6 @@ class Enclosure:
         lo_raw, hi_raw = x._mpi_
         return cls(_endpoint(lo_raw), _endpoint(hi_raw), prec)
 
-    @classmethod
-    def exact(cls, value, prec: int = 0) -> "Enclosure":
-        f = Fraction(value)
-        return cls(f, f, prec)
-
     def sign(self):
         """'positive', 'negative', 'zero', or None when the sign is undecided."""
         if self.hi < 0:
@@ -70,17 +65,8 @@ class Enclosure:
             return "zero"
         return None
 
-    def contains(self, value) -> bool:
-        return self.lo <= value <= self.hi
-
     def overlaps(self, other: "Enclosure") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def midpoint_float(self) -> float:
-        return float((self.lo + self.hi) / 2)
 
     def format_pair(self, digits: int = 25) -> tuple:
         return (
@@ -125,10 +111,11 @@ def pow_iv(ctx, base_num: int, base_den: int, exponent: Fraction):
     return ctx.exp(fraction_iv(ctx, exponent) * ctx.log(base))
 
 
-def certify_sign(evaluate, start_prec: int = DEFAULT_PRECISION, cap=None):
+def certify_sign(evaluate, start_prec: int = DEFAULT_PRECISION):
     """Call evaluate(prec) -> Enclosure, doubling prec until the sign is
-    certified or the cap is reached.  Returns (enclosure, sign_string)."""
-    cap = precision_cap() if cap is None else cap
+    certified or the cap from `precision_cap()` is reached.  Returns
+    (enclosure, sign_string)."""
+    cap = precision_cap()
     prec = min(max(start_prec, 8), cap)
     while True:
         enc = evaluate(prec)

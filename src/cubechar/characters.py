@@ -30,7 +30,7 @@ from .perm import (
     cycle_string,
     embed_head,
     embed_tail,
-    fixed_fraction_of,
+    fixed_fraction,
     flip_perm,
 )
 from . import cube
@@ -142,20 +142,16 @@ def char_power(alpha: Alpha, base: Dyadic):
     return BasePower(base, alpha.fraction)
 
 
-def char_eval(alpha: Alpha, s):
-    """chi_alpha(s) = mu(Fix(s))^alpha for a dense or product-form permutation."""
-    return char_power(alpha, fixed_fraction_of(s))
-
-
-def _common_level(g1: CubePermutation, g2: CubePermutation):
-    level = max(g1.level, g2.level)
-    return embed_head(g1, level), embed_head(g2, level)
+def char_eval(alpha: Alpha, s: CubePermutation):
+    """chi_alpha(s) = mu(Fix(s))^alpha for a dense permutation."""
+    return char_power(alpha, fixed_fraction(s))
 
 
 def centrality_check(alpha: Alpha, g1: CubePermutation, g2: CubePermutation) -> bool:
     """chi_alpha(g1 g2) == chi_alpha(g2 g1); always true since the products
     are conjugate."""
-    a, b = _common_level(g1, g2)
+    level = max(g1.level, g2.level)
+    a, b = embed_head(g1, level), embed_head(g2, level)
     return char_eval(alpha, compose(a, b)) == char_eval(alpha, compose(b, a))
 
 
@@ -308,12 +304,12 @@ def quadratic_form(mat, v):
     return sum(Fraction(v[i]) * Fraction(mat[i][j]) * Fraction(v[j]) for i in range(n) for j in range(n))
 
 
-def psd_check_float(mat: np.ndarray, tol_bits: int = FLOAT_TOLERANCE_BITS) -> tuple:
-    """(is_psd, witness_or_None, lambda_min) with a relative tolerance."""
+def psd_check_float(mat: np.ndarray) -> tuple:
+    """(is_psd, witness_or_None, lambda_min) at relative tolerance 2^-FLOAT_TOLERANCE_BITS."""
     evals, evecs = np.linalg.eigh(mat)
     lam_min = float(evals[0])
     scale = max(1.0, float(abs(evals[-1])))
-    if lam_min >= -(2.0**-tol_bits) * scale:
+    if lam_min >= -(2.0**-FLOAT_TOLERANCE_BITS) * scale:
         return True, None, lam_min
     return False, [float(x) for x in evecs[:, 0]], lam_min
 

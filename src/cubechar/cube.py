@@ -17,9 +17,9 @@ from .errors import CapExceededError
 DEFAULT_LEVEL_CAP = 20
 
 
-def check_level_cap(level: int, cap: int = DEFAULT_LEVEL_CAP) -> None:
-    if level > cap:
-        raise CapExceededError(f"level {level} exceeds dense-table cap {cap}")
+def check_level_cap(level: int) -> None:
+    if level > DEFAULT_LEVEL_CAP:
+        raise CapExceededError(f"level {level} exceeds dense-table cap {DEFAULT_LEVEL_CAP}")
 
 
 @dataclass(frozen=True)
@@ -144,15 +144,8 @@ class NiceSet:
             level, mask = level - 1, low
         return NiceSet(level, mask)
 
-    def complement(self) -> "NiceSet":
-        return NiceSet(self.level, self.mask ^ ((1 << (1 << self.level)) - 1))
-
     def measure(self) -> Dyadic:
         return Dyadic(self.size(), self.level)
-
-    @property
-    def is_full(self) -> bool:
-        return self.mask == (1 << (1 << self.level)) - 1
 
     @property
     def is_empty(self) -> bool:

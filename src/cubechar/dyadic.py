@@ -142,10 +142,6 @@ class Dyadic:
         return f"{self.p}/{1 << self.q}"
 
 
-DYADIC_ZERO = Dyadic(0)
-DYADIC_ONE = Dyadic(1)
-
-
 def parse_dyadic(text: str) -> Dyadic:
     """Parse 'p', 'p/d' (d a power of two) or 'p/2^q'."""
     text = text.strip()

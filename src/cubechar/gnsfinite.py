@@ -14,31 +14,11 @@ from dataclasses import dataclass
 from .characters import Alpha, char_eval, char_power
 from .cube import NiceSet, nice_intersect, nice_product
 from .dyadic import Dyadic
-from .errors import CapExceededError, InternalInconsistencyError, PreconditionError
+from .errors import InternalInconsistencyError, PreconditionError
 from .perm import CubePermutation, compose, compose_tables, embed_head, flip_perm, table_cycle_lengths
 
 #: explicit tensor powers are built densely only up to this many basis points
 TENSOR_DIM_CAP_BITS = 14
-
-
-@dataclass(frozen=True)
-class TruncatedRep:
-    """The level-n truncation: dimension 4^n, all point weights 2^-n."""
-
-    level: int
-
-    @property
-    def dimension(self) -> int:
-        return 1 << (2 * self.level)
-
-    def point_index(self, x: int, y: int) -> int:
-        return x | (y << self.level)
-
-    def point(self, index: int) -> tuple:
-        return index & ((1 << self.level) - 1), index >> self.level
-
-    def weight(self) -> Dyadic:
-        return Dyadic(1, self.level)
 
 
 @dataclass(frozen=True)
@@ -63,8 +43,7 @@ class RepMatrix:
 
 def rep_matrix(s: CubePermutation) -> RepMatrix:
     """The permutation matrix moving basis point (x, y) to (s(x), y)."""
-    rep = TruncatedRep(s.level)
-    images = [0] * rep.dimension
+    images = [0] * (1 << 2 * s.level)
     size = s.size
     for y in range(size):
         off = y << s.level
@@ -75,10 +54,9 @@ def rep_matrix(s: CubePermutation) -> RepMatrix:
 
 def xi_vector(level: int):
     """Indicator of the diagonal, a unit vector for the 2^-n point weights."""
-    rep = TruncatedRep(level)
-    vec = [0] * rep.dimension
+    vec = [0] * (1 << 2 * level)
     for x in range(1 << level):
-        vec[rep.point_index(x, x)] = 1
+        vec[x | (x << level)] = 1
     return vec
 
 
@@ -93,24 +71,17 @@ def matrix_character(s: CubePermutation) -> Dyadic:
     return weighted_inner(rep_matrix(s).apply_to(xi), xi, s.level)
 
 
-def tensor_character(s: CubePermutation, k: int, mode: str = "auto") -> Dyadic:
+def tensor_character(s: CubePermutation, k: int) -> Dyadic:
     """<pi^(x)k(s) xi^(x)k, xi^(x)k> = matrix_character(s)^k.
 
-    In "auto" mode the explicit k-fold tensor is built whenever its dimension
-    fits the cap and checked against the product formula; "explicit" insists
-    on the dense build, "product" skips it.
+    The explicit k-fold tensor is built whenever its dimension 4^(n k) fits
+    2^TENSOR_DIM_CAP_BITS and checked against the product formula; above the
+    cap the product formula alone is returned.
     """
     if k < 1:
         raise ValueError("tensor power k must be positive")
     product_value = matrix_character(s) ** k
-    bits = 2 * s.level * k
-    if mode == "product":
-        return product_value
-    if bits > TENSOR_DIM_CAP_BITS:
-        if mode == "explicit":
-            raise CapExceededError(
-                f"explicit tensor dimension 2^{bits} exceeds cap 2^{TENSOR_DIM_CAP_BITS}"
-            )
+    if 2 * s.level * k > TENSOR_DIM_CAP_BITS:
         return product_value
     base = rep_matrix(s)
     dim = 1 << (2 * s.level)

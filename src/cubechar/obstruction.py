@@ -105,14 +105,7 @@ class ObstructionReport:
     def certified(self) -> bool:
         return self.sign != "undetermined"
 
-    def value_bounds(self) -> tuple:
-        if self.method == "exact":
-            v = Fraction(self.exact_value)
-            return v, v
-        return self.enclosure.lo, self.enclosure.hi
-
     def to_json_dict(self) -> dict:
-        lo, hi = self.value_bounds()
         out = {
             "alpha": str(self.alpha),
             "m": self.m,
@@ -148,12 +141,7 @@ def _c_alpha_enclosure(alpha: Fraction, m: int, prec: int) -> Enclosure:
     return Enclosure.from_iv(_c_alpha_sum_iv(ctx, alpha, m), prec)
 
 
-def c_alpha_real(
-    alpha: Fraction,
-    m: int,
-    precision: int = DEFAULT_PRECISION,
-    precision_cap: int | None = None,
-) -> ObstructionReport:
+def c_alpha_real(alpha: Fraction, m: int, precision: int = DEFAULT_PRECISION) -> ObstructionReport:
     """C_alpha(m) for real alpha > 0 with a certified sign.
 
     Integer-valued alpha is evaluated exactly (the enclosure degenerates to a
@@ -173,9 +161,7 @@ def c_alpha_real(
         value = c_alpha_integer(int(alpha), m)
         sign = "zero" if value == 0 else ("positive" if value > 0 else "negative")
         return ObstructionReport(alpha, m, sign, "exact", exact_value=value)
-    enc, sign = certify_sign(
-        lambda p: _c_alpha_enclosure(alpha, m, p), start_prec=precision, cap=precision_cap
-    )
+    enc, sign = certify_sign(lambda p: _c_alpha_enclosure(alpha, m, p), start_prec=precision)
     return ObstructionReport(alpha, m, sign, "interval", enclosure=enc)
 
 
@@ -228,7 +214,6 @@ def noninteger_witness(
     alpha: Fraction,
     integer_distance_threshold: Fraction = Fraction(1, 1 << 20),
     precision: int = DEFAULT_PRECISION,
-    precision_cap: int | None = None,
 ) -> tuple:
     """First m <= floor(alpha)+4 with certified C_alpha(m) < 0.
 
@@ -243,7 +228,7 @@ def noninteger_witness(
         raise ValueError(f"alpha {alpha} is within {integer_distance_threshold} of an integer")
     reports = []
     for m in range(2, int(alpha) + 5):
-        report = c_alpha_real(alpha, m, precision=precision, precision_cap=precision_cap)
+        report = c_alpha_real(alpha, m, precision=precision)
         reports.append(report)
         if report.sign == "negative":
             return m, report

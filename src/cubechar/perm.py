@@ -14,7 +14,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .cube import DEFAULT_LEVEL_CAP, NiceSet, check_level_cap
+from .cube import NiceSet, check_level_cap
 from .dyadic import Dyadic
 from .errors import LevelMismatchError, PreconditionError
 
@@ -86,6 +86,9 @@ def table_from_cycles(size: int, cycles) -> tuple:
     """Image table of a product of cycles over [0, size), rightmost applied first."""
     images = list(range(size))
     for cyc in cycles:
+        bad = [x for x in cyc if not 0 <= x < size]
+        if bad:
+            raise ValueError(f"cycle points {bad} outside [0, {size})")
         step = {cyc[i]: cyc[(i + 1) % len(cyc)] for i in range(len(cyc))}
         images = [images[step.get(x, x)] for x in range(size)]
     return tuple(images)
@@ -117,17 +120,8 @@ class CycleType:
         items = tuple(sorted((k, v) for k, v in tally.items() if v))
         return cls(items)
 
-    def total_points(self) -> int:
-        return sum(k * v for k, v in self.counts)
-
     def scaled(self, factor: int) -> "CycleType":
         return CycleType(tuple((k, v * factor) for k, v in self.counts))
-
-    def multiplicity(self, length: int) -> int:
-        for k, v in self.counts:
-            if k == length:
-                return v
-        return 0
 
     def lengths(self) -> tuple:
         """Expanded multiset; only for small types."""
@@ -381,9 +375,6 @@ class ProductFormPermutation:
     def fixed_point_count(self) -> int:
         return sum(self.fiber_fixed_counts())
 
-    def fixed_fraction(self) -> Dyadic:
-        return Dyadic(self.fixed_point_count(), self.level)
-
     def cycle_type(self) -> CycleType:
         """Cycle type via per-head-cycle return maps; no densification.
 
@@ -401,8 +392,8 @@ class ProductFormPermutation:
                 tally[k * length] = tally.get(k * length, 0) + 1
         return CycleType.from_counts(tally)
 
-    def densify(self, level_cap: int = DEFAULT_LEVEL_CAP) -> CubePermutation:
-        check_level_cap(self.level, level_cap)
+    def densify(self) -> CubePermutation:
+        check_level_cap(self.level)
         return CubePermutation(self.level, (self.apply(z) for z in range(1 << self.level)))
 
     def __repr__(self):
@@ -410,19 +401,6 @@ class ProductFormPermutation:
             f"ProductFormPermutation(head_level={self.head.level},"
             f" tail_level={self.tail_level})"
         )
-
-
-def fixed_fraction_of(p) -> Dyadic:
-    """Fixed fraction of a dense or product-form permutation."""
-    if isinstance(p, ProductFormPermutation):
-        return p.fixed_fraction()
-    return fixed_fraction(p)
-
-
-def cycle_type_of(p) -> CycleType:
-    if isinstance(p, ProductFormPermutation):
-        return p.cycle_type()
-    return cycle_type(p)
 
 
 # ---------------------------------------------------------------------------

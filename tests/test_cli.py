@@ -54,6 +54,13 @@ def test_parse_failure_exit_code(capsys):
     assert code == 2
 
 
+def test_cycle_point_out_of_range_exit_code(capsys):
+    for perm in ("level=2: (0 5)", "level=2: (1 -3)"):
+        code, out = run_cli(["char-eval", "--alpha", "1", "--perm", perm])
+        assert code == 2 and out == ""
+        assert "outside [0, 4)" in capsys.readouterr().err
+
+
 def test_char_eval_rejects_low_precision(capsys):
     code, out = run_cli(["char-eval", "--alpha", "1.5", "--perm", "identity(2)", "--precision", "-5"])
     assert code == 2 and out == ""
@@ -129,6 +136,23 @@ def test_obstruction_witness():
 def test_obstruction_witness_rejects_integers():
     code, _ = run_cli(["obstruction", "--witness", "--alpha", "2"])
     assert code == 2
+
+
+def test_obstruction_undetermined_at_precision_cap(monkeypatch, capsys):
+    monkeypatch.setenv("CUBECHAR_PRECISION_CAP", "64")
+    code, out = run_cli(["obstruction", "--alpha", "201/2", "--m", "103", "--format", "text"])
+    assert code == 4
+    assert out.startswith("C_201/2(103) = [") and out.endswith(" [undetermined]\n")
+    code, out = run_cli(["obstruction", "--witness", "--alpha", "201/2"])
+    assert code == 4 and out == ""
+    assert capsys.readouterr().err == "undetermined\n"
+
+
+def test_obstruction_rejects_precision_cap_below_minimum(monkeypatch, capsys):
+    monkeypatch.setenv("CUBECHAR_PRECISION_CAP", "32")
+    code, out = run_cli(["obstruction", "--alpha", "201/2", "--m", "103"])
+    assert code == 2 and out == ""
+    assert "precision cap 32 below minimum 64" in capsys.readouterr().err
 
 
 # -- construct-si -----------------------------------------------------------------

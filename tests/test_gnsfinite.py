@@ -4,7 +4,6 @@ import pytest
 
 from cubechar import (
     Alpha,
-    CapExceededError,
     Dyadic,
     NiceSet,
     PreconditionError,
@@ -24,14 +23,6 @@ from cubechar import (
     weighted_inner,
     xi_vector,
 )
-from cubechar.gnsfinite import TruncatedRep
-
-
-def test_truncated_rep_geometry():
-    rep = TruncatedRep(2)
-    assert rep.dimension == 16
-    assert rep.weight() == Dyadic(1, 2)
-    assert rep.point(rep.point_index(3, 1)) == (3, 1)
 
 
 def test_rep_is_identity_on_identity():
@@ -92,16 +83,14 @@ def test_level_inclusion_consistency(rng):
 def test_tensor_examples():
     t1 = transposition(1, 0, 1)
     assert tensor_character(t1, 1) == matrix_character(t1)
-    assert tensor_character(t1, 2, mode="explicit") == Dyadic(0)
+    assert tensor_character(t1, 2) == Dyadic(0)
     s = transposition(2, 1, 3)  # fixed fraction 1/2
     assert tensor_character(s, 3) == Dyadic(1, 3)  # explicit at dimension 4096
 
 
 def test_tensor_cap():
-    with pytest.raises(CapExceededError):
-        tensor_character(odometer(4), 2, mode="explicit")
-    # product mode still works past the cap
-    assert tensor_character(odometer(4), 2, mode="product") == Dyadic(0)
+    # past the explicit-build cap the product formula still answers
+    assert tensor_character(odometer(4), 2) == Dyadic(0)
 
 
 def test_tensor_matches_power(rng):

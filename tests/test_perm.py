@@ -18,6 +18,7 @@ from cubechar import (
     cycle_type,
     embed_head,
     embed_tail,
+    fixed_count,
     fixed_fraction,
     fixed_set,
     flip_perm,
@@ -215,7 +216,7 @@ def test_product_form_matches_densification(rng):
         pf = random_product_form(rng)
         dense = pf.densify()
         assert [pf.apply(z) for z in range(1 << pf.level)] == list(dense.images)
-        assert pf.fixed_fraction() == fixed_fraction(dense)
+        assert pf.fixed_point_count() == fixed_count(dense)
         assert pf.cycle_type() == cycle_type(dense)
 
 
@@ -255,7 +256,14 @@ def test_cycle_string_round_trip(rng):
 
 
 def test_parse_rejects_garbage():
-    for bad in ("level=2: 0 0 1 2", "level=2: (0)", "nope", "level=2: (0 1) junk"):
+    for bad in (
+        "level=2: 0 0 1 2",
+        "level=2: (0)",
+        "nope",
+        "level=2: (0 1) junk",
+        "level=2: (0 5)",
+        "level=2: (1 -3)",
+    ):
         with pytest.raises(ValueError):
             parse_permutation(bad)
 
