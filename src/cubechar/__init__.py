@@ -46,7 +46,6 @@ from .errors import (
 )
 from .gnsfinite import (
     ProjectionIdentityReport,
-    RepMatrix,
     matrix_character,
     projection_identity_checks,
     rep_matrix,
@@ -76,6 +75,7 @@ from .perm import (
     all_permutations,
     apply_to_nice,
     are_conjugate,
+    block_product,
     compose,
     conjugate,
     cycle_string,

@@ -17,6 +17,7 @@ from .errors import FalsificationError, PreconditionError
 from .perm import (
     CubePermutation,
     ProductFormPermutation,
+    block_product,
     compose_tables,
     cycle_type,
     fixed_set,
@@ -202,25 +203,12 @@ def construct_si(s: CubePermutation, r: int) -> SiFamily:
     tail_level = m * r
     id_tail = identity(tail_level)
 
-    def tail_product(gens, choice) -> CubePermutation:
-        # component i of the tail acts by the choice[i]-indexed generator
-        images = []
-        block = 1 << m
-        for y in range(1 << tail_level):
-            img, rest = 0, y
-            for i in range(r):
-                comp = rest & (block - 1)
-                rest >>= m
-                img |= gens[choice[i]].images[comp] << (i * m)
-            images.append(img)
-        return CubePermutation(tail_level, images)
-
     members = []
     for a in product((1, 2), repeat=r):
         cache = {}
         for k in moved_lengths:
             gens = {1: generators[k].g1, 2: generators[k].g2}
-            cache[k] = tail_product(gens, a)
+            cache[k] = block_product(*(gens[c] for c in a))
         tails = tuple(
             cache[orders[x]] if orders[x] > 1 else id_tail for x in range(s.size)
         )

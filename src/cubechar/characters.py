@@ -388,12 +388,12 @@ def gram_matrix(
     )
     matrix = tuple(tuple(repr(float(x)) for x in row) for row in mid)
     method = f"float(tol=2^-{FLOAT_TOLERANCE_BITS})"
+    float_ok, w, _ = psd_check_float(mid)
     if witness_strategy == "signs":
         candidate = [Fraction(g.sign()) for g in lifted]
+    elif float_ok:
+        return GramReport(str(alpha), level, names, matrix, "PSD", method)
     else:
-        ok, w, _ = psd_check_float(mid)
-        if ok:
-            return GramReport(str(alpha), level, names, matrix, "PSD", method)
         candidate = [Fraction(x).limit_denominator(1 << 20) for x in w]
 
     coeffs: dict = {}
@@ -417,6 +417,5 @@ def gram_matrix(
             witness_value=str(enc),
         )
     # certification failed: report what the float check says, witness-free
-    ok, _, _ = psd_check_float(mid)
-    verdict = "PSD" if ok else "not PSD"
+    verdict = "PSD" if float_ok else "not PSD"
     return GramReport(str(alpha), level, names, matrix, verdict, method)

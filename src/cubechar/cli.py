@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from .dyadic import Dyadic
 from .errors import CapExceededError, FalsificationError
 from .perm import (
     all_permutations,
+    compose,
     cycle_string,
     fixed_fraction,
     parse_permutation,
@@ -176,8 +178,6 @@ def cmd_construct_si(args) -> int:
 
 
 def cmd_gns_check(args) -> int:
-    import random
-
     level = args.level
     rng = random.Random(args.seed)
     failures = []
@@ -187,11 +187,8 @@ def cmd_gns_check(args) -> int:
             failures.append(f"matrix character mismatch at {cycle_string(s)}")
     s = random_permutation(level, rng)
     t = random_permutation(level, rng)
-    from .perm import compose
-
-    if gnsfinite.rep_matrix(compose(s, t)).images != gnsfinite.rep_matrix(s).compose(
-        gnsfinite.rep_matrix(t)
-    ).images:
+    rep_s, rep_t = gnsfinite.rep_matrix(s), gnsfinite.rep_matrix(t)
+    if gnsfinite.rep_matrix(compose(s, t)) != compose(rep_s, rep_t):
         failures.append("rep is not a homomorphism on a sampled pair")
     if gnsfinite.tensor_character(s, 2) != gnsfinite.matrix_character(s) ** 2:
         failures.append("tensor self-check failed")

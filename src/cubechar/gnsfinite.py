@@ -8,52 +8,26 @@ x | (y << n).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .characters import Alpha, char_eval, char_power
-from .cube import NiceSet, nice_intersect, nice_product
+from .cube import NiceSet, check_level_cap, nice_intersect, nice_product
 from .dyadic import Dyadic
 from .errors import InternalInconsistencyError, PreconditionError
-from .perm import CubePermutation, compose, compose_tables, embed_head, flip_perm, table_cycle_lengths
+from .perm import CubePermutation, block_product, compose, embed_head, flip_perm, identity
 
 #: explicit tensor powers are built densely only up to this many basis points
 TENSOR_DIM_CAP_BITS = 14
 
 
-@dataclass(frozen=True)
-class RepMatrix:
-    """Sparse 0/1 matrix acting on functions on X_n x X_n: one image per basis point."""
-
-    level: int
-    images: tuple
-
-    def apply_to(self, vec):
-        out = [0] * len(vec)
-        for i, v in enumerate(vec):
-            out[self.images[i]] = v
-        return out
-
-    def compose(self, other: "RepMatrix") -> "RepMatrix":
-        return RepMatrix(self.level, compose_tables(self.images, other.images))
-
-    def order(self) -> int:
-        return math.lcm(*table_cycle_lengths(self.images))
-
-
-def rep_matrix(s: CubePermutation) -> RepMatrix:
-    """The permutation matrix moving basis point (x, y) to (s(x), y)."""
-    images = [0] * (1 << 2 * s.level)
-    size = s.size
-    for y in range(size):
-        off = y << s.level
-        for x in range(size):
-            images[x | off] = s.images[x] | off
-    return RepMatrix(s.level, tuple(images))
+def rep_matrix(s: CubePermutation) -> CubePermutation:
+    """pi(s) on the level-2n cube X_n x X_n: moves (x, y) to (s(x), y)."""
+    return block_product(s, identity(s.level))
 
 
 def xi_vector(level: int):
     """Indicator of the diagonal, a unit vector for the 2^-n point weights."""
+    check_level_cap(2 * level)
     vec = [0] * (1 << 2 * level)
     for x in range(1 << level):
         vec[x | (x << level)] = 1
@@ -67,8 +41,13 @@ def weighted_inner(u, v, level: int) -> Dyadic:
 
 def matrix_character(s: CubePermutation) -> Dyadic:
     """<pi(s) xi, xi> computed from the explicit matrix; equals mu(Fix(s))."""
-    xi = xi_vector(s.level)
-    return weighted_inner(rep_matrix(s).apply_to(xi), xi, s.level)
+    return _diagonal_form(rep_matrix(s), xi_vector(s.level))
+
+
+def _diagonal_form(rep: CubePermutation, xi) -> Dyadic:
+    """<rep xi, xi> = sum_i xi[i] xi[rep(i)] for a table on X_m x X_m,
+    every point weighted 2^-m."""
+    return Dyadic(sum(v * xi[w] for v, w in zip(xi, rep.images)), rep.level // 2)
 
 
 def tensor_character(s: CubePermutation, k: int) -> Dyadic:
@@ -80,29 +59,14 @@ def tensor_character(s: CubePermutation, k: int) -> Dyadic:
     """
     if k < 1:
         raise ValueError("tensor power k must be positive")
-    product_value = matrix_character(s) ** k
+    rep, xi = rep_matrix(s), xi_vector(s.level)
+    product_value = _diagonal_form(rep, xi) ** k
     if 2 * s.level * k > TENSOR_DIM_CAP_BITS:
         return product_value
-    base = rep_matrix(s)
-    dim = 1 << (2 * s.level)
-    total_dim = dim**k
-    xi = xi_vector(s.level)
-    xi_t = [1] * total_dim
-    img_t = [0] * total_dim
-    for p in range(total_dim):
-        rest, image, shift = p, 0, 1
-        for _ in range(k):
-            comp = rest % dim
-            rest //= dim
-            if not xi[comp]:
-                xi_t[p] = 0
-            image += base.images[comp] * shift
-            shift *= dim
-        img_t[p] = image
-    permuted = [0] * total_dim
-    for i, v in enumerate(xi_t):
-        permuted[img_t[i]] = v
-    explicit = Dyadic(sum(a * b for a, b in zip(permuted, xi_t)), s.level * k)
+    xi_k = [1]
+    for _ in range(k):
+        xi_k = [a * b for b in xi for a in xi_k]
+    explicit = _diagonal_form(block_product(*[rep] * k), xi_k)
     if explicit != product_value:
         raise InternalInconsistencyError(
             f"tensor character {explicit} != product formula {product_value}"

@@ -193,16 +193,19 @@ def odometer(level: int) -> CubePermutation:
 
 
 def transposition(level: int, a: int, b: int) -> CubePermutation:
+    check_level_cap(level)
     images = list(range(1 << level))
     images[a], images[b] = images[b], images[a]
     return CubePermutation(level, images)
 
 
 def from_cycles(level: int, cycles) -> CubePermutation:
+    check_level_cap(level)
     return CubePermutation(level, table_from_cycles(1 << level, cycles))
 
 
 def random_permutation(level: int, rng) -> CubePermutation:
+    check_level_cap(level)
     images = list(range(1 << level))
     rng.shuffle(images)
     return CubePermutation(level, images)
@@ -258,6 +261,17 @@ def uniform_distance(p: CubePermutation, q: CubePermutation) -> Dyadic:
         raise LevelMismatchError("lift to a common level first")
     diff = sum(1 for a, b in zip(p.images, q.images) if a != b)
     return Dyadic(diff, p.level)
+
+
+def block_product(*perms: CubePermutation) -> CubePermutation:
+    """Act by perms[0] on the first perms[0].level coordinates, by perms[1]
+    on the next perms[1].level, and so on; identity(0) for no factors."""
+    check_level_cap(sum(p.level for p in perms))
+    images, shift = [0], 0
+    for p in perms:
+        images = [v | (w << shift) for w in p.images for v in images]
+        shift += p.level
+    return CubePermutation(shift, images)
 
 
 def embed_head(p: CubePermutation, target_level: int) -> CubePermutation:

@@ -363,10 +363,11 @@ def criterion_appendix_constructions(seed: int) -> CriterionResult:
 # --- criterion 12 ----------------------------------------------------------
 
 
-def criterion_determinism(seed: int) -> CriterionResult:
-    """Rendering the full suite twice with one seed is byte-identical."""
+def criterion_determinism(seed: int, results) -> CriterionResult:
+    """Rendering the full suite twice with one seed is byte-identical: the
+    given results of criteria 1-11 against one fresh run."""
     started = time.perf_counter()
-    first = render_text(run_criteria(seed))
+    first = render_text(results)
     second = render_text(run_criteria(seed))
     failures = [] if first == second else ["reports differ between runs"]
     return _result(12, "determinism", None, started, failures, ["two runs compared"])
@@ -394,7 +395,7 @@ def run_criteria(seed: int = DEFAULT_SEED) -> list:
 
 def run_all(seed: int = DEFAULT_SEED) -> list:
     results = run_criteria(seed)
-    results.append(criterion_determinism(seed))
+    results.append(criterion_determinism(seed, results))
     return results
 
 

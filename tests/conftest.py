@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -30,3 +31,13 @@ def orbit_lengths(images):
             x = images[x]
         out.append(length)
     return sorted(out)
+
+
+def traced_peak(call):
+    """(call(), peak bytes allocated while it ran, as tracemalloc sees them)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -3,6 +3,7 @@ import json
 from contextlib import redirect_stdout
 
 from cubechar.cli import main
+from conftest import traced_peak
 
 
 def run_cli(argv):
@@ -189,6 +190,13 @@ def test_gns_check_accepts_nice_set_literal():
         ["gns-check", "--level", "2", "--samples", "5", "--nice-set", "k=2:1010"]
     )
     assert code == 0 and json.loads(out)["ok"] is True
+
+
+def test_gns_check_level_above_cap_exits_before_allocation(capsys):
+    (code, _), peak = traced_peak(lambda: run_cli(["gns-check", "--level", "11"]))
+    assert code == 3
+    assert "cap exceeded" in capsys.readouterr().err
+    assert peak < 1 << 20
 
 
 def test_cap_exceeded_exit_code():

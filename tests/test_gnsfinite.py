@@ -4,10 +4,13 @@ import pytest
 
 from cubechar import (
     Alpha,
+    CapExceededError,
+    CycleType,
     Dyadic,
     NiceSet,
     PreconditionError,
     compose,
+    cycle_type,
     embed_head,
     fixed_fraction,
     identity,
@@ -23,11 +26,17 @@ from cubechar import (
     weighted_inner,
     xi_vector,
 )
+from conftest import traced_peak
 
 
 def test_rep_is_identity_on_identity():
     r = rep_matrix(identity(2))
     assert r.images == tuple(range(16))
+
+
+def test_rep_is_the_head_embedding(s22, rng):
+    for s in s22 + [random_permutation(3, rng) for _ in range(10)]:
+        assert rep_matrix(s) == embed_head(s, 2 * s.level)
 
 
 def test_rep_homomorphism_exhaustive_level1():
@@ -36,19 +45,27 @@ def test_rep_homomorphism_exhaustive_level1():
     group = list(all_permutations(1))
     for s in group:
         for t in group:
-            assert rep_matrix(compose(s, t)).images == rep_matrix(s).compose(rep_matrix(t)).images
+            assert rep_matrix(compose(s, t)) == compose(rep_matrix(s), rep_matrix(t))
 
 
 def test_rep_homomorphism_random_level2(rng, s22):
     for _ in range(30):
         s = random_permutation(2, rng)
         t = random_permutation(2, rng)
-        assert rep_matrix(compose(s, t)).images == rep_matrix(s).compose(rep_matrix(t)).images
-        assert rep_matrix(s).compose(rep_matrix(s.inverse())).images == tuple(range(16))
+        assert rep_matrix(compose(s, t)) == compose(rep_matrix(s), rep_matrix(t))
+        assert compose(rep_matrix(s), rep_matrix(s.inverse())) == identity(4)
 
 
 def test_rep_of_odometer_has_order_four():
-    assert rep_matrix(odometer(2)).order() == 4
+    assert cycle_type(rep_matrix(odometer(2))) == CycleType.from_counts({4: 4})
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: rep_matrix(identity(11)), lambda: xi_vector(11)], ids=["rep_matrix", "xi_vector"]
+)
+def test_rep_cap_is_checked_before_allocation(make):
+    _, peak = traced_peak(lambda: pytest.raises(CapExceededError, make))
+    assert peak < 1 << 20
 
 
 def test_xi_is_a_unit_vector():

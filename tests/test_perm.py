@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cubechar import (
+    CapExceededError,
     CubePermutation,
     CycleType,
     Dyadic,
@@ -12,6 +15,7 @@ from cubechar import (
     ProductFormPermutation,
     apply_to_nice,
     are_conjugate,
+    block_product,
     compose,
     conjugate,
     cycle_string,
@@ -31,7 +35,7 @@ from cubechar import (
     transposition,
     uniform_distance,
 )
-from conftest import orbit_lengths
+from conftest import orbit_lengths, traced_peak
 
 
 def perms(level):
@@ -147,6 +151,49 @@ def test_head_and_tail_commute(p, q):
 @given(perms(2), perms(2))
 def test_embed_tail_is_homomorphism(p, q):
     assert embed_tail(compose(p, q), 1) == compose(embed_tail(p, 1), embed_tail(q, 1))
+
+
+# -- block products -----------------------------------------------------------
+
+
+def block_product_oracle(factors, z):
+    """Split z into the factors' bit fields, apply each factor, reassemble."""
+    image, shift = 0, 0
+    for p in factors:
+        field = (z >> shift) & ((1 << p.level) - 1)
+        image |= p(field) << shift
+        shift += p.level
+    return image
+
+
+@given(st.lists(st.integers(0, 3).flatmap(perms), max_size=4))
+def test_block_product_matches_bit_field_oracle(factors):
+    got = block_product(*factors)
+    assert got.level == sum(p.level for p in factors)
+    assert got.images == tuple(block_product_oracle(factors, z) for z in range(got.size))
+
+
+def test_block_product_examples():
+    p = CubePermutation(2, (1, 2, 3, 0))
+    assert block_product() == identity(0)
+    assert block_product(p) == p
+    assert block_product(p, identity(3)) == embed_head(p, 5)
+    assert block_product(identity(3), p) == embed_tail(p, 3)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: from_cycles(21, [(0, 1)]),
+        lambda: random_permutation(21, random.Random(0)),
+        lambda: transposition(21, 0, 1),
+        lambda: block_product(identity(11), identity(10)),
+    ],
+    ids=["from_cycles", "random_permutation", "transposition", "block_product"],
+)
+def test_level_cap_is_checked_before_allocation(make):
+    _, peak = traced_peak(lambda: pytest.raises(CapExceededError, make))
+    assert peak < 1 << 20
 
 
 # -- flips ---------------------------------------------------------------------
