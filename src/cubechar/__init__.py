@@ -81,7 +81,6 @@ from .perm import (
     cycle_string,
     cycle_type,
     embed_head,
-    embed_tail,
     fixed_count,
     fixed_fraction,
     fixed_set,

@@ -264,6 +264,11 @@ def verify_si_properties(s: CubePermutation, family) -> SiVerification:
     head_fixed = fixed_set(s)
     full_fiber = 1 << tail_level
 
+    def broken_fibers(perm) -> list:
+        """Head points whose fibre breaks Fix(perm) = Fix(s) x (full tail)."""
+        counts = perm.fiber_fixed_counts()
+        return [x for x in range(s.size) if counts[x] != (full_fiber if x in head_fixed else 0)]
+
     conj_failures = []
     fix_failures = []
     even_failures = []
@@ -273,12 +278,7 @@ def verify_si_properties(s: CubePermutation, family) -> SiVerification:
         got = member.cycle_type()
         if got != expected_type:
             conj_failures.append((i, str(got), str(expected_type)))
-        counts = member.fiber_fixed_counts()
-        bad = [
-            x
-            for x in range(s.size)
-            if counts[x] != (full_fiber if x in head_fixed else 0)
-        ]
+        bad = broken_fibers(member)
         if bad:
             fix_failures.append((i, i, f"fibers {bad} break Fix(s_i) = Fix(s) x tail"))
 
@@ -287,12 +287,7 @@ def verify_si_properties(s: CubePermutation, family) -> SiVerification:
             if i == j:
                 continue
             quotient = family[i].compose(family[j].inverse())
-            counts = quotient.fiber_fixed_counts()
-            bad = [
-                x
-                for x in range(s.size)
-                if counts[x] != (full_fiber if x in head_fixed else 0)
-            ]
+            bad = broken_fibers(quotient)
             if bad:
                 fix_failures.append(
                     (i, j, f"fibers {bad} break Fix(s_i s_j^-1) = Fix(s) x tail")

@@ -18,6 +18,8 @@ from mpmath import libmp
 DEFAULT_PRECISION = 64
 DEFAULT_PRECISION_CAP = 16384
 PRECISION_CAP_ENV = "CUBECHAR_PRECISION_CAP"
+#: Fractional decimal places of a printed enclosure endpoint.
+DECIMAL_DIGITS = 25
 
 
 def precision_cap() -> int:
@@ -68,10 +70,10 @@ class Enclosure:
     def overlaps(self, other: "Enclosure") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
-    def format_pair(self, digits: int = 25) -> tuple:
+    def format_pair(self) -> tuple:
         return (
-            fraction_to_decimal(self.lo, digits, round_up=False),
-            fraction_to_decimal(self.hi, digits, round_up=True),
+            fraction_to_decimal(self.lo, round_up=False),
+            fraction_to_decimal(self.hi, round_up=True),
         )
 
     def __str__(self):
@@ -79,16 +81,16 @@ class Enclosure:
         return f"[{lo}, {hi}]"
 
 
-def fraction_to_decimal(f: Fraction, digits: int, round_up: bool) -> str:
-    """Decimal string with `digits` fractional places, rounded outward."""
+def fraction_to_decimal(f: Fraction, round_up: bool) -> str:
+    """Decimal string with DECIMAL_DIGITS fractional places, rounded outward."""
     sign = "-" if f < 0 else ""
     num, den = abs(f.numerator), f.denominator
-    scaled = num * 10**digits
+    scaled = num * 10**DECIMAL_DIGITS
     quo, rem = divmod(scaled, den)
     if rem and (round_up != (f < 0)):
         quo += 1
-    text = str(quo).rjust(digits + 1, "0")
-    return f"{sign}{text[:-digits]}.{text[-digits:]}" if digits else f"{sign}{text}"
+    text = str(quo).rjust(DECIMAL_DIGITS + 1, "0")
+    return f"{sign}{text[:-DECIMAL_DIGITS]}.{text[-DECIMAL_DIGITS:]}"
 
 
 def fraction_iv(ctx, f: Fraction):

@@ -23,19 +23,25 @@ import numpy as np
 
 from .certreal import DEFAULT_PRECISION, Enclosure, certify_sign, make_context, pow_iv
 from .dyadic import Dyadic
-from .errors import PreconditionError
+from .errors import CapExceededError, PreconditionError
 from .perm import (
     CubePermutation,
+    block_product,
     compose,
     cycle_string,
     embed_head,
-    embed_tail,
     fixed_fraction,
     flip_perm,
 )
 from . import cube
 
 FLOAT_TOLERANCE_BITS = 40
+
+#: Bound on alpha * max(bits of the numerator, q) for an exact power of a
+#: dyadic base p/2^q.  2^14284 is the largest power of two whose decimal form
+#: fits Python's default 4300-digit limit on int-to-str conversion, so on
+#: bases in (0, 1) every value under the bound prints and none above it does.
+EXACT_POWER_CAP_BITS = 14284
 
 
 class Alpha:
@@ -138,6 +144,11 @@ def char_power(alpha: Alpha, base: Dyadic):
     if alpha.is_infinity:
         return Dyadic(1) if base == 1 else Dyadic(0)
     if alpha.is_integer:
+        bits = alpha.integer * max(base.p.bit_length(), base.q)
+        if bits > EXACT_POWER_CAP_BITS and base != 1:
+            raise CapExceededError(
+                f"({base})^{alpha} needs {bits} bits, exact-power cap {EXACT_POWER_CAP_BITS}"
+            )
         return base**alpha.integer
     return BasePower(base, alpha.fraction)
 
@@ -156,11 +167,9 @@ def centrality_check(alpha: Alpha, g1: CubePermutation, g2: CubePermutation) -> 
 
 
 def multiplicativity_check(alpha: Alpha, s1: CubePermutation, s2: CubePermutation) -> bool:
-    """chi_alpha(s1 * tail(s2)) == chi_alpha(s1) * chi_alpha(s2), with s2
-    embedded on the coordinates after s1's level."""
-    n = s1.level
-    composite = compose(embed_head(s1, n + s2.level), embed_tail(s2, n))
-    return char_eval(alpha, composite) == char_eval(alpha, s1) * char_eval(alpha, s2)
+    """chi_alpha(s1 x s2) == chi_alpha(s1) * chi_alpha(s2), where s1 x s2 acts
+    by s1 on the first s1.level coordinates and by s2 on the ones after."""
+    return char_eval(alpha, block_product(s1, s2)) == char_eval(alpha, s1) * char_eval(alpha, s2)
 
 
 def fixproj_identity_check(
@@ -305,13 +314,12 @@ def quadratic_form(mat, v):
 
 
 def psd_check_float(mat: np.ndarray) -> tuple:
-    """(is_psd, witness_or_None, lambda_min) at relative tolerance 2^-FLOAT_TOLERANCE_BITS."""
+    """(is_psd, witness_or_None) at relative tolerance 2^-FLOAT_TOLERANCE_BITS."""
     evals, evecs = np.linalg.eigh(mat)
-    lam_min = float(evals[0])
     scale = max(1.0, float(abs(evals[-1])))
-    if lam_min >= -(2.0**-FLOAT_TOLERANCE_BITS) * scale:
-        return True, None, lam_min
-    return False, [float(x) for x in evecs[:, 0]], lam_min
+    if float(evals[0]) >= -(2.0**-FLOAT_TOLERANCE_BITS) * scale:
+        return True, None
+    return False, [float(x) for x in evecs[:, 0]]
 
 
 def _witness_form_enclosure(bases, coeffs, exponent: Fraction, prec: int) -> Enclosure:
@@ -388,7 +396,7 @@ def gram_matrix(
     )
     matrix = tuple(tuple(repr(float(x)) for x in row) for row in mid)
     method = f"float(tol=2^-{FLOAT_TOLERANCE_BITS})"
-    float_ok, w, _ = psd_check_float(mid)
+    float_ok, w = psd_check_float(mid)
     if witness_strategy == "signs":
         candidate = [Fraction(g.sign()) for g in lifted]
     elif float_ok:

@@ -23,6 +23,9 @@ from .perm import permutation_sign
 
 ALT_TRACE_MAX_M = 8
 
+#: noninteger_witness rejects alpha this close to an integer.
+INTEGER_DISTANCE_THRESHOLD = Fraction(1, 1 << 20)
+
 
 def signed_derangement_sum(k: int) -> int:
     """Sum of permutation signs over all derangements of S(k): (-1)^(k-1)(k-1)."""
@@ -176,7 +179,7 @@ def signed_fixcount_distribution(m: int) -> list:
     return dist
 
 
-def alt_trace_bruteforce(alpha: Fraction, m: int, precision: int = DEFAULT_PRECISION):
+def alt_trace_bruteforce(alpha: Fraction, m: int):
     """(1/m!) * sum over S(m) of sign(s) * (|Fix(s)|/m)^alpha by enumeration.
 
     Exact Fraction for integer alpha; a certified Enclosure otherwise.
@@ -190,31 +193,27 @@ def alt_trace_bruteforce(alpha: Fraction, m: int, precision: int = DEFAULT_PRECI
         a = int(alpha)
         num = sum(coeff * f**a for f, coeff in enumerate(dist) if coeff)
         return Fraction(num, fact * m**a)
-    ctx = make_context(precision)
+    ctx = make_context(DEFAULT_PRECISION)
     total = ctx.mpf(0)
     for f, coeff in enumerate(dist):
         if coeff and f > 0:  # 0^alpha = 0 for alpha > 0
             total += ctx.mpf(coeff) * pow_iv(ctx, f, 1, alpha)
     total /= ctx.mpf(fact) * pow_iv(ctx, m, 1, alpha)
-    return Enclosure.from_iv(total, precision)
+    return Enclosure.from_iv(total, DEFAULT_PRECISION)
 
 
-def alt_trace_closed_form(alpha: Fraction, m: int, precision: int = DEFAULT_PRECISION):
+def alt_trace_closed_form(alpha: Fraction, m: int):
     """C_alpha(m) / (m! * m^alpha), the closed form the enumeration must match."""
     alpha = Fraction(alpha)
     fact = math.factorial(m)
     if alpha.denominator == 1:
         return Fraction(c_alpha_integer(int(alpha), m), fact * m ** int(alpha))
-    ctx = make_context(precision)
+    ctx = make_context(DEFAULT_PRECISION)
     total = _c_alpha_sum_iv(ctx, alpha, m) / (ctx.mpf(fact) * pow_iv(ctx, m, 1, alpha))
-    return Enclosure.from_iv(total, precision)
+    return Enclosure.from_iv(total, DEFAULT_PRECISION)
 
 
-def noninteger_witness(
-    alpha: Fraction,
-    integer_distance_threshold: Fraction = Fraction(1, 1 << 20),
-    precision: int = DEFAULT_PRECISION,
-) -> tuple:
+def noninteger_witness(alpha: Fraction, precision: int = DEFAULT_PRECISION) -> tuple:
     """First m <= floor(alpha)+4 with certified C_alpha(m) < 0.
 
     Returns (m, ObstructionReport).  Raises FalsificationError if no certified
@@ -224,8 +223,8 @@ def noninteger_witness(
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     nearest = round(alpha)
-    if abs(alpha - nearest) <= integer_distance_threshold:
-        raise ValueError(f"alpha {alpha} is within {integer_distance_threshold} of an integer")
+    if abs(alpha - nearest) <= INTEGER_DISTANCE_THRESHOLD:
+        raise ValueError(f"alpha {alpha} is within {INTEGER_DISTANCE_THRESHOLD} of an integer")
     reports = []
     for m in range(2, int(alpha) + 5):
         report = c_alpha_real(alpha, m, precision=precision)

@@ -5,7 +5,8 @@ q first.  Products of cycles written left to right therefore apply right to
 left, matching the usual convention (1,2)(2,3) = (1,2,3).
 
 Permutations at different levels are never implicitly compatible; lift with
-embed_head (or embed_tail) before combining.
+embed_head, or place them on disjoint blocks of coordinates with
+block_product, before combining.
 """
 
 from __future__ import annotations
@@ -279,25 +280,7 @@ def embed_head(p: CubePermutation, target_level: int) -> CubePermutation:
     if target_level < p.level:
         raise LevelMismatchError("target level below source level")
     check_level_cap(target_level)
-    head_bits = p.level
-    mask = (1 << head_bits) - 1
-    return CubePermutation(
-        target_level,
-        (p.images[x & mask] | (x >> head_bits << head_bits) for x in range(1 << target_level)),
-    )
-
-
-def embed_tail(p: CubePermutation, head_levels: int) -> CubePermutation:
-    """Act by p on coordinates head_levels+1 .. head_levels+p.level."""
-    if head_levels < 0:
-        raise ValueError("head_levels must be non-negative")
-    level = head_levels + p.level
-    check_level_cap(level)
-    mask = (1 << head_levels) - 1
-    return CubePermutation(
-        level,
-        ((x & mask) | (p.images[x >> head_levels] << head_levels) for x in range(1 << level)),
-    )
+    return block_product(p, identity(target_level - p.level))
 
 
 def flip_perm(a: NiceSet, m: int) -> CubePermutation:

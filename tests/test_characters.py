@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from cubechar import (
     Alpha,
     BasePower,
+    CapExceededError,
     CubePermutation,
     Dyadic,
     NiceSet,
@@ -28,7 +29,7 @@ from cubechar import (
     random_permutation,
     transposition,
 )
-from cubechar.characters import _psd_witness
+from cubechar.characters import EXACT_POWER_CAP_BITS, _psd_witness
 
 ALPHAS = [Alpha(0), Alpha(1), Alpha(2), Alpha(3), Alpha.infinity(), Alpha(Fraction(3, 2))]
 
@@ -64,6 +65,25 @@ def test_char_eval_examples():
     assert char_eval(Alpha(2), transposition(2, 0, 1)) == Dyadic(1, 1) ** 2  # (1/2)^2
     assert char_eval(Alpha.infinity(), odometer(2)) == Dyadic(0)
     assert char_eval(Alpha.infinity(), transposition(3, 0, 1)) == Dyadic(0)
+
+
+@pytest.mark.parametrize("base", [Dyadic(1, 1), Dyadic(3, 3), Dyadic(5, 3)])
+def test_exact_power_cap_edge(base):
+    """Powers up to the cap print in full; one step past it raises before the power."""
+    bits_per_unit = max(base.p.bit_length(), base.q)
+    edge = EXACT_POWER_CAP_BITS // bits_per_unit
+    value = char_power(Alpha(edge), base)
+    assert str(value) == f"{base.p**edge}/{1 << base.q * edge}"
+    with pytest.raises(CapExceededError):
+        char_power(Alpha(edge + 1), base)
+
+
+def test_exact_power_cap_spares_zero_and_one():
+    huge = Alpha(10**11)
+    assert char_power(huge, Dyadic(0)) == Dyadic(0)
+    assert char_power(huge, Dyadic(1)) == Dyadic(1)
+    with pytest.raises(CapExceededError):
+        char_power(huge, Dyadic(1, 1))
 
 
 def test_real_channel_enclosure():

@@ -204,6 +204,15 @@ def test_cap_exceeded_exit_code():
     assert code == 3
 
 
+def test_exact_power_past_cap_exits_3(capsys):
+    for alpha in ("10000", "100000000000"):
+        code, out = run_cli(["char-eval", "--alpha", alpha, "--perm", "level=3: (0 1 2 3 4)"])
+        assert code == 3 and out == ""
+        assert "cap exceeded" in capsys.readouterr().err
+    code, _ = run_cli(["gram", "--alpha", "10000", "--elements", "e;level=3: (0 1 2 3 4)"])
+    assert code == 3
+
+
 def test_verify_all_json_smoke():
     code, out = run_cli(["verify-all", "--seed", "42", "--format", "json"])
     assert code == 0

@@ -6,13 +6,15 @@ from pathlib import Path
 import pytest
 
 MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "cubechar").glob("*.py"))
+NON_INIT = [p for p in MODULES if p.name != "__init__.py"]
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _loaded_names(tree) -> set:
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", NON_INIT, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
     imported = [
@@ -33,3 +35,26 @@ def test_no_unreferenced_private_helpers(path):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
     ]
     assert [name for name in private if name not in _loaded_names(tree)] == []
+
+
+@pytest.fixture(scope="module")
+def referenced_names() -> set:
+    """Names loaded as variables or read as attributes anywhere in the package
+    or its tests; `__init__` exports do not count."""
+    names = set()
+    for path in NON_INIT + TESTS:
+        tree = ast.parse(path.read_text())
+        names |= _loaded_names(tree)
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return names
+
+
+@pytest.mark.parametrize("path", NON_INIT, ids=lambda p: p.stem)
+def test_no_orphan_public_names(path, referenced_names):
+    tree = ast.parse(path.read_text())
+    public = [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    assert [name for name in public if name not in referenced_names] == []

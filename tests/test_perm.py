@@ -21,7 +21,6 @@ from cubechar import (
     cycle_string,
     cycle_type,
     embed_head,
-    embed_tail,
     fixed_count,
     fixed_fraction,
     fixed_set,
@@ -136,21 +135,24 @@ def test_embed_head_is_homomorphism(p, target):
 
 def test_embed_tail_examples():
     p = CubePermutation(2, (1, 2, 3, 0))
-    assert embed_tail(p, 0) == p
-    assert fixed_fraction(embed_tail(p, 2)) == fixed_fraction(p)
+    assert block_product(identity(0), p) == p
+    assert fixed_fraction(block_product(identity(2), p)) == fixed_fraction(p)
 
 
 @given(perms(2), perms(2))
 def test_head_and_tail_commute(p, q):
     n = m = 2
     head = embed_head(q, n + m)
-    tail = embed_tail(p, n)
-    assert compose(head, tail) == compose(tail, head)
+    tail = block_product(identity(n), p)
+    assert compose(head, tail) == compose(tail, head) == block_product(q, p)
 
 
 @given(perms(2), perms(2))
 def test_embed_tail_is_homomorphism(p, q):
-    assert embed_tail(compose(p, q), 1) == compose(embed_tail(p, 1), embed_tail(q, 1))
+    def tail(x):
+        return block_product(identity(1), x)
+
+    assert tail(compose(p, q)) == compose(tail(p), tail(q))
 
 
 # -- block products -----------------------------------------------------------
@@ -178,7 +180,6 @@ def test_block_product_examples():
     assert block_product() == identity(0)
     assert block_product(p) == p
     assert block_product(p, identity(3)) == embed_head(p, 5)
-    assert block_product(identity(3), p) == embed_tail(p, 3)
 
 
 @pytest.mark.parametrize(
@@ -188,8 +189,9 @@ def test_block_product_examples():
         lambda: random_permutation(21, random.Random(0)),
         lambda: transposition(21, 0, 1),
         lambda: block_product(identity(11), identity(10)),
+        lambda: embed_head(identity(1), 21),
     ],
-    ids=["from_cycles", "random_permutation", "transposition", "block_product"],
+    ids=["from_cycles", "random_permutation", "transposition", "block_product", "embed_head"],
 )
 def test_level_cap_is_checked_before_allocation(make):
     _, peak = traced_peak(lambda: pytest.raises(CapExceededError, make))
