@@ -62,6 +62,7 @@ from .obstruction import (
     c_alpha_integer,
     c_alpha_real,
     noninteger_witness,
+    noninteger_witness_scan,
     signed_derangement_sum,
     signed_derangement_sum_bruteforce,
     signed_fixcount_distribution,

@@ -391,10 +391,10 @@ def gram_matrix(
     # non-integer channel
     bases = [[base_of[c] for c in row] for row in counts]
     exponent = alpha.fraction
-    mid = np.array(
-        [[BasePower(bases[i][j], exponent).midpoint_float() for j in range(n)] for i in range(n)]
-    )
-    matrix = tuple(tuple(repr(float(x)) for x in row) for row in mid)
+    mid_of = {c: BasePower(b, exponent).midpoint_float() for c, b in base_of.items()}
+    text_of = {c: repr(x) for c, x in mid_of.items()}
+    mid = np.array([[mid_of[c] for c in row] for row in counts])
+    matrix = tuple(tuple(text_of[c] for c in row) for row in counts)
     method = f"float(tol=2^-{FLOAT_TOLERANCE_BITS})"
     float_ok, w = psd_check_float(mid)
     if witness_strategy == "signs":

@@ -18,13 +18,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certreal import DEFAULT_PRECISION, Enclosure, certify_sign, make_context, pow_iv
-from .errors import FalsificationError, InternalInconsistencyError
+from .errors import CapExceededError, FalsificationError, InternalInconsistencyError
 from .perm import permutation_sign
 
 ALT_TRACE_MAX_M = 8
 
 #: noninteger_witness rejects alpha this close to an integer.
 INTEGER_DISTANCE_THRESHOLD = Fraction(1, 1 << 20)
+
+#: Python's default limit on the digits of an int converted to str: every
+#: exact C_n(m) under it prints, and c_alpha_integer refuses the rest.
+EXACT_VALUE_CAP_DIGITS = 4300
+_EXACT_VALUE_BOUND = 10**EXACT_VALUE_CAP_DIGITS
+# A lower bound of more bits than log2(10^4300) means too many digits; the
+# extra bit absorbs float rounding in that bound.
+_EXACT_VALUE_CAP_BITS = EXACT_VALUE_CAP_DIGITS * math.log2(10) + 1
 
 
 def signed_derangement_sum(k: int) -> int:
@@ -77,12 +85,27 @@ def c_alpha_direct_integer(n: int, m: int) -> int:
 
 
 def c_alpha_integer(n: int, m: int) -> int:
-    """C_n(m) via both the direct sum and m!(S(n,m)+S(n,m-1)); must agree."""
+    """C_n(m) via both the direct sum and m!(S(n,m)+S(n,m-1)); must agree.
+
+    Raises CapExceededError for a value of more than EXACT_VALUE_CAP_DIGITS
+    decimal digits.  Before the sums, a lower bound on the value decides
+    cheaply: S(n,m) >= m^(n-m) by the recurrence S(n,m) >= m S(n-1,m), so
+    C_n(m) >= m! m^(n-m) for 1 <= m <= n+1.  For m >= n+2 the value is 0.
+    """
     if n < 0:
         raise ValueError("exponent must be non-negative")
     if m < 1:
         raise ValueError("m must be positive")
+    if m <= n + 1:
+        bits = math.lgamma(m + 1) / math.log(2) + (n - m) * math.log2(m)
+        if bits > _EXACT_VALUE_CAP_BITS:
+            raise CapExceededError(
+                f"C_{n}({m}) has at least {bits:.0f} bits,"
+                f" over the {EXACT_VALUE_CAP_DIGITS}-digit cap"
+            )
     direct = c_alpha_direct_integer(n, m)
+    if direct >= _EXACT_VALUE_BOUND:
+        raise CapExceededError(f"C_{n}({m}) has more than {EXACT_VALUE_CAP_DIGITS} digits")
     via_stirling = math.factorial(m) * (stirling2(n, m) + stirling2(n, m - 1))
     if direct != via_stirling:
         raise InternalInconsistencyError(
@@ -213,18 +236,60 @@ def alt_trace_closed_form(alpha: Fraction, m: int):
     return Enclosure.from_iv(total, DEFAULT_PRECISION)
 
 
-def noninteger_witness(alpha: Fraction, precision: int = DEFAULT_PRECISION) -> tuple:
-    """First m <= floor(alpha)+4 with certified C_alpha(m) < 0.
-
-    Returns (m, ObstructionReport).  Raises FalsificationError if no certified
-    negative value exists in the scanned range, carrying all reports.
-    """
+def _check_noninteger(alpha: Fraction) -> Fraction:
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     nearest = round(alpha)
     if abs(alpha - nearest) <= INTEGER_DISTANCE_THRESHOLD:
         raise ValueError(f"alpha {alpha} is within {INTEGER_DISTANCE_THRESHOLD} of an integer")
+    return alpha
+
+
+def noninteger_witness(alpha: Fraction, precision: int = DEFAULT_PRECISION) -> tuple:
+    """The first m with C_alpha(m) < 0, m* = ceil(alpha) + 2, certified once.
+
+    Sign rule, for non-integer alpha > 0:
+      * C_alpha(m) > 0 for 1 <= m < alpha + 1;
+      * for m > alpha + 1, C_alpha(m) < 0 exactly when m - ceil(alpha) is even;
+    so the first negative value is at m* = ceil(alpha) + 2 = floor(alpha) + 3.
+
+    Proof sketch.  C_alpha(m) = Delta^m g(0) for g(x) = x^alpha (x + 1 - m),
+    Delta the forward difference.  By the Peano-kernel (B-spline) form of
+    divided differences (Curry and Schoenberg 1966; de Boor, A Practical
+    Guide to Splines), Delta^m g(0) = int_0^m g^(m)(t) N_m(t) dt with N_m the
+    cardinal B-spline, positive on (0, m) with integral 1; the integral
+    converges at 0 because N_m(t) = O(t^(m-1)).  Here
+    g^(m)(t) = (alpha)_m t^(alpha-m) [(alpha+1) t / (alpha+1-m) + 1 - m].  For
+    m > alpha + 1 the bracket is negative on (0, m) and the falling factorial
+    (alpha)_m has m - ceil(alpha) negative factors.  For m < alpha + 1,
+    C_alpha(m) = m Delta^(m-1) h(0) + Delta^m h(0) with h = x^alpha, and both
+    terms are positive.
+
+    Returns (m*, ObstructionReport).  If the report at m* is not certified
+    negative (undetermined at the precision cap, or a contradiction of the
+    rule) raises FalsificationError carrying [report].
+    `noninteger_witness_scan` is the brute-force oracle for the rule.
+    """
+    alpha = _check_noninteger(alpha)
+    m = math.ceil(alpha) + 2
+    report = c_alpha_real(alpha, m, precision=precision)
+    if report.sign != "negative":
+        raise FalsificationError(
+            f"C_alpha({m}) for alpha={alpha} is {report.sign}, not certified negative",
+            report=[report],
+        )
+    return m, report
+
+
+def noninteger_witness_scan(alpha: Fraction, precision: int = DEFAULT_PRECISION) -> tuple:
+    """First m <= floor(alpha)+4 with certified C_alpha(m) < 0, by certifying
+    every m from 2 up; the oracle for `noninteger_witness`.
+
+    Returns (m, ObstructionReport).  Raises FalsificationError if no certified
+    negative value exists in the scanned range, carrying all reports.
+    """
+    alpha = _check_noninteger(alpha)
     reports = []
     for m in range(2, int(alpha) + 5):
         report = c_alpha_real(alpha, m, precision=precision)

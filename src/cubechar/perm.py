@@ -172,13 +172,23 @@ class CubePermutation:
         return 1 << self.level
 
     def inverse(self) -> "CubePermutation":
-        return CubePermutation(self.level, invert_table(self.images))
+        return _trusted_permutation(self.level, invert_table(self.images))
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.images))
 
     def sign(self) -> int:
         return permutation_sign(self.images)
+
+
+def _trusted_permutation(level: int, images: tuple) -> CubePermutation:
+    """A CubePermutation from a tuple that is a bijection of X_level by
+    construction (a composite, inverse or block product of permutations), so
+    the constructor's cap and bijectivity checks are skipped."""
+    p = object.__new__(CubePermutation)
+    object.__setattr__(p, "level", level)
+    object.__setattr__(p, "images", images)
+    return p
 
 
 def identity(level: int) -> CubePermutation:
@@ -222,7 +232,7 @@ def compose(p: CubePermutation, q: CubePermutation) -> CubePermutation:
     """(p o q)(x) = p(q(x))."""
     if p.level != q.level:
         raise LevelMismatchError(f"levels {p.level} and {q.level}; lift explicitly first")
-    return CubePermutation(p.level, compose_tables(p.images, q.images))
+    return _trusted_permutation(p.level, compose_tables(p.images, q.images))
 
 
 def conjugate(s: CubePermutation, g: CubePermutation) -> CubePermutation:
@@ -230,7 +240,7 @@ def conjugate(s: CubePermutation, g: CubePermutation) -> CubePermutation:
     if s.level != g.level:
         raise LevelMismatchError(f"levels {s.level} and {g.level}; lift explicitly first")
     ginv = invert_table(g.images)
-    return CubePermutation(s.level, tuple(g.images[s.images[ginv[i]]] for i in range(s.size)))
+    return _trusted_permutation(s.level, tuple(g.images[s.images[ginv[i]]] for i in range(s.size)))
 
 
 def cycle_type(p: CubePermutation) -> CycleType:
@@ -272,7 +282,7 @@ def block_product(*perms: CubePermutation) -> CubePermutation:
     for p in perms:
         images = [v | (w << shift) for w in p.images for v in images]
         shift += p.level
-    return CubePermutation(shift, images)
+    return _trusted_permutation(shift, tuple(images))
 
 
 def embed_head(p: CubePermutation, target_level: int) -> CubePermutation:

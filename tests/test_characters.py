@@ -275,6 +275,8 @@ def test_gram_sign_witness_matches_obstruction(s22):
     report = gram_matrix(Alpha(Fraction(3, 2)), s22, witness_strategy="signs")
     assert not report.is_psd
     assert report.witness is not None
+    # one entry string per distinct agreement count (0, 1, 2 or 4 on S(2^2))
+    assert len({id(x) for row in report.matrix for x in row}) == 4
     # v^T M v = (24 / 4^1.5) * C_{3/2}(4) = 3 * C_{3/2}(4)
     c = c_alpha_real(Fraction(3, 2), 4)
     lo = 3 * c.enclosure.lo

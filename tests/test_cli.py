@@ -149,6 +149,13 @@ def test_obstruction_undetermined_at_precision_cap(monkeypatch, capsys):
     assert capsys.readouterr().err == "undetermined\n"
 
 
+def test_obstruction_integer_past_cap_exits_3(capsys):
+    for alpha in ("20000", "100000000000"):
+        code, out = run_cli(["obstruction", "--alpha", alpha, "--m", "3"])
+        assert code == 3 and out == ""
+        assert "cap exceeded" in capsys.readouterr().err
+
+
 def test_obstruction_rejects_precision_cap_below_minimum(monkeypatch, capsys):
     monkeypatch.setenv("CUBECHAR_PRECISION_CAP", "32")
     code, out = run_cli(["obstruction", "--alpha", "201/2", "--m", "103"])

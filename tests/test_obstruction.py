@@ -2,20 +2,32 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubechar import (
+    CapExceededError,
+    FalsificationError,
+    ObstructionReport,
     alt_trace_bruteforce,
     alt_trace_closed_form,
     c_alpha_integer,
     c_alpha_real,
     noninteger_witness,
+    noninteger_witness_scan,
+    obstruction,
     signed_derangement_sum,
     signed_derangement_sum_bruteforce,
     signed_fixcount_distribution,
     stirling2,
     stirling2_recurrence,
 )
-from cubechar.obstruction import c_alpha_direct_integer
+from cubechar.obstruction import EXACT_VALUE_CAP_DIGITS, c_alpha_direct_integer
+
+#: Non-integer alpha = num/den with num < 60 and den in {2, 3, 4, 7}.
+noninteger_alphas = st.builds(
+    Fraction, st.integers(1, 59), st.sampled_from((2, 3, 4, 7))
+).filter(lambda a: a.denominator != 1)
 
 
 # -- derangement sums ------------------------------------------------------------
@@ -78,6 +90,21 @@ def test_c_alpha_integer_examples():
     for n in range(16):
         for m in range(1, 16):
             assert c_alpha_integer(n, m) >= 0
+
+
+@pytest.mark.parametrize("n, m", [(9012, 3), (2684, 40)])
+def test_integer_cap_edge(n, m):
+    """The largest n that prints at each m prints in full; n + 1 raises."""
+    assert len(str(c_alpha_integer(n, m))) == EXACT_VALUE_CAP_DIGITS
+    with pytest.raises(CapExceededError):
+        c_alpha_integer(n + 1, m)
+
+
+def test_integer_cap_is_checked_before_the_sums():
+    with pytest.raises(CapExceededError, match="at least"):
+        c_alpha_integer(10**11, 3)
+    assert c_alpha_integer(10**11, 1) == 1
+    assert c_alpha_integer(5, 100) == 0
 
 
 def test_c_alpha_direct_equals_stirling_route():
@@ -171,9 +198,48 @@ def test_noninteger_witness_rejects_near_integers():
 
 
 def test_paper_dichotomy_window():
-    # the scan does not presume the dichotomy is tight, but on this grid the
-    # first certified negative lands exactly at floor(alpha)+3
+    # the witness is the sign rule's m* = ceil(alpha) + 2 = floor(alpha) + 3;
+    # the oracle tests below check the rule against the scan
     for text in ("0.3", "0.5", "1.5", "2.5", "3.7", "5.25"):
         alpha = Fraction(text)
         m, _ = noninteger_witness(alpha)
         assert m == int(alpha) + 3
+
+
+@settings(max_examples=25, deadline=None)
+@given(noninteger_alphas)
+def test_witness_matches_scan(alpha):
+    assert noninteger_witness(alpha) == noninteger_witness_scan(alpha)
+
+
+@settings(max_examples=25, deadline=None)
+@given(noninteger_alphas)
+def test_certified_signs_follow_the_rule(alpha):
+    for m in range(1, math.floor(alpha) + 5):
+        sign = c_alpha_real(alpha, m).sign
+        if m < alpha + 1:
+            expected = "positive"
+        else:
+            expected = "negative" if (m - math.ceil(alpha)) % 2 == 0 else "positive"
+        assert sign in (expected, "undetermined"), (alpha, m, sign)
+
+
+def test_witness_certifies_one_sum(monkeypatch):
+    calls = []
+
+    def counted(alpha, m, precision):
+        calls.append((alpha, m))
+        return ObstructionReport(alpha, m, "negative", "interval")
+
+    monkeypatch.setattr(obstruction, "c_alpha_real", counted)
+    alpha = Fraction(1001, 2)
+    m, report = noninteger_witness(alpha)
+    assert calls == [(alpha, 503)]
+    assert (m, report.m) == (503, 503)
+
+
+def test_witness_undetermined_at_precision_cap(monkeypatch):
+    monkeypatch.setenv("CUBECHAR_PRECISION_CAP", "64")
+    with pytest.raises(FalsificationError) as info:
+        noninteger_witness(Fraction(1001, 2))
+    assert [r.sign for r in info.value.report] == ["undetermined"]

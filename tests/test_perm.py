@@ -49,6 +49,17 @@ def test_rejects_non_bijections():
         CubePermutation(1, (0, 0))
     with pytest.raises(ValueError):
         CubePermutation(1, (0,))
+    for images in ((2, 0, 3, 3), (2, 0, 3, 4), (2, 0, 3, -1)):
+        with pytest.raises(ValueError, match="not a bijection"):
+            CubePermutation(2, images)
+
+
+def test_unchecked_outputs_equal_checked_construction():
+    p = CubePermutation(2, (2, 0, 3, 1))
+    for out in (compose(p, p), p.inverse(), conjugate(p, p), block_product(p, p)):
+        rebuilt = CubePermutation(out.level, out.images)
+        assert out == rebuilt and hash(out) == hash(rebuilt)
+        assert type(out.images) is tuple
 
 
 def test_compose_identity_inverse():
