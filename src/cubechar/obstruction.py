@@ -12,14 +12,14 @@ term survives).  For integer alpha = n this equals m!(S(n,m) + S(n,m-1)).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .certreal import DEFAULT_PRECISION, Enclosure, certify_sign, make_context, pow_iv
 from .errors import CapExceededError, FalsificationError, InternalInconsistencyError
-from .perm import permutation_sign
 
 ALT_TRACE_MAX_M = 8
 
@@ -43,14 +43,65 @@ def signed_derangement_sum(k: int) -> int:
 
 
 def signed_derangement_sum_bruteforce(k: int) -> int:
-    """The same sum by literal enumeration of fixed-point-free permutations."""
+    """The same sum by literal enumeration of S(k): the signs, each the parity
+    of the permutation's inversions, of the permutations with no fixed point."""
     if not 1 <= k <= 9:
         raise ValueError("brute force supported only for 1 <= k <= 9")
-    total = 0
-    for p in itertools.permutations(range(k)):
-        if all(p[i] != i for i in range(k)):
-            total += permutation_sign(p)
-    return total
+    return _signed_fixcounts(k)[0]
+
+
+def _permutation_rows(k: int):
+    """Yield S(k) in lexicographic order as k int8 blocks of (k-1)! rows.
+
+    Block v holds the permutations with first image v: v, then the rows of
+    S(k-1) relabelled onto range(k) minus v (adding 1 to each image >= v
+    keeps their order).  Every block is written into one buffer, which the
+    next block overwrites: from block v-1 to block v, the image v of the
+    relabelled rows becomes v-1.
+    """
+    if k == 0:
+        yield np.zeros((1, 0), np.int8)
+        return
+    # column-major, so that every column the loops read is contiguous
+    block = np.empty((math.factorial(k - 1), k), np.int8, order="F")
+    for v, rows in enumerate(_permutation_rows(k - 1)):
+        block[v * len(rows) : (v + 1) * len(rows), 1:] = rows
+    np.add(block[:, 1:], 1, out=block[:, 1:])
+    moved = np.empty(len(block), bool)
+    for v in range(k):
+        if v:
+            for c in range(1, k):
+                np.equal(block[:, c], v, out=moved)
+                np.subtract(block[:, c], moved, out=block[:, c])
+        block[:, 0] = v
+        yield block
+
+
+def _signed_fixcounts(k: int) -> list:
+    """a[f] = sum of sign(s) over the s in S(k) with exactly f fixed points.
+
+    Enumerates every permutation, block by block of _permutation_rows.  The
+    sign of a row is the parity of its inversions, XOR-ed over the column
+    pairs; its fixed-point count is the number of columns i holding i.  The
+    buffers are preallocated, so at k = 9 the peak stays under 1 MB.
+    """
+    size = math.factorial(k - 1)
+    odd = np.empty(size, bool)
+    hit = np.empty(size, bool)
+    fixed = np.empty(size, np.int8)
+    dist = np.zeros(k + 1, np.int64)
+    for block in _permutation_rows(k):
+        odd.fill(False)
+        fixed.fill(0)
+        for i in range(k):
+            np.equal(block[:, i], i, out=hit)
+            np.add(fixed, hit, out=fixed)
+            for j in range(i + 1, k):
+                np.greater(block[:, i], block[:, j], out=hit)
+                np.logical_xor(odd, hit, out=odd)
+        dist += np.bincount(fixed[~odd], minlength=k + 1)
+        dist -= np.bincount(fixed[odd], minlength=k + 1)
+    return [int(a) for a in dist]
 
 
 def stirling2(n: int, m: int) -> int:
@@ -90,7 +141,9 @@ def c_alpha_integer(n: int, m: int) -> int:
     Raises CapExceededError for a value of more than EXACT_VALUE_CAP_DIGITS
     decimal digits.  Before the sums, a lower bound on the value decides
     cheaply: S(n,m) >= m^(n-m) by the recurrence S(n,m) >= m S(n-1,m), so
-    C_n(m) >= m! m^(n-m) for 1 <= m <= n+1.  For m >= n+2 the value is 0.
+    C_n(m) >= m! m^(n-m) for 1 <= m <= n+1.  For m >= n+2 the value is 0,
+    but the sums still form the powers (m-j)^n, so they are refused when
+    m^n has more bits than that cap.
     """
     if n < 0:
         raise ValueError("exponent must be non-negative")
@@ -103,6 +156,11 @@ def c_alpha_integer(n: int, m: int) -> int:
                 f"C_{n}({m}) has at least {bits:.0f} bits,"
                 f" over the {EXACT_VALUE_CAP_DIGITS}-digit cap"
             )
+    elif n * math.log2(m) > _EXACT_VALUE_CAP_BITS:
+        raise CapExceededError(
+            f"C_{n}({m}) sums powers {m}^{n} of {n * math.log2(m):.0f} bits,"
+            f" over the {EXACT_VALUE_CAP_DIGITS}-digit cap"
+        )
     direct = c_alpha_direct_integer(n, m)
     if direct >= _EXACT_VALUE_BOUND:
         raise CapExceededError(f"C_{n}({m}) has more than {EXACT_VALUE_CAP_DIGITS} digits")
@@ -192,14 +250,11 @@ def c_alpha_real(alpha: Fraction, m: int, precision: int = DEFAULT_PRECISION) ->
 
 
 def signed_fixcount_distribution(m: int) -> list:
-    """a[f] = sum of sign(s) over s in S(m) with exactly f fixed points."""
+    """a[f] = sum of sign(s) over s in S(m) with exactly f fixed points, by
+    literal enumeration of S(m), each sign the parity of the inversions."""
     if not 1 <= m <= ALT_TRACE_MAX_M:
         raise ValueError(f"m must be between 1 and {ALT_TRACE_MAX_M}")
-    dist = [0] * (m + 1)
-    for p in itertools.permutations(range(m)):
-        fixed = sum(1 for i in range(m) if p[i] == i)
-        dist[fixed] += permutation_sign(p)
-    return dist
+    return _signed_fixcounts(m)
 
 
 def alt_trace_bruteforce(alpha: Fraction, m: int):

@@ -156,6 +156,12 @@ def test_obstruction_integer_past_cap_exits_3(capsys):
         assert "cap exceeded" in capsys.readouterr().err
 
 
+def test_obstruction_integer_zero_past_cap_exits_3(capsys):
+    code, out = run_cli(["obstruction", "--alpha", "1556", "--m", "1558"])
+    assert code == 3 and out == ""
+    assert "cap exceeded" in capsys.readouterr().err
+
+
 def test_obstruction_rejects_precision_cap_below_minimum(monkeypatch, capsys):
     monkeypatch.setenv("CUBECHAR_PRECISION_CAP", "32")
     code, out = run_cli(["obstruction", "--alpha", "201/2", "--m", "103"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -22,7 +23,14 @@ from cubechar import (
     stirling2,
     stirling2_recurrence,
 )
-from cubechar.obstruction import EXACT_VALUE_CAP_DIGITS, c_alpha_direct_integer
+from cubechar.obstruction import (
+    EXACT_VALUE_CAP_DIGITS,
+    _permutation_rows,
+    _signed_fixcounts,
+    c_alpha_direct_integer,
+)
+from cubechar.perm import permutation_sign
+from conftest import traced_peak
 
 #: Non-integer alpha = num/den with num < 60 and den in {2, 3, 4, 7}.
 noninteger_alphas = st.builds(
@@ -54,6 +62,35 @@ def test_derangement_recurrence():
 def test_derangement_bruteforce_bounds():
     with pytest.raises(ValueError):
         signed_derangement_sum_bruteforce(10)
+
+
+def _fixcounts_by_loop(k):
+    """One permutation at a time, the sign by its cycles: the oracle."""
+    dist = [0] * (k + 1)
+    for p in itertools.permutations(range(k)):
+        dist[sum(1 for i in range(k) if p[i] == i)] += permutation_sign(p)
+    return dist
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_permutation_rows_enumerate_s_k_in_order(k):
+    rows = [tuple(int(x) for x in row) for block in _permutation_rows(k) for row in block]
+    assert rows == list(itertools.permutations(range(k)))
+    for row in rows:
+        inversions = sum(row[i] > row[j] for i, j in itertools.combinations(range(k), 2))
+        assert (-1) ** inversions == permutation_sign(row)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_signed_fixcounts_match_the_loop(k):
+    assert _signed_fixcounts(k) == _fixcounts_by_loop(k)
+
+
+def test_derangement_bruteforce_memory_is_bounded():
+    # one block of 8! rows at a time; S(9) whole would be 3.3 MB of int8
+    value, peak = traced_peak(lambda: signed_derangement_sum_bruteforce(9))
+    assert value == 8
+    assert peak < 2 << 20
 
 
 # -- Stirling numbers -------------------------------------------------------------
@@ -100,9 +137,19 @@ def test_integer_cap_edge(n, m):
         c_alpha_integer(n + 1, m)
 
 
+def test_integer_cap_edge_past_n_plus_1():
+    """For m >= n+2 the value is 0; the sums' powers m^n are capped at the
+    same bit count, whose edge at m = n+2 is n = 1370."""
+    assert c_alpha_integer(1370, 1372) == 0
+    with pytest.raises(CapExceededError, match="sums powers"):
+        c_alpha_integer(1371, 1373)
+
+
 def test_integer_cap_is_checked_before_the_sums():
     with pytest.raises(CapExceededError, match="at least"):
         c_alpha_integer(10**11, 3)
+    with pytest.raises(CapExceededError, match="sums powers"):
+        c_alpha_integer(10**4, 10**4 + 2)
     assert c_alpha_integer(10**11, 1) == 1
     assert c_alpha_integer(5, 100) == 0
 
