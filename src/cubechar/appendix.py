@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import FalsificationError, PreconditionError
+from .cube import DEFAULT_LEVEL_CAP, check_level_cap
+from .errors import CapExceededError, FalsificationError, PreconditionError
 from .perm import (
     CubePermutation,
     ProductFormPermutation,
@@ -132,6 +133,7 @@ def mk_generators(k: int, m: int) -> MkGenerators:
         raise PreconditionError("k must be positive")
     if m < minimal_level(k):
         raise PreconditionError(f"level {m} below minimal level {minimal_level(k)} for k={k}")
+    check_level_cap(m)
     size = 1 << m
     if k == 1:
         e = identity(m)
@@ -189,6 +191,11 @@ def construct_si(s: CubePermutation, r: int) -> SiFamily:
 
     Every member is conjugate to the head lifted to the full level; tail
     actions depend only on the cycle length of the moved head point.
+
+    Each of the 2^r members builds one 2^(m r)-entry tail table per distinct
+    moved cycle length; when that exceeds 2^DEFAULT_LEVEL_CAP entries in all
+    (counting at least one table per member), CapExceededError is raised
+    before anything is built.
     """
     if r < 0:
         raise ValueError("r must be non-negative")
@@ -198,6 +205,13 @@ def construct_si(s: CubePermutation, r: int) -> SiFamily:
             orders[x] = len(cyc)
     moved_lengths = sorted({k for k in orders.values() if k > 1})
     m = max((minimal_level(k) for k in moved_lengths), default=0)
+    tables = max(1, len(moved_lengths))
+    entry_bits = r * (m + 1)
+    if entry_bits > DEFAULT_LEVEL_CAP or tables << entry_bits > 1 << DEFAULT_LEVEL_CAP:
+        raise CapExceededError(
+            f"2^{r} members x {tables} tail tables of 2^{m * r} entries"
+            f" exceed the 2^{DEFAULT_LEVEL_CAP}-entry cap"
+        )
     generators = {k: mk_generators(k, m) for k in moved_lengths}
 
     tail_level = m * r

@@ -14,6 +14,7 @@ Conventions: 0^0 = 1 (so chi_0 is identically 1), x^inf = 0 for x < 1 and
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -51,14 +52,18 @@ class Alpha:
     rationals are candidates kept only to exhibit their positivity failure.
     """
 
-    __slots__ = ("_value",)
+    __slots__ = ("_value", "_integer")
 
     def __init__(self, value):
+        integer = None
         if value is not None:
             value = Fraction(value)
             if value < 0:
                 raise ValueError("alpha must be non-negative")
+            if value.denominator == 1:
+                integer = value.numerator
         object.__setattr__(self, "_value", value)
+        object.__setattr__(self, "_integer", integer)
 
     def __setattr__(self, name, value):
         raise AttributeError("Alpha is immutable")
@@ -80,7 +85,7 @@ class Alpha:
 
     @property
     def is_integer(self) -> bool:
-        return self._value is not None and self._value.denominator == 1
+        return self._integer is not None
 
     @property
     def is_classified(self) -> bool:
@@ -88,9 +93,9 @@ class Alpha:
 
     @property
     def integer(self) -> int:
-        if not self.is_integer:
+        if self._integer is None:
             raise ValueError(f"{self} is not an integer exponent")
-        return int(self._value)
+        return self._integer
 
     @property
     def fraction(self) -> Fraction:
@@ -141,15 +146,16 @@ class BasePower:
 
 def char_power(alpha: Alpha, base: Dyadic):
     """base**alpha in the channel the exponent selects."""
-    if alpha.is_infinity:
-        return Dyadic(1) if base == 1 else Dyadic(0)
-    if alpha.is_integer:
-        bits = alpha.integer * max(base.p.bit_length(), base.q)
+    n = alpha._integer
+    if n is not None:
+        bits = n * max(base.p.bit_length(), base.q)
         if bits > EXACT_POWER_CAP_BITS and base != 1:
             raise CapExceededError(
                 f"({base})^{alpha} needs {bits} bits, exact-power cap {EXACT_POWER_CAP_BITS}"
             )
-        return base**alpha.integer
+        return base**n
+    if alpha.is_infinity:
+        return Dyadic(1) if base == 1 else Dyadic(0)
     return BasePower(base, alpha.fraction)
 
 
@@ -364,7 +370,7 @@ def gram_matrix(
         for j in range(i + 1, n):
             agree = sum(map(operator.eq, lifted[i].images, lifted[j].images))
             counts[i][j] = counts[j][i] = agree
-    base_of = {c: Dyadic(c, level) for row in counts for c in row}
+    base_of = {c: Dyadic(c, level) for c in set(itertools.chain.from_iterable(counts))}
 
     if alpha.is_classified:
         value_of = {c: char_power(alpha, b) for c, b in base_of.items()}

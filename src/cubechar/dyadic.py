@@ -9,7 +9,9 @@ class Dyadic:
     """An exact rational whose denominator is a power of two.
 
     Values are kept canonical: either the numerator is odd or the exponent
-    is zero.  Closed under +, -, * and non-negative integer powers.
+    is zero.  Each value has exactly one canonical form, so two Dyadics are
+    equal exactly when their fields are.  Closed under +, -, * and
+    non-negative integer powers.
     """
 
     __slots__ = ("p", "q")
@@ -28,6 +30,14 @@ class Dyadic:
 
     def __setattr__(self, name, value):
         raise AttributeError("Dyadic is immutable")
+
+    @classmethod
+    def _canonical(cls, p: int, q: int) -> "Dyadic":
+        """p / 2^q from fields already in canonical form, without reducing."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "p", p)
+        object.__setattr__(d, "q", q)
+        return d
 
     @classmethod
     def from_fraction(cls, f: Fraction) -> "Dyadic":
@@ -78,6 +88,8 @@ class Dyadic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.q and o.q:  # both numerators odd, so is their product
+            return Dyadic._canonical(self.p * o.p, self.q + o.q)
         return Dyadic(self.p * o.p, self.q + o.q)
 
     __rmul__ = __mul__
@@ -85,7 +97,8 @@ class Dyadic:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        return Dyadic(self.p**n, self.q * n)
+        # an odd numerator stays odd and a zero exponent stays zero
+        return Dyadic._canonical(self.p**n, self.q * n)
 
     # comparisons --------------------------------------------------------
 
@@ -98,6 +111,8 @@ class Dyadic:
         return self.p << o.q, o.p << self.q
 
     def __eq__(self, other):
+        if isinstance(other, Dyadic):  # canonical forms are unique
+            return self.p == other.p and self.q == other.q
         key = self._cmp_key(other)
         if key is None:
             return NotImplemented

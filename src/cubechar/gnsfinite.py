@@ -9,6 +9,7 @@ x | (y << n).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .characters import Alpha, char_eval, char_power
 from .cube import NiceSet, check_level_cap, nice_intersect, nice_product
@@ -46,8 +47,12 @@ def matrix_character(s: CubePermutation) -> Dyadic:
 
 def _diagonal_form(rep: CubePermutation, xi) -> Dyadic:
     """<rep xi, xi> = sum_i xi[i] xi[rep(i)] for a table on X_m x X_m,
-    every point weighted 2^-m."""
-    return Dyadic(sum(v * xi[w] for v, w in zip(xi, rep.images)), rep.level // 2)
+    every point weighted 2^-m.
+
+    xi must be a 0/1 vector (xi_vector or a tensor power of it): the sum
+    then runs over its support only, as the sum of xi[rep(i)] for xi[i] = 1.
+    """
+    return Dyadic(sum(xi[w] for w in compress(rep.images, xi)), rep.level // 2)
 
 
 def tensor_character(s: CubePermutation, k: int) -> Dyadic:

@@ -34,6 +34,19 @@ _EXACT_VALUE_BOUND = 10**EXACT_VALUE_CAP_DIGITS
 # extra bit absorbs float rounding in that bound.
 _EXACT_VALUE_CAP_BITS = EXACT_VALUE_CAP_DIGITS * math.log2(10) + 1
 
+#: log2 of the bound on m (n log2 m + m), the bit work of the exact sums for
+#: C_n(m): m + 1 terms, each an m-bit binomial times an (n log2 m)-bit power.
+#: Every C_n(m) with m <= n + 1 that passes the digit cap costs at most
+#: 2^24.75 by this count (n = m = 1558), so only the zero values at m >= n + 2
+#: with m in the thousands reach it; at the bound the sums take a few seconds.
+EXACT_SUM_WORK_CAP_LOG2 = 25
+
+#: Largest m at which c_alpha_real encloses C_alpha(m) for non-integer alpha.
+#: The sum cancels about m bits, so each of its m terms escalates to a
+#: precision near m; up to this bound a sign takes at most about half a
+#: minute (the witness of alpha = 4001/2 at m = 2003 takes 22 s).
+REAL_SUM_MAX_M = 2048
+
 
 def signed_derangement_sum(k: int) -> int:
     """Sum of permutation signs over all derangements of S(k): (-1)^(k-1)(k-1)."""
@@ -143,7 +156,8 @@ def c_alpha_integer(n: int, m: int) -> int:
     cheaply: S(n,m) >= m^(n-m) by the recurrence S(n,m) >= m S(n-1,m), so
     C_n(m) >= m! m^(n-m) for 1 <= m <= n+1.  For m >= n+2 the value is 0,
     but the sums still form the powers (m-j)^n, so they are refused when
-    m^n has more bits than that cap.
+    m^n has more bits than that cap, or when their work exceeds
+    2^EXACT_SUM_WORK_CAP_LOG2.
     """
     if n < 0:
         raise ValueError("exponent must be non-negative")
@@ -160,6 +174,12 @@ def c_alpha_integer(n: int, m: int) -> int:
         raise CapExceededError(
             f"C_{n}({m}) sums powers {m}^{n} of {n * math.log2(m):.0f} bits,"
             f" over the {EXACT_VALUE_CAP_DIGITS}-digit cap"
+        )
+    work = math.log2(m * (n * math.log2(m) + m))
+    if work > EXACT_SUM_WORK_CAP_LOG2:
+        raise CapExceededError(
+            f"C_{n}({m}) needs about 2^{work:.2f} bit operations,"
+            f" over the 2^{EXACT_SUM_WORK_CAP_LOG2} work cap"
         )
     direct = c_alpha_direct_integer(n, m)
     if direct >= _EXACT_VALUE_BOUND:
@@ -232,7 +252,8 @@ def c_alpha_real(alpha: Fraction, m: int, precision: int = DEFAULT_PRECISION) ->
     point and the sign may be 'zero').  Otherwise the alternating sum is
     enclosed by interval arithmetic, doubling the working precision until the
     sign is certified or the cap is hit, in which case the report says
-    'undetermined' rather than guessing.
+    'undetermined' rather than guessing.  That route refuses m above
+    REAL_SUM_MAX_M before it sums.
     """
     alpha = Fraction(alpha)
     if alpha <= 0:
@@ -245,6 +266,8 @@ def c_alpha_real(alpha: Fraction, m: int, precision: int = DEFAULT_PRECISION) ->
         value = c_alpha_integer(int(alpha), m)
         sign = "zero" if value == 0 else ("positive" if value > 0 else "negative")
         return ObstructionReport(alpha, m, sign, "exact", exact_value=value)
+    if m > REAL_SUM_MAX_M:
+        raise CapExceededError(f"C_{alpha}({m}): m over the interval-sum cap {REAL_SUM_MAX_M}")
     enc, sign = certify_sign(lambda p: _c_alpha_enclosure(alpha, m, p), start_prec=precision)
     return ObstructionReport(alpha, m, sign, "interval", enclosure=enc)
 

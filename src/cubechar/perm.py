@@ -183,8 +183,10 @@ class CubePermutation:
 
 def _trusted_permutation(level: int, images: tuple) -> CubePermutation:
     """A CubePermutation from a tuple that is a bijection of X_level by
-    construction (a composite, inverse or block product of permutations), so
-    the constructor's cap and bijectivity checks are skipped."""
+    construction (a composite, inverse or block product of permutations, the
+    identity, a row of itertools.permutations, a flip), so the constructor's
+    cap and bijectivity checks are skipped; a caller that makes a new level
+    checks the cap itself."""
     p = object.__new__(CubePermutation)
     object.__setattr__(p, "level", level)
     object.__setattr__(p, "images", images)
@@ -192,7 +194,8 @@ def _trusted_permutation(level: int, images: tuple) -> CubePermutation:
 
 
 def identity(level: int) -> CubePermutation:
-    return CubePermutation(level, range(1 << level))
+    check_level_cap(level)
+    return _trusted_permutation(level, tuple(range(1 << level)))
 
 
 def odometer(level: int) -> CubePermutation:
@@ -224,8 +227,9 @@ def random_permutation(level: int, rng) -> CubePermutation:
 
 def all_permutations(level: int):
     """Iterate S(2^level) in lexicographic table order; only sane for level <= 2."""
+    check_level_cap(level)
     for images in itertools.permutations(range(1 << level)):
-        yield CubePermutation(level, images)
+        yield _trusted_permutation(level, images)
 
 
 def compose(p: CubePermutation, q: CubePermutation) -> CubePermutation:
@@ -296,16 +300,18 @@ def embed_head(p: CubePermutation, target_level: int) -> CubePermutation:
 def flip_perm(a: NiceSet, m: int) -> CubePermutation:
     """The involution fixing A pointwise and toggling coordinate m off A.
 
-    Requires m to exceed the canonical level of A, so that membership in A
-    never depends on the toggled coordinate.
+    Requires m to exceed the canonical level k of A, so that membership in A
+    never depends on the toggled coordinate: x is in A exactly when bit
+    x mod 2^k of A's mask is set.  Toggling coordinate m keeps x mod 2^k, so
+    the table is an involution, hence a bijection, by construction.
     """
     a = a.canonical()
     if m <= a.level:
         raise PreconditionError(f"coordinate {m} must exceed the set's level {a.level}")
     check_level_cap(m)
-    lifted = a.lift(m)
-    bit = 1 << (m - 1)
-    return CubePermutation(m, (x if lifted.contains(x) else x ^ bit for x in range(1 << m)))
+    bit, low = 1 << (m - 1), (1 << a.level) - 1
+    toggle = [0 if a.mask >> w & 1 else bit for w in range(low + 1)]
+    return _trusted_permutation(m, tuple(x ^ toggle[x & low] for x in range(1 << m)))
 
 
 def apply_to_nice(g: CubePermutation, a: NiceSet) -> NiceSet:

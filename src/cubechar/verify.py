@@ -173,15 +173,18 @@ def criterion_conjugation_law(seed: int) -> CriterionResult:
     started = time.perf_counter()
     failures = []
     checked = 0
+    levels = (3, 4)
+    sets = [NiceSet(2, mask) for mask in range(16)]
+    # each flip(A, m) once; g(A) is again a level-2 set, so its flip is listed
+    flips = {(a.mask, m): flip_perm(a, m) for a in sets for m in levels}
     for g in all_permutations(2):
-        for mask in range(16):
-            a = NiceSet(2, mask)
+        lifts = {m: embed_head(g, m) for m in levels}
+        for a in sets:
             image = apply_to_nice(g, a)
-            for m in (3, 4):
-                left = conjugate(flip_perm(a, m), embed_head(g, m))
-                right = flip_perm(image, m)
-                if left != right:
-                    failures.append(f"g={g!r} mask={mask:04b} m={m}")
+            for m in levels:
+                left = conjugate(flips[a.mask, m], lifts[m])
+                if left != flips[image.mask, m]:
+                    failures.append(f"g={g!r} mask={a.mask:04b} m={m}")
                 checked += 1
     return _result(5, "conjugation-law", 5.0, started, failures, [f"{checked} table equalities"])
 

@@ -1,6 +1,7 @@
 import pytest
 
 from cubechar import (
+    CapExceededError,
     CycleType,
     PreconditionError,
     compose,
@@ -19,6 +20,7 @@ from cubechar import (
     verify_si_properties,
 )
 from cubechar.perm import table_cycle_lengths
+from conftest import traced_peak
 
 
 # -- lemma pairs -------------------------------------------------------------
@@ -186,3 +188,45 @@ def test_five_cycles_expose_the_fixed_point_gap():
     assert not report.conjugacy_failures
     assert not report.even_failures
     assert report.fix_failures
+
+
+# -- work caps -----------------------------------------------------------------------
+
+
+def test_construct_si_cap_edge():
+    """2^r members, each with one 2^(m r)-entry tail table per distinct moved
+    cycle length: 2^20 entries in all build, one table more raises first."""
+    lengths_2346 = [(0, 1), (2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12, 13, 14)]
+    fam = construct_si(from_cycles(4, lengths_2346), 6)  # 2^6 x 4 x 2^12 = 2^20
+    assert len(fam) == 64 and fam.level == 4 + 2 * 6
+    lengths_23468 = lengths_2346 + [tuple(range(15, 23))]
+    _, peak = traced_peak(
+        lambda: pytest.raises(CapExceededError, construct_si, from_cycles(5, lengths_23468), 6)
+    )
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "cycles, level, r_ok",
+    [([(0, 1)], 1, 6), ([(0, 1, 2, 3, 4)], 3, 3), ([tuple(range(9))], 4, 2)],
+    ids=["transposition", "5-cycle", "9-cycle"],
+)
+def test_construct_si_cap_by_repeats(cycles, level, r_ok):
+    head = from_cycles(level, cycles)
+    assert len(construct_si(head, r_ok)) == 1 << r_ok
+    _, peak = traced_peak(lambda: pytest.raises(CapExceededError, construct_si, head, r_ok + 1))
+    assert peak < 1 << 20
+
+
+def test_construct_si_cap_before_any_table():
+    """The head (0 1) at r = 10 passes the level cap (tail level 20), but
+    would build 1024 tables of 2^20 entries."""
+    _, peak = traced_peak(
+        lambda: pytest.raises(CapExceededError, construct_si, transposition(1, 0, 1), 10)
+    )
+    assert peak < 1 << 20
+
+
+def test_mk_generators_checks_the_level_cap_first():
+    _, peak = traced_peak(lambda: pytest.raises(CapExceededError, mk_generators, 21, 21))
+    assert peak < 1 << 20

@@ -67,6 +67,28 @@ def test_char_eval_examples():
     assert char_eval(Alpha.infinity(), transposition(3, 0, 1)) == Dyadic(0)
 
 
+@pytest.mark.parametrize(
+    "alpha, integer",
+    [
+        (Alpha(0), 0),
+        (Alpha(3), 3),
+        (Alpha(Fraction(4, 2)), 2),
+        (Alpha.parse("2.0"), 2),
+        (Alpha(Fraction(3, 2)), None),
+        (Alpha.parse("0.3"), None),
+        (Alpha.infinity(), None),
+    ],
+)
+def test_alpha_integer_is_stored_at_construction(alpha, integer):
+    assert alpha.is_integer == (integer is not None)
+    assert alpha.is_classified == (integer is not None or alpha.is_infinity)
+    if integer is None:
+        with pytest.raises(ValueError):
+            alpha.integer
+    else:
+        assert alpha.integer == integer and type(alpha.integer) is int
+
+
 @pytest.mark.parametrize("base", [Dyadic(1, 1), Dyadic(3, 3), Dyadic(5, 3)])
 def test_exact_power_cap_edge(base):
     """Powers up to the cap print in full; one step past it raises before the power."""

@@ -162,6 +162,17 @@ def test_obstruction_integer_zero_past_cap_exits_3(capsys):
     assert "cap exceeded" in capsys.readouterr().err
 
 
+def test_obstruction_sum_work_caps_exit_3(capsys):
+    for argv in (
+        ["--alpha", "1000", "--m", "19966"],
+        ["--alpha", "3/2", "--m", "2049"],
+        ["--alpha", "4095/2", "--witness"],
+    ):
+        code, out = run_cli(["obstruction", *argv])
+        assert code == 3 and out == ""
+        assert "cap exceeded" in capsys.readouterr().err
+
+
 def test_obstruction_rejects_precision_cap_below_minimum(monkeypatch, capsys):
     monkeypatch.setenv("CUBECHAR_PRECISION_CAP", "32")
     code, out = run_cli(["obstruction", "--alpha", "201/2", "--m", "103"])
@@ -186,6 +197,15 @@ def test_construct_si_reports_falsification():
     assert code == 1
     data = json.loads(out)
     assert data["verification"]["fix_failures"]
+
+
+def test_construct_si_past_work_cap_exits_3(capsys):
+    (code, out), peak = traced_peak(
+        lambda: run_cli(["construct-si", "--perm", "level=1: (0 1)", "-r", "10"])
+    )
+    assert code == 3 and out == ""
+    assert "cap exceeded" in capsys.readouterr().err
+    assert peak < 1 << 20
 
 
 # -- gns-check / verify-all ----------------------------------------------------------

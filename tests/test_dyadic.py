@@ -50,6 +50,26 @@ def test_powers(d, n):
     assert (d**n).as_fraction() == d.as_fraction() ** n
 
 
+def canonical(d):
+    return d.p % 2 == 1 or d.q == 0
+
+
+@given(dyadics, dyadics, st.integers(0, 8))
+def test_fast_paths_match_fractions_and_stay_canonical(a, b, k):
+    """== compares fields, * skips reduction when both numerators are odd,
+    ** never reduces; each must agree with Fraction arithmetic."""
+    same = Dyadic(a.p << k, a.q + k)
+    for x, y in ((a, b), (a, same), (b, same)):
+        assert (x == y) == (x.as_fraction() == y.as_fraction())
+        assert (x != y) == (x.as_fraction() != y.as_fraction())
+        product = x * y
+        assert product.as_fraction() == x.as_fraction() * y.as_fraction()
+        assert canonical(product)
+    power = a**k
+    assert power.as_fraction() == a.as_fraction() ** k
+    assert canonical(power)
+
+
 def test_zero_power_zero_is_one():
     assert Dyadic(0) ** 0 == Dyadic(1)
 

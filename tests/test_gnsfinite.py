@@ -1,14 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cubechar import (
     Alpha,
     CapExceededError,
+    CubePermutation,
     CycleType,
     Dyadic,
     NiceSet,
     PreconditionError,
+    block_product,
     compose,
     cycle_type,
     embed_head,
@@ -26,6 +30,7 @@ from cubechar import (
     weighted_inner,
     xi_vector,
 )
+from cubechar.gnsfinite import _diagonal_form
 from conftest import traced_peak
 
 
@@ -103,6 +108,27 @@ def test_tensor_examples():
     assert tensor_character(t1, 2) == Dyadic(0)
     s = transposition(2, 1, 3)  # fixed fraction 1/2
     assert tensor_character(s, 3) == Dyadic(1, 3)  # explicit at dimension 4096
+
+
+def _diagonal_form_oracle(rep, xi):
+    """The full sum over all 4^n basis points, zero terms included."""
+    return Dyadic(sum(v * xi[w] for v, w in zip(xi, rep.images)), rep.level // 2)
+
+
+@given(
+    st.integers(1, 2).flatmap(
+        lambda n: st.permutations(range(1 << n)).map(lambda t: CubePermutation(n, t))
+    ),
+    st.integers(1, 3),
+)
+def test_diagonal_form_matches_full_sum(s, k):
+    rep, xi = rep_matrix(s), xi_vector(s.level)
+    assert _diagonal_form(rep, xi) == _diagonal_form_oracle(rep, xi)
+    xi_k = [1]
+    for _ in range(k):
+        xi_k = [a * b for b in xi for a in xi_k]
+    rep_k = block_product(*[rep] * k)
+    assert _diagonal_form(rep_k, xi_k) == _diagonal_form_oracle(rep_k, xi_k)
 
 
 def test_tensor_cap():

@@ -58,3 +58,47 @@ def test_no_orphan_public_names(path, referenced_names):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     ]
     assert [name for name in public if name not in referenced_names] == []
+
+
+#: The builders whose tables are bijections by construction, and so may skip
+#: the constructor's check; a new caller needs the same argument.
+TRUSTED_CALLERS = {
+    "inverse",
+    "compose",
+    "conjugate",
+    "block_product",
+    "identity",
+    "all_permutations",
+    "flip_perm",
+}
+
+
+def _callers_of(tree, name: str) -> list:
+    """The innermost enclosing function of every call to `name` (None at
+    module level)."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    found.append(owner)
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_unchecked_permutations_come_from_allowlisted_builders():
+    callers = [
+        (path.stem, owner)
+        for path in MODULES
+        for owner in _callers_of(ast.parse(path.read_text()), "_trusted_permutation")
+    ]
+    assert callers
+    assert [c for c in callers if c[1] not in TRUSTED_CALLERS] == []

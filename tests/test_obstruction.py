@@ -25,6 +25,7 @@ from cubechar import (
 )
 from cubechar.obstruction import (
     EXACT_VALUE_CAP_DIGITS,
+    REAL_SUM_MAX_M,
     _permutation_rows,
     _signed_fixcounts,
     c_alpha_direct_integer,
@@ -152,6 +153,38 @@ def test_integer_cap_is_checked_before_the_sums():
         c_alpha_integer(10**4, 10**4 + 2)
     assert c_alpha_integer(10**11, 1) == 1
     assert c_alpha_integer(5, 100) == 0
+
+
+def test_integer_work_cap_edge():
+    """Past m = n+1 the sums' work m (n log2 m + m) is capped at 2^25 bit
+    operations; at m = 2200 the edge is n = 1175.  The largest work below
+    the digit cap, at m <= n+1, still prints."""
+    assert c_alpha_integer(1175, 2200) == 0
+    with pytest.raises(CapExceededError, match="work cap"):
+        c_alpha_integer(1176, 2200)
+    assert len(str(c_alpha_integer(1556, 1557))) <= EXACT_VALUE_CAP_DIGITS
+
+
+def test_integer_work_cap_is_checked_before_the_sums():
+    # with n small the powers stay under the digit cap; only the work cap stops these
+    with pytest.raises(CapExceededError, match="work cap"):
+        c_alpha_integer(1000, 19966)
+    with pytest.raises(CapExceededError, match="work cap"):
+        c_alpha_integer(0, 10**12)
+
+
+def test_real_sum_cap_edge(monkeypatch):
+    """The interval route sums m = REAL_SUM_MAX_M and refuses one more before
+    any term; a 64-bit precision cap keeps the edge to one pass."""
+    monkeypatch.setenv("CUBECHAR_PRECISION_CAP", "64")
+    report = c_alpha_real(Fraction(3, 2), REAL_SUM_MAX_M)
+    assert report.m == REAL_SUM_MAX_M and report.method == "interval"
+    with pytest.raises(CapExceededError):
+        c_alpha_real(Fraction(3, 2), REAL_SUM_MAX_M + 1)
+    with pytest.raises(CapExceededError):
+        noninteger_witness(Fraction(2 * REAL_SUM_MAX_M - 1, 2))  # m* = REAL_SUM_MAX_M + 2
+    # integer alpha takes the exact route, which its own work cap bounds
+    assert c_alpha_real(Fraction(1), REAL_SUM_MAX_M + 1).sign == "zero"
 
 
 def test_c_alpha_direct_equals_stirling_route():

@@ -1,7 +1,8 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cubechar import (
@@ -13,6 +14,7 @@ from cubechar import (
     NiceSet,
     PreconditionError,
     ProductFormPermutation,
+    all_permutations,
     apply_to_nice,
     are_conjugate,
     block_product,
@@ -56,10 +58,14 @@ def test_rejects_non_bijections():
 
 def test_unchecked_outputs_equal_checked_construction():
     p = CubePermutation(2, (2, 0, 3, 1))
-    for out in (compose(p, p), p.inverse(), conjugate(p, p), block_product(p, p)):
+    trusted = [compose(p, p), p.inverse(), conjugate(p, p), block_product(p, p)]
+    trusted += [identity(level) for level in range(7)]
+    trusted += [q for level in range(3) for q in all_permutations(level)]
+    for out in trusted:
         rebuilt = CubePermutation(out.level, out.images)
         assert out == rebuilt and hash(out) == hash(rebuilt)
         assert type(out.images) is tuple
+    assert [q.images for q in all_permutations(2)] == list(itertools.permutations(range(4)))
 
 
 def test_compose_identity_inverse():
@@ -229,6 +235,25 @@ def test_flip_is_involution_with_fix_a(pair, m):
     assert compose(f, f) == identity(m)
     assert fixed_set(f) == frozenset(a.lift(m).members())
     assert fixed_fraction(f) == a.measure()
+
+
+nice_sets = st.integers(0, 3).flatmap(
+    lambda k: st.builds(NiceSet, st.just(k), st.integers(0, (1 << (1 << k)) - 1))
+)
+
+
+@given(nice_sets, st.integers(1, 6))
+def test_flip_matches_checked_per_point_oracle(a, m):
+    """The mask-bit table equals the checked table of per-point membership
+    tests, and is an involution."""
+    a_c = a.canonical()
+    assume(m > a_c.level)
+    lifted = a_c.lift(m)
+    bit = 1 << (m - 1)
+    oracle = CubePermutation(m, [x if lifted.contains(x) else x ^ bit for x in range(1 << m)])
+    f = flip_perm(a, m)
+    assert f == oracle
+    assert compose(f, f) == identity(m)
 
 
 def test_conjugating_flip_moves_the_set():
