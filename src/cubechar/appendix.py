@@ -268,11 +268,16 @@ def verify_si_properties(s: CubePermutation, family) -> SiVerification:
     (3) every quotient s_i s_j^-1 has only even cycles and fixed points.
 
     Failures are collected, never raised: the report names the offending
-    member or pair and the cycle data that breaks the property.
+    member or pair and the cycle data that breaks the property.  Past
+    2^DEFAULT_LEVEL_CAP (family size)^2 x head points, CapExceededError comes first.
     """
     family = list(family)
     if not family:
         raise ValueError("empty family")
+    if len(family) ** 2 * s.size > 1 << DEFAULT_LEVEL_CAP:
+        raise CapExceededError(
+            f"{len(family)}^2 pairs x {s.size} head points exceed the 2^{DEFAULT_LEVEL_CAP} cap"
+        )
     tail_level = family[0].tail_level
     expected_type = cycle_type(s).scaled(1 << tail_level)
     head_fixed = fixed_set(s)
@@ -296,11 +301,12 @@ def verify_si_properties(s: CubePermutation, family) -> SiVerification:
         if bad:
             fix_failures.append((i, i, f"fibers {bad} break Fix(s_i) = Fix(s) x tail"))
 
-    for i in range(len(family)):
-        for j in range(len(family)):
+    inverses = [member.inverse() for member in family]
+    for i, member in enumerate(family):
+        for j, inverse in enumerate(inverses):
             if i == j:
                 continue
-            quotient = family[i].compose(family[j].inverse())
+            quotient = member.compose(inverse)
             bad = broken_fibers(quotient)
             if bad:
                 fix_failures.append(

@@ -24,7 +24,7 @@ import numpy as np
 
 from .certreal import DEFAULT_PRECISION, Enclosure, certify_sign, make_context, pow_iv
 from .dyadic import Dyadic
-from .errors import CapExceededError, PreconditionError
+from .errors import CapExceededError, InternalInconsistencyError, PreconditionError
 from .perm import (
     CubePermutation,
     block_product,
@@ -328,7 +328,7 @@ def psd_check_float(mat: np.ndarray) -> tuple:
     return False, [float(x) for x in evecs[:, 0]]
 
 
-def _witness_form_enclosure(bases, coeffs, exponent: Fraction, prec: int) -> Enclosure:
+def _witness_form_enclosure(coeffs, exponent: Fraction, prec: int) -> Enclosure:
     """Enclosure of sum coeff_b * b^exponent over the grouped base values."""
     ctx = make_context(prec)
     total = ctx.mpf(0)
@@ -349,9 +349,13 @@ def gram_matrix(
     """The matrix chi_alpha(g_i g_j^-1) with a PSD certificate.
 
     Its base mu(Fix(g_i g_j^-1)) is the share of points where g_i and g_j
-    agree; each distinct share is raised to alpha once.  `psd_check_exact`
-    decides integer and infinite exponents unconditionally, on the entries
-    scaled to integers over their common denominator.
+    agree; each distinct share is raised to alpha once.  Integer and
+    infinite exponents give PSD matrices: with B[i, (x, z)] = [g_i(x) = z] on
+    level L the agreement counts are B B^T, so for integer alpha the matrix
+    is the Hadamard power (B B^T)^oalpha / 2^(L alpha), PSD by the Schur
+    product theorem (alpha = 0 gives all ones), and alpha = inf gives the
+    all-ones blocks of "g_i = g_j".  `psd_check_exact` certifies this on the
+    entries scaled to integers; a failure raises InternalInconsistencyError.
     For non-integer exponents the verdict uses floating eigenvalues at
     relative tolerance 2^-40; a "not PSD" verdict is then backed by a witness
     whose quadratic form is re-certified negative by interval arithmetic.
@@ -378,24 +382,12 @@ def gram_matrix(
         qmax = max(v.q for v in value_of.values())
         int_of = {c: v.p << (qmax - v.q) for c, v in value_of.items()}
         scaled = [[int_of[c] for c in row] for row in counts]
-        ok, witness = psd_check_exact(scaled)
+        if not psd_check_exact(scaled)[0]:
+            raise InternalInconsistencyError(f"alpha={alpha}: Gram matrix failed the PSD check")
         matrix = tuple(tuple(text_of[c] for c in row) for row in counts)
-        if ok:
-            return GramReport(str(alpha), level, names, matrix, "PSD", "exact")
-        value = quadratic_form(scaled, witness) / (1 << qmax)
-        return GramReport(
-            str(alpha),
-            level,
-            names,
-            matrix,
-            "not PSD",
-            "exact",
-            witness=tuple(str(w) for w in witness),
-            witness_value=str(value),
-        )
+        return GramReport(str(alpha), level, names, matrix, "PSD", "exact")
 
     # non-integer channel
-    bases = [[base_of[c] for c in row] for row in counts]
     exponent = alpha.fraction
     mid_of = {c: BasePower(b, exponent).midpoint_float() for c, b in base_of.items()}
     text_of = {c: repr(x) for c, x in mid_of.items()}
@@ -415,9 +407,10 @@ def gram_matrix(
         for j in range(n):
             c = candidate[i] * candidate[j]
             if c:
-                coeffs[bases[i][j]] = coeffs.get(bases[i][j], Fraction(0)) + c
+                base = base_of[counts[i][j]]
+                coeffs[base] = coeffs.get(base, Fraction(0)) + c
     enc, sign = certify_sign(
-        lambda p: _witness_form_enclosure(bases, coeffs, exponent, p), start_prec=precision
+        lambda p: _witness_form_enclosure(coeffs, exponent, p), start_prec=precision
     )
     if sign == "negative":
         return GramReport(

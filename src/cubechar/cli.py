@@ -41,14 +41,14 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _parse_m_range(text: str) -> list:
+def _parse_m_range(text: str) -> tuple:
     text = text.strip()
     if ".." in text:
         lo, hi = (int(part) for part in text.split("..", 1))
         if lo > hi:
             raise ValueError(f"reversed range {text!r}: write the smaller end first")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+        return lo, hi
+    return int(text), int(text)
 
 
 def _check_precision(precision: int) -> None:
@@ -122,10 +122,13 @@ def cmd_obstruction(args) -> int:
         else:
             print(f"m={m} C_alpha(m) in {report.enclosure} certified {report.sign}")
         return EXIT_OK
+    lo, hi = _parse_m_range(args.m)
+    for alpha in alphas:
+        obstruction.check_m_range(alpha, lo, hi, args.precision)
     reports = [
         obstruction.c_alpha_real(alpha, m, precision=args.precision)
         for alpha in alphas
-        for m in _parse_m_range(args.m)
+        for m in range(lo, hi + 1)
     ]
     if args.format == "json":
         _print_json([r.to_json_dict() for r in reports])

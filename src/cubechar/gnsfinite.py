@@ -14,7 +14,7 @@ from itertools import compress
 from .characters import Alpha, char_eval, char_power
 from .cube import NiceSet, check_level_cap, nice_intersect, nice_product
 from .dyadic import Dyadic
-from .errors import InternalInconsistencyError, PreconditionError
+from .errors import PreconditionError
 from .perm import CubePermutation, block_product, compose, embed_head, flip_perm, identity
 
 #: explicit tensor powers are built densely only up to this many basis points
@@ -56,27 +56,20 @@ def _diagonal_form(rep: CubePermutation, xi) -> Dyadic:
 
 
 def tensor_character(s: CubePermutation, k: int) -> Dyadic:
-    """<pi^(x)k(s) xi^(x)k, xi^(x)k> = matrix_character(s)^k.
+    """<pi^(x)k(s) xi^(x)k, xi^(x)k>, which equals matrix_character(s)^k.
 
     The explicit k-fold tensor is built whenever its dimension 4^(n k) fits
-    2^TENSOR_DIM_CAP_BITS and checked against the product formula; above the
-    cap the product formula alone is returned.
+    2^TENSOR_DIM_CAP_BITS; above the cap the product formula is returned.
+    Criterion 2 and gns-check compare the two.
     """
     if k < 1:
         raise ValueError("tensor power k must be positive")
-    rep, xi = rep_matrix(s), xi_vector(s.level)
-    product_value = _diagonal_form(rep, xi) ** k
     if 2 * s.level * k > TENSOR_DIM_CAP_BITS:
-        return product_value
-    xi_k = [1]
+        return matrix_character(s) ** k
+    xi, xi_k = xi_vector(s.level), [1]
     for _ in range(k):
         xi_k = [a * b for b in xi for a in xi_k]
-    explicit = _diagonal_form(block_product(*[rep] * k), xi_k)
-    if explicit != product_value:
-        raise InternalInconsistencyError(
-            f"tensor character {explicit} != product formula {product_value}"
-        )
-    return explicit
+    return _diagonal_form(block_product(*[rep_matrix(s)] * k), xi_k)
 
 
 def stabilization_scan(

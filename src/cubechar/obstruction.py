@@ -138,31 +138,13 @@ def stirling2_recurrence(n: int, m: int) -> int:
     return row[m]
 
 
-def c_alpha_direct_integer(n: int, m: int) -> int:
-    """The alternating sum at integer exponent n, term by term."""
-    total = 0
-    for j in range(m + 1):
-        coeff = math.comb(m, j) * -((-1) ** j) * (j - 1)
-        if coeff:
-            total += coeff * (m - j) ** n
-    return total
-
-
-def c_alpha_integer(n: int, m: int) -> int:
-    """C_n(m) via both the direct sum and m!(S(n,m)+S(n,m-1)); must agree.
-
-    Raises CapExceededError for a value of more than EXACT_VALUE_CAP_DIGITS
-    decimal digits.  Before the sums, a lower bound on the value decides
-    cheaply: S(n,m) >= m^(n-m) by the recurrence S(n,m) >= m S(n-1,m), so
-    C_n(m) >= m! m^(n-m) for 1 <= m <= n+1.  For m >= n+2 the value is 0,
-    but the sums still form the powers (m-j)^n, so they are refused when
-    m^n has more bits than that cap, or when their work exceeds
-    2^EXACT_SUM_WORK_CAP_LOG2.
+def _check_exact_caps(n: int, m: int) -> None:
+    """Raise CapExceededError if the exact sum for C_n(m) passes a cap; each
+    bound rises with m.  For 1 <= m <= n+1, C_n(m) >= m! m^(n-m) since
+    S(n,m) >= m S(n-1,m); past EXACT_VALUE_CAP_DIGITS digits it is refused.
+    For m >= n+2 the value is 0, but the sum still forms the powers (m-j)^n:
+    refused when m^n has more bits, or past 2^EXACT_SUM_WORK_CAP_LOG2 work.
     """
-    if n < 0:
-        raise ValueError("exponent must be non-negative")
-    if m < 1:
-        raise ValueError("m must be positive")
     if m <= n + 1:
         bits = math.lgamma(m + 1) / math.log(2) + (n - m) * math.log2(m)
         if bits > _EXACT_VALUE_CAP_BITS:
@@ -181,17 +163,26 @@ def c_alpha_integer(n: int, m: int) -> int:
             f"C_{n}({m}) needs about 2^{work:.2f} bit operations,"
             f" over the 2^{EXACT_SUM_WORK_CAP_LOG2} work cap"
         )
-    direct = c_alpha_direct_integer(n, m)
-    if direct >= _EXACT_VALUE_BOUND:
+
+
+def c_alpha_integer(n: int, m: int) -> int:
+    """C_n(m) by the alternating sum (criterion 7 checks it against m!(S(n,m) +
+    S(n,m-1))), capped by `_check_exact_caps` and at EXACT_VALUE_CAP_DIGITS digits."""
+    if n < 0:
+        raise ValueError("exponent must be non-negative")
+    if m < 1:
+        raise ValueError("m must be positive")
+    _check_exact_caps(n, m)
+    total = 0
+    for j in range(m + 1):
+        coeff = math.comb(m, j) * -((-1) ** j) * (j - 1)
+        if coeff:
+            total += coeff * (m - j) ** n
+    if total >= _EXACT_VALUE_BOUND:
         raise CapExceededError(f"C_{n}({m}) has more than {EXACT_VALUE_CAP_DIGITS} digits")
-    via_stirling = math.factorial(m) * (stirling2(n, m) + stirling2(n, m - 1))
-    if direct != via_stirling:
-        raise InternalInconsistencyError(
-            f"C_{n}({m}): direct sum {direct} != Stirling route {via_stirling}"
-        )
-    if direct < 0:
-        raise FalsificationError(f"C_{n}({m}) = {direct} < 0 at integer exponent")
-    return direct
+    if total < 0:
+        raise FalsificationError(f"C_{n}({m}) = {total} < 0 at integer exponent")
+    return total
 
 
 @dataclass(frozen=True)
@@ -245,6 +236,23 @@ def _c_alpha_enclosure(alpha: Fraction, m: int, prec: int) -> Enclosure:
     return Enclosure.from_iv(_c_alpha_sum_iv(ctx, alpha, m), prec)
 
 
+def check_m_range(alpha: Fraction, lo: int, hi: int, precision: int = DEFAULT_PRECISION) -> None:
+    """Raise, before any sum, what c_alpha_real(alpha, m, precision) raises
+    for some lo <= m <= hi: ValueError for its arguments, or CapExceededError.
+    Each cap checked before a sum rises with m, so m = hi decides them all."""
+    alpha = Fraction(alpha)
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    if precision < DEFAULT_PRECISION:
+        raise ValueError(f"precision must be at least {DEFAULT_PRECISION}")
+    if lo < 1:
+        raise ValueError("m must be positive")
+    if alpha.denominator == 1:
+        _check_exact_caps(int(alpha), hi)
+    elif hi > REAL_SUM_MAX_M:
+        raise CapExceededError(f"C_{alpha}({hi}): m over the interval-sum cap {REAL_SUM_MAX_M}")
+
+
 def c_alpha_real(alpha: Fraction, m: int, precision: int = DEFAULT_PRECISION) -> ObstructionReport:
     """C_alpha(m) for real alpha > 0 with a certified sign.
 
@@ -255,19 +263,12 @@ def c_alpha_real(alpha: Fraction, m: int, precision: int = DEFAULT_PRECISION) ->
     'undetermined' rather than guessing.  That route refuses m above
     REAL_SUM_MAX_M before it sums.
     """
+    check_m_range(alpha, m, m, precision)
     alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if precision < DEFAULT_PRECISION:
-        raise ValueError(f"precision must be at least {DEFAULT_PRECISION}")
-    if m < 1:
-        raise ValueError("m must be positive")
     if alpha.denominator == 1:
         value = c_alpha_integer(int(alpha), m)
         sign = "zero" if value == 0 else ("positive" if value > 0 else "negative")
         return ObstructionReport(alpha, m, sign, "exact", exact_value=value)
-    if m > REAL_SUM_MAX_M:
-        raise CapExceededError(f"C_{alpha}({m}): m over the interval-sum cap {REAL_SUM_MAX_M}")
     enc, sign = certify_sign(lambda p: _c_alpha_enclosure(alpha, m, p), start_prec=precision)
     return ObstructionReport(alpha, m, sign, "interval", enclosure=enc)
 

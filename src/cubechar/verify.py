@@ -9,6 +9,7 @@ Wall-clock times are measured for the runtime budgets but never rendered.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from . import appendix, gnsfinite, obstruction
 from .characters import Alpha, gram_matrix, multiplicativity_check
 from .cube import NiceSet
 from .dyadic import Dyadic
-from .errors import FalsificationError
+from .errors import FalsificationError, InternalInconsistencyError
 from .perm import (
     all_permutations,
     apply_to_nice,
@@ -95,7 +96,7 @@ def criterion_tensor_powers(seed: int) -> CriterionResult:
     for s in all_permutations(2):
         base = gnsfinite.matrix_character(s)
         for k in (1, 2, 3):
-            got = gnsfinite.tensor_character(s, k)  # self-checks the explicit build
+            got = gnsfinite.tensor_character(s, k)
             if got != base**k:
                 failures.append(f"tensor k={k} mismatch at {s!r}: {got} != {base**k}")
     return _result(2, "tensor-powers", 5.0, started, failures, ["24 elements x k in {1,2,3}"])
@@ -223,12 +224,13 @@ def criterion_stirling_obstruction(seed: int) -> CriterionResult:
     for n in range(16):
         for m in range(1, 16):
             try:
-                value = obstruction.c_alpha_integer(n, m)  # raises on route mismatch
-            except Exception as exc:  # route disagreement or negativity
+                value = obstruction.c_alpha_integer(n, m)
+                stirling = math.factorial(m) * (obstruction.stirling2(n, m) + obstruction.stirling2(n, m - 1))
+            except (FalsificationError, InternalInconsistencyError) as exc:
                 failures.append(f"C_{n}({m}): {exc}")
                 continue
-            if value < 0:
-                failures.append(f"C_{n}({m}) = {value} < 0")
+            if value != stirling:
+                failures.append(f"C_{n}({m}): direct sum {value} != Stirling route {stirling}")
     return _result(7, "stirling-obstruction", 1.0, started, failures, ["n, m <= 15"])
 
 

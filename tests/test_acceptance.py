@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cubechar import verify
+from cubechar import Dyadic, verify
 
 SEED = 42
 #: The `cubechar verify-all --seed 42` report, recorded once; read only.
@@ -37,3 +37,18 @@ def test_acceptance(criterion, capsys):
         assert result.elapsed_seconds < result.limit_seconds, (
             f"runtime {result.elapsed_seconds:.3f}s over budget {result.limit_seconds}s"
         )
+
+
+def test_stirling_criterion_reports_a_route_mismatch(monkeypatch):
+    exact = verify.obstruction.c_alpha_integer
+    monkeypatch.setattr(verify.obstruction, "c_alpha_integer", lambda n, m: exact(n, m) + 1)
+    result = verify.criterion_stirling_obstruction(SEED)
+    assert not result.passed
+    assert result.details[0] == "C_0(1): direct sum 2 != Stirling route 1"
+
+
+def test_tensor_criterion_reports_a_wrong_tensor(monkeypatch):
+    monkeypatch.setattr(verify.gnsfinite, "tensor_character", lambda s, k: Dyadic(1))
+    result = verify.criterion_tensor_powers(SEED)
+    assert not result.passed
+    assert result.details[0] == "16-dim tensor of the level-1 transposition gave 1"

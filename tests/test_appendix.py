@@ -227,6 +227,18 @@ def test_construct_si_cap_before_any_table():
     assert peak < 1 << 20
 
 
+def test_verify_si_pair_cap_edge():
+    """(family size)^2 x head points: 2^20 verify, and one doubling more raises
+    before the first pair."""
+    head = identity(10)
+    assert verify_si_properties(head, construct_si(head, 5)).ok  # 32^2 x 2^10
+    family = construct_si(head, 6)
+    _, peak = traced_peak(
+        lambda: pytest.raises(CapExceededError, verify_si_properties, head, family)
+    )
+    assert peak < 1 << 16
+
+
 def test_mk_generators_checks_the_level_cap_first():
     _, peak = traced_peak(lambda: pytest.raises(CapExceededError, mk_generators, 21, 21))
     assert peak < 1 << 20

@@ -10,6 +10,7 @@ from cubechar import (
     CapExceededError,
     CubePermutation,
     Dyadic,
+    InternalInconsistencyError,
     NiceSet,
     PreconditionError,
     centrality_check,
@@ -29,6 +30,7 @@ from cubechar import (
     random_permutation,
     transposition,
 )
+from cubechar import characters
 from cubechar.characters import EXACT_POWER_CAP_BITS, _psd_witness
 
 ALPHAS = [Alpha(0), Alpha(1), Alpha(2), Alpha(3), Alpha.infinity(), Alpha(Fraction(3, 2))]
@@ -289,6 +291,14 @@ def test_gram_exact_psd_on_s22(s22):
     for a in (1, 3):
         report = gram_matrix(Alpha(a), s22)
         assert report.is_psd and report.method == "exact"
+
+
+@pytest.mark.parametrize("alpha", [Alpha(0), Alpha(2), Alpha.infinity()], ids=str)
+def test_gram_psd_failure_at_classified_alpha_is_an_internal_error(monkeypatch, s22, alpha):
+    """Schur's theorem makes these matrices PSD, so a failed check is a bug."""
+    monkeypatch.setattr(characters, "psd_check_exact", lambda mat: (False, (1,) * len(mat)))
+    with pytest.raises(InternalInconsistencyError):
+        gram_matrix(alpha, s22)
 
 
 def test_gram_sign_witness_matches_obstruction(s22):

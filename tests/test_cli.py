@@ -2,6 +2,7 @@ import io
 import json
 from contextlib import redirect_stdout
 
+from cubechar import obstruction
 from cubechar.cli import main
 from conftest import traced_peak
 
@@ -173,6 +174,24 @@ def test_obstruction_sum_work_caps_exit_3(capsys):
         assert "cap exceeded" in capsys.readouterr().err
 
 
+def test_obstruction_range_past_cap_exits_3_before_any_sum(monkeypatch, capsys):
+    def no_sum(*args, **kwargs):
+        raise AssertionError("summed before the range was checked")
+
+    monkeypatch.setattr(obstruction, "c_alpha_real", no_sum)
+    for alphas, m_range in (("3/2", "1..3000"), ("3", "1..1000000000"), ("2,5/2", "1..2049")):
+        (code, out), peak = traced_peak(
+            lambda: run_cli(["obstruction", "--alpha", alphas, "--m", m_range])
+        )
+        assert code == 3 and out == ""
+        assert "cap exceeded" in capsys.readouterr().err
+        assert peak < 1 << 16
+    # an argument c_alpha_real rejects at the first alpha still exits 2 first
+    code, out = run_cli(["obstruction", "--alpha", "0,3/2", "--m", "1..3000"])
+    assert code == 2 and out == ""
+    assert "alpha must be positive" in capsys.readouterr().err
+
+
 def test_obstruction_rejects_precision_cap_below_minimum(monkeypatch, capsys):
     monkeypatch.setenv("CUBECHAR_PRECISION_CAP", "32")
     code, out = run_cli(["obstruction", "--alpha", "201/2", "--m", "103"])
@@ -205,6 +224,16 @@ def test_construct_si_past_work_cap_exits_3(capsys):
     )
     assert code == 3 and out == ""
     assert "cap exceeded" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
+def test_construct_si_past_pair_cap_exits_3(capsys):
+    """An identity head builds no tail tables, so only the pair cap stops it."""
+    (code, out), peak = traced_peak(
+        lambda: run_cli(["construct-si", "--perm", "identity(1)", "-r", "10"])
+    )
+    assert code == 3 and out == ""
+    assert "pairs" in capsys.readouterr().err
     assert peak < 1 << 20
 
 

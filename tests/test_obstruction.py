@@ -28,7 +28,7 @@ from cubechar.obstruction import (
     REAL_SUM_MAX_M,
     _permutation_rows,
     _signed_fixcounts,
-    c_alpha_direct_integer,
+    check_m_range,
 )
 from cubechar.perm import permutation_sign
 from conftest import traced_peak
@@ -190,8 +190,63 @@ def test_real_sum_cap_edge(monkeypatch):
 def test_c_alpha_direct_equals_stirling_route():
     for n in range(12):
         for m in range(1, 12):
-            direct = c_alpha_direct_integer(n, m)
+            direct = c_alpha_integer(n, m)
             assert direct == math.factorial(m) * (stirling2(n, m) + stirling2(n, m - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40), st.integers(1, 41))
+def test_c_alpha_integer_matches_stirling_recurrence(n, m):
+    expected = math.factorial(m) * (stirling2_recurrence(n, m) + stirling2_recurrence(n, m - 1))
+    assert c_alpha_integer(n, m) == expected
+
+
+@pytest.mark.parametrize("n", [0, 1, 100, 1175, 1370, 1371, 5000, 9014, 9015, 14286, 20000])
+def test_exact_caps_rise_with_m(n):
+    """The m that pass the closed-form caps are 1..edge, so a range's largest m decides."""
+    passed = []
+    for m in range(1, 6001):
+        try:
+            obstruction._check_exact_caps(n, m)
+            passed.append(m)
+        except CapExceededError:
+            pass
+    assert passed == list(range(1, len(passed) + 1))
+
+
+def test_m_range_cap_edges():
+    """A range is refused, before any sum, exactly when its largest m would be."""
+    check_m_range(Fraction(3, 2), 1, REAL_SUM_MAX_M)
+    with pytest.raises(CapExceededError, match="interval-sum cap"):
+        check_m_range(Fraction(3, 2), 1, REAL_SUM_MAX_M + 1)
+    check_m_range(Fraction(1175), 1, 2200)  # the work cap's edge at m = 2200
+    with pytest.raises(CapExceededError, match="work cap"):
+        check_m_range(Fraction(1176), 1, 2200)
+    check_m_range(Fraction(1370), 1, 1372)  # the power cap's edge at m = n + 2
+    with pytest.raises(CapExceededError, match="sums powers"):
+        check_m_range(Fraction(1371), 1, 1373)
+    check_m_range(Fraction(9014), 1, 3)  # the lower bound's edge at m = 3
+    with pytest.raises(CapExceededError, match="at least"):
+        check_m_range(Fraction(9015), 1, 3)
+
+
+def test_m_range_is_refused_before_it_is_listed():
+    for alpha in (Fraction(3, 2), Fraction(3)):
+        _, peak = traced_peak(
+            lambda: pytest.raises(CapExceededError, check_m_range, alpha, 1, 10**9)
+        )
+        assert peak < 1 << 16
+
+
+def test_m_range_checks_arguments_first():
+    """The range gives the ValueError c_alpha_real gives at its first m."""
+    for args, message in [
+        ((Fraction(0), 1, 10**9), "alpha must be positive"),
+        ((Fraction(3, 2), 0, 10**9), "m must be positive"),
+        ((Fraction(3, 2), 1, 10**9, 32), "precision must be at least"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            check_m_range(*args)
 
 
 # -- C_alpha(m), real channel ---------------------------------------------------------
