@@ -75,16 +75,11 @@ from .perm import (
     ProductFormPermutation,
     all_permutations,
     apply_to_nice,
-    are_conjugate,
     block_product,
-    compose,
     conjugate,
     cycle_string,
-    cycle_type,
     embed_head,
-    fixed_count,
     fixed_fraction,
-    fixed_set,
     flip_perm,
     from_cycles,
     identity,

@@ -20,14 +20,15 @@ from .perm import (
     ProductFormPermutation,
     block_product,
     compose_tables,
-    cycle_type,
-    fixed_set,
     identity,
     invert_table,
     table_cycle_lengths,
     table_cycles,
     table_from_cycles,
 )
+
+#: log2 of the cap on the tail entries verify_si_properties composes over all pairs.
+VERIFY_SI_ENTRY_CAP_LOG2 = 22
 
 
 @dataclass(frozen=True)
@@ -269,24 +270,25 @@ def verify_si_properties(s: CubePermutation, family) -> SiVerification:
 
     Failures are collected, never raised: the report names the offending
     member or pair and the cycle data that breaks the property.  Past
-    2^DEFAULT_LEVEL_CAP (family size)^2 x head points, CapExceededError comes first.
+    2^DEFAULT_LEVEL_CAP (family size)^2 x head points, or 2^VERIFY_SI_ENTRY_CAP_LOG2
+    of those times 2^tail_level tail entries, CapExceededError comes first.
     """
     family = list(family)
     if not family:
         raise ValueError("empty family")
-    if len(family) ** 2 * s.size > 1 << DEFAULT_LEVEL_CAP:
+    points, tail_level = len(family) ** 2 * s.size, family[0].tail_level
+    if points > 1 << DEFAULT_LEVEL_CAP or points << tail_level > 1 << VERIFY_SI_ENTRY_CAP_LOG2:
         raise CapExceededError(
-            f"{len(family)}^2 pairs x {s.size} head points exceed the 2^{DEFAULT_LEVEL_CAP} cap"
+            f"{len(family)}^2 pairs x {s.size} head points x 2^{tail_level} tail entries exceed"
+            f" the 2^{DEFAULT_LEVEL_CAP}-point or 2^{VERIFY_SI_ENTRY_CAP_LOG2}-entry cap"
         )
-    tail_level = family[0].tail_level
-    expected_type = cycle_type(s).scaled(1 << tail_level)
-    head_fixed = fixed_set(s)
-    full_fiber = 1 << tail_level
+    expected_type = s.cycle_type().scaled(1 << tail_level)
+    expected_counts = tuple((1 << tail_level) if s(x) == x else 0 for x in range(s.size))
 
     def broken_fibers(perm) -> list:
         """Head points whose fibre breaks Fix(perm) = Fix(s) x (full tail)."""
         counts = perm.fiber_fixed_counts()
-        return [x for x in range(s.size) if counts[x] != (full_fiber if x in head_fixed else 0)]
+        return [x for x in range(s.size) if counts[x] != expected_counts[x]]
 
     conj_failures = []
     fix_failures = []

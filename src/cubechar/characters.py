@@ -28,7 +28,6 @@ from .errors import CapExceededError, InternalInconsistencyError, PreconditionEr
 from .perm import (
     CubePermutation,
     block_product,
-    compose,
     cycle_string,
     embed_head,
     fixed_fraction,
@@ -43,6 +42,10 @@ FLOAT_TOLERANCE_BITS = 40
 #: fits Python's default 4300-digit limit on int-to-str conversion, so on
 #: bases in (0, 1) every value under the bound prints and none above it does.
 EXACT_POWER_CAP_BITS = 14284
+
+#: Caps on gram_matrix: its elimination grows as n^3, its agreement counts as n^2 x 2^level.
+GRAM_MAX_ELEMENTS = 128
+GRAM_WORK_CAP_LOG2 = 26
 
 
 class Alpha:
@@ -159,8 +162,8 @@ def char_power(alpha: Alpha, base: Dyadic):
     return BasePower(base, alpha.fraction)
 
 
-def char_eval(alpha: Alpha, s: CubePermutation):
-    """chi_alpha(s) = mu(Fix(s))^alpha for a dense permutation."""
+def char_eval(alpha: Alpha, s):
+    """chi_alpha(s) = mu(Fix(s))^alpha for a dense or product-form permutation."""
     return char_power(alpha, fixed_fraction(s))
 
 
@@ -169,7 +172,7 @@ def centrality_check(alpha: Alpha, g1: CubePermutation, g2: CubePermutation) -> 
     are conjugate."""
     level = max(g1.level, g2.level)
     a, b = embed_head(g1, level), embed_head(g2, level)
-    return char_eval(alpha, compose(a, b)) == char_eval(alpha, compose(b, a))
+    return char_eval(alpha, a.compose(b)) == char_eval(alpha, b.compose(a))
 
 
 def multiplicativity_check(alpha: Alpha, s1: CubePermutation, s2: CubePermutation) -> bool:
@@ -189,11 +192,11 @@ def fixproj_identity_check(
     level = max(s.level, a_c.level)
     s_l = embed_head(s, level)
     for i in a_c.lift(level).members():
-        if s_l.images[i] != i:
+        if s_l(i) != i:
             raise PreconditionError("the nice set must be contained in Fix(s)")
     if m <= level:
         raise PreconditionError(f"coordinate {m} must exceed level {level}")
-    composite = compose(embed_head(s, m), flip_perm(a_c, m))
+    composite = embed_head(s, m).compose(flip_perm(a_c, m))
     return char_eval(alpha, composite) == char_power(alpha, a.measure())
 
 
@@ -361,14 +364,21 @@ def gram_matrix(
     whose quadratic form is re-certified negative by interval arithmetic.
     witness_strategy "signs" forces the permutation-sign vector as the
     witness candidate (the alternating-projection test vector).
+    More than GRAM_MAX_ELEMENTS elements, or n^2 x 2^level past
+    2^GRAM_WORK_CAP_LOG2, raise CapExceededError first.
     """
     elements = list(elements)
     if not elements:
         raise ValueError("empty element list")
     level = max(g.level for g in elements)
+    n = len(elements)
+    if n > GRAM_MAX_ELEMENTS or n * n << level > 1 << GRAM_WORK_CAP_LOG2:
+        raise CapExceededError(
+            f"{n} elements at level {level} exceed the {GRAM_MAX_ELEMENTS}-element"
+            f" or 2^{GRAM_WORK_CAP_LOG2} n^2 x 2^level cap"
+        )
     lifted = [embed_head(g, level) if g.level < level else g for g in elements]
     names = tuple(cycle_string(g) for g in lifted)
-    n = len(lifted)
     counts = [[1 << level] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):

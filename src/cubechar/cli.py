@@ -23,7 +23,6 @@ from .dyadic import Dyadic
 from .errors import CapExceededError, FalsificationError
 from .perm import (
     all_permutations,
-    compose,
     cycle_string,
     fixed_fraction,
     parse_permutation,
@@ -191,7 +190,7 @@ def cmd_gns_check(args) -> int:
     s = random_permutation(level, rng)
     t = random_permutation(level, rng)
     rep_s, rep_t = gnsfinite.rep_matrix(s), gnsfinite.rep_matrix(t)
-    if gnsfinite.rep_matrix(compose(s, t)) != compose(rep_s, rep_t):
+    if gnsfinite.rep_matrix(s.compose(t)) != rep_s.compose(rep_t):
         failures.append("rep is not a homomorphism on a sampled pair")
     if gnsfinite.tensor_character(s, 2) != gnsfinite.matrix_character(s) ** 2:
         failures.append("tensor self-check failed")

@@ -15,7 +15,7 @@ from .characters import Alpha, char_eval, char_power
 from .cube import NiceSet, check_level_cap, nice_intersect, nice_product
 from .dyadic import Dyadic
 from .errors import PreconditionError
-from .perm import CubePermutation, block_product, compose, embed_head, flip_perm, identity
+from .perm import CubePermutation, block_product, embed_head, flip_perm, identity
 
 #: explicit tensor powers are built densely only up to this many basis points
 TENSOR_DIM_CAP_BITS = 14
@@ -98,7 +98,7 @@ def stabilization_scan(
     for m in m_values:
         left = embed_head(g1.inverse(), m)
         right = embed_head(g2, m)
-        element = compose(left, compose(flip_perm(a_c, m), right))
+        element = left.compose(flip_perm(a_c, m).compose(right))
         values.append(char_eval(alpha, element))
     return values
 
@@ -144,7 +144,7 @@ def projection_identity_checks(
     m2 = max(a_c.level, b_c.level) + 1
     m1 = m2 + 1
     # flip(A, m1) * flip(B, m2): the rightmost factor applies first
-    composite = compose(flip_perm(a_c, m1), embed_head(flip_perm(b_c, m2), m1))
+    composite = flip_perm(a_c, m1).compose(embed_head(flip_perm(b_c, m2), m1))
     got = char_eval(alpha, composite)
     expected = char_power(alpha, nice_intersect(a, b).measure())
     intersection_ok = got == expected

@@ -145,6 +145,10 @@ def _check_exact_caps(n: int, m: int) -> None:
     For m >= n+2 the value is 0, but the sum still forms the powers (m-j)^n:
     refused when m^n has more bits, or past 2^EXACT_SUM_WORK_CAP_LOG2 work.
     """
+    if m == 1:  # C_n(1) = 1^n passes every cap
+        return
+    if max(n, m).bit_length() > 64:  # settled before n or m could overflow a float
+        raise CapExceededError(f"C_{n}({m}) needs at least 2^64 bit operations, over the work cap")
     if m <= n + 1:
         bits = math.lgamma(m + 1) / math.log(2) + (n - m) * math.log2(m)
         if bits > _EXACT_VALUE_CAP_BITS:

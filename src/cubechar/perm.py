@@ -1,6 +1,6 @@
 """Permutations of the level-n cube and the tower structure.
 
-Composition order is function composition throughout: compose(p, q) applies
+Composition order is function composition throughout: p.compose(q) applies
 q first.  Products of cycles written left to right therefore apply right to
 left, matching the usual convention (1,2)(2,3) = (1,2,3).
 
@@ -114,7 +114,7 @@ class CycleType:
         tally = {}
         for length in lengths:
             tally[length] = tally.get(length, 0) + 1
-        return cls.from_counts(tally)
+        return cls(tuple(sorted(tally.items())))
 
     @classmethod
     def from_counts(cls, tally: dict) -> "CycleType":
@@ -153,8 +153,10 @@ class CubePermutation:
     def __setattr__(self, name, value):
         raise AttributeError("CubePermutation is immutable")
 
-    def __call__(self, index: int) -> int:
+    def apply(self, index: int) -> int:
         return self.images[index]
+
+    __call__ = apply
 
     def __eq__(self, other):
         if not isinstance(other, CubePermutation):
@@ -171,8 +173,20 @@ class CubePermutation:
     def size(self) -> int:
         return 1 << self.level
 
+    def compose(self, other: "CubePermutation") -> "CubePermutation":
+        """self after other: (p.compose(q))(x) = p(q(x))."""
+        if self.level != other.level:
+            raise LevelMismatchError(f"levels {self.level} and {other.level}; lift explicitly first")
+        return _trusted_permutation(self.level, compose_tables(self.images, other.images))
+
     def inverse(self) -> "CubePermutation":
         return _trusted_permutation(self.level, invert_table(self.images))
+
+    def cycle_type(self) -> CycleType:
+        return CycleType.from_lengths(table_cycle_lengths(self.images))
+
+    def fixed_point_count(self) -> int:
+        return sum(1 for i, v in enumerate(self.images) if v == i)
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.images))
@@ -232,13 +246,6 @@ def all_permutations(level: int):
         yield _trusted_permutation(level, images)
 
 
-def compose(p: CubePermutation, q: CubePermutation) -> CubePermutation:
-    """(p o q)(x) = p(q(x))."""
-    if p.level != q.level:
-        raise LevelMismatchError(f"levels {p.level} and {q.level}; lift explicitly first")
-    return _trusted_permutation(p.level, compose_tables(p.images, q.images))
-
-
 def conjugate(s: CubePermutation, g: CubePermutation) -> CubePermutation:
     """g s g^-1."""
     if s.level != g.level:
@@ -247,27 +254,9 @@ def conjugate(s: CubePermutation, g: CubePermutation) -> CubePermutation:
     return _trusted_permutation(s.level, tuple(g.images[s.images[ginv[i]]] for i in range(s.size)))
 
 
-def cycle_type(p: CubePermutation) -> CycleType:
-    return CycleType.from_lengths(table_cycle_lengths(p.images))
-
-
-def are_conjugate(p: CubePermutation, q: CubePermutation) -> bool:
-    """Conjugacy inside S(2^n): cycle types match (complete invariant)."""
-    if p.level != q.level:
-        raise LevelMismatchError("compare at a common level")
-    return cycle_type(p) == cycle_type(q)
-
-
-def fixed_set(p: CubePermutation) -> frozenset:
-    return frozenset(i for i, v in enumerate(p.images) if v == i)
-
-
-def fixed_count(p: CubePermutation) -> int:
-    return sum(1 for i, v in enumerate(p.images) if v == i)
-
-
-def fixed_fraction(p: CubePermutation) -> Dyadic:
-    return Dyadic(fixed_count(p), p.level)
+def fixed_fraction(p) -> Dyadic:
+    """mu(Fix(p)) for a CubePermutation or a ProductFormPermutation."""
+    return Dyadic(p.fixed_point_count(), p.level)
 
 
 def uniform_distance(p: CubePermutation, q: CubePermutation) -> Dyadic:
@@ -329,9 +318,9 @@ def apply_to_nice(g: CubePermutation, a: NiceSet) -> NiceSet:
 class ProductFormPermutation:
     """A permutation of X_(n+t) given by a head permutation and tail actions.
 
-    Sends (x, y) with x in X_n, y in X_t to (head(x), tails[x](y)).  Supports
-    evaluation, composition, inversion, fixed-point and cycle-type queries
-    without materialising the 2^(n+t) table.
+    Sends (x, y) with x in X_n, y in X_t to (head(x), tails[x](y)).  Has the
+    five methods of CubePermutation (apply, compose, inverse, cycle_type,
+    fixed_point_count), computed without materialising the 2^(n+t) table.
     """
 
     __slots__ = ("head", "tail_level", "tails")
@@ -357,8 +346,7 @@ class ProductFormPermutation:
     def apply(self, z: int) -> int:
         n = self.head.level
         x = z & ((1 << n) - 1)
-        y = z >> n
-        return self.head.images[x] | (self.tails[x].images[y] << n)
+        return self.head(x) | (self.tails[x](z >> n) << n)
 
     __call__ = apply
 
@@ -366,22 +354,21 @@ class ProductFormPermutation:
         """self after other."""
         if (self.head.level, self.tail_level) != (other.head.level, other.tail_level):
             raise LevelMismatchError("product forms must share head and tail levels")
-        head = compose(self.head, other.head)
+        head = self.head.compose(other.head)
         tails = tuple(
-            compose(self.tails[other.head.images[x]], other.tails[x])
-            for x in range(other.head.size)
+            self.tails[other.head(x)].compose(other.tails[x]) for x in range(other.head.size)
         )
         return ProductFormPermutation(head, self.tail_level, tails)
 
     def inverse(self) -> "ProductFormPermutation":
         hinv = self.head.inverse()
-        tails = tuple(self.tails[hinv.images[x]].inverse() for x in range(self.head.size))
+        tails = tuple(self.tails[hinv(x)].inverse() for x in range(self.head.size))
         return ProductFormPermutation(hinv, self.tail_level, tails)
 
     def fiber_fixed_counts(self) -> tuple:
         """For each head point x, the number of y with (x, y) fixed."""
         return tuple(
-            fixed_count(self.tails[x]) if self.head.images[x] == x else 0
+            self.tails[x].fixed_point_count() if self.head(x) == x else 0
             for x in range(self.head.size)
         )
 
@@ -400,9 +387,9 @@ class ProductFormPermutation:
             k = len(cyc)
             ret = self.tails[cyc[0]]
             for x in cyc[1:]:
-                ret = compose(self.tails[x], ret)
-            for length in table_cycle_lengths(ret.images):
-                tally[k * length] = tally.get(k * length, 0) + 1
+                ret = self.tails[x].compose(ret)
+            for length, count in ret.cycle_type().counts:
+                tally[k * length] = tally.get(k * length, 0) + count
         return CycleType.from_counts(tally)
 
     def densify(self) -> CubePermutation:

@@ -24,7 +24,6 @@ from .perm import (
     all_permutations,
     apply_to_nice,
     conjugate,
-    cycle_type,
     embed_head,
     fixed_fraction,
     flip_perm,
@@ -353,7 +352,7 @@ def criterion_appendix_constructions(seed: int) -> CriterionResult:
             if family.level <= 10:  # cross-check the product form densely
                 for index, member in enumerate(family):
                     dense = member.densify()
-                    if cycle_type(dense) != member.cycle_type():
+                    if dense.cycle_type() != member.cycle_type():
                         failures.append(f"head={head!r} r={r} member {index}: dense mismatch")
     return _result(
         11,

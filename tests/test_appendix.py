@@ -4,11 +4,8 @@ from cubechar import (
     CapExceededError,
     CycleType,
     PreconditionError,
-    compose,
     construct_si,
-    cycle_type,
     embed_head,
-    fixed_set,
     from_cycles,
     identity,
     lemma_g1,
@@ -58,17 +55,17 @@ def test_lemma_g1_validation():
 
 def test_mk_generators_even_k():
     gen = mk_generators(2, 2)
-    assert cycle_type(gen.g1) == CycleType.from_lengths([2, 2])
-    quotient = compose(gen.g1, gen.g2.inverse())
-    assert cycle_type(quotient) == CycleType.from_lengths([2, 2])
+    assert gen.g1.cycle_type() == CycleType.from_lengths([2, 2])
+    quotient = gen.g1.compose(gen.g2.inverse())
+    assert quotient.cycle_type() == CycleType.from_lengths([2, 2])
 
 
 def test_mk_generators_k3():
     gen = mk_generators(3, 2)
-    assert cycle_type(gen.g1) == CycleType.from_lengths([3, 1])
-    assert cycle_type(gen.g2) == CycleType.from_lengths([3, 1])
-    quotient = compose(gen.g1, gen.g2.inverse())
-    assert cycle_type(quotient) == CycleType.from_lengths([2, 2])
+    assert gen.g1.cycle_type() == CycleType.from_lengths([3, 1])
+    assert gen.g2.cycle_type() == CycleType.from_lengths([3, 1])
+    quotient = gen.g1.compose(gen.g2.inverse())
+    assert quotient.cycle_type() == CycleType.from_lengths([2, 2])
 
 
 def test_mk_generators_k5_decomposition():
@@ -153,8 +150,8 @@ def test_families_verify_for_small_orders(rng, r):
         # product form agrees with dense tables at these levels
         for member in fam:
             dense = member.densify()
-            assert cycle_type(dense) == member.cycle_type()
-            assert member.fixed_point_count() == len(fixed_set(dense))
+            assert dense.cycle_type() == member.cycle_type()
+            assert member.fixed_point_count() == dense.fixed_point_count()
 
 
 def test_family_conjugate_to_lifted_head():
@@ -162,7 +159,7 @@ def test_family_conjugate_to_lifted_head():
     fam = construct_si(s, 1)
     lifted = embed_head(s, fam.level)
     for member in fam:
-        assert member.cycle_type() == cycle_type(lifted)
+        assert member.cycle_type() == lifted.cycle_type()
 
 
 def test_verifier_flags_tampered_families():
@@ -233,6 +230,20 @@ def test_verify_si_pair_cap_edge():
     head = identity(10)
     assert verify_si_properties(head, construct_si(head, 5)).ok  # 32^2 x 2^10
     family = construct_si(head, 6)
+    _, peak = traced_peak(
+        lambda: pytest.raises(CapExceededError, verify_si_properties, head, family)
+    )
+    assert peak < 1 << 16
+
+
+def test_verify_si_entry_cap_edge():
+    """(family size)^2 x head points x 2^tail_level tail entries: (0 1) at
+    level 2, r = 5 (2^22) verifies; at level 3 (2^23) it raises before the
+    first pair, though the head-point cap passes it."""
+    head = from_cycles(2, [(0, 1)])
+    assert verify_si_properties(head, construct_si(head, 5)).ok
+    head = from_cycles(3, [(0, 1)])
+    family = construct_si(head, 5)
     _, peak = traced_peak(
         lambda: pytest.raises(CapExceededError, verify_si_properties, head, family)
     )

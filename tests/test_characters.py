@@ -16,7 +16,6 @@ from cubechar import (
     centrality_check,
     char_eval,
     char_power,
-    compose,
     conjugate,
     embed_head,
     fixed_fraction,
@@ -31,7 +30,13 @@ from cubechar import (
     transposition,
 )
 from cubechar import characters
-from cubechar.characters import EXACT_POWER_CAP_BITS, _psd_witness
+from cubechar.characters import (
+    EXACT_POWER_CAP_BITS,
+    GRAM_MAX_ELEMENTS,
+    GRAM_WORK_CAP_LOG2,
+    _psd_witness,
+)
+from conftest import traced_peak
 
 ALPHAS = [Alpha(0), Alpha(1), Alpha(2), Alpha(3), Alpha.infinity(), Alpha(Fraction(3, 2))]
 
@@ -181,7 +186,7 @@ def test_fixproj_examples():
     # s transposes the two points with x1 = 1 (indices 1 and 3 at level 2)
     s = transposition(2, 1, 3)
     assert fixproj_identity_check(Alpha(1), s, half, 3)
-    got = char_eval(Alpha(1), compose(embed_head(s, 3), flip_perm(half, 3)))
+    got = char_eval(Alpha(1), embed_head(s, 3).compose(flip_perm(half, 3)))
     assert got == Dyadic(1, 1)
 
 
@@ -261,7 +266,7 @@ def test_gram_entries_match_compose_oracle(elements, alpha):
     assert report.level == level
     for i, gi in enumerate(lifted):
         for j, gj in enumerate(lifted):
-            value = char_power(alpha, fixed_fraction(compose(gi, gj.inverse())))
+            value = char_power(alpha, fixed_fraction(gi.compose(gj.inverse())))
             if isinstance(value, BasePower):
                 assert report.matrix[i][j] == repr(value.midpoint_float())
             else:
@@ -285,6 +290,21 @@ def test_gram_two_elements():
 def test_gram_requires_elements():
     with pytest.raises(ValueError):
         gram_matrix(Alpha(1), [])
+
+
+def test_gram_element_caps_edge():
+    """GRAM_MAX_ELEMENTS elements, and n^2 x 2^level = 2^GRAM_WORK_CAP_LOG2,
+    each verify; one element more raises before any element is lifted."""
+    at_count_edge = [identity(0)] * GRAM_MAX_ELEMENTS
+    at_work_edge = [identity(14), transposition(14, 0, 1)] * 32
+    assert len(at_work_edge) ** 2 << 14 == 1 << GRAM_WORK_CAP_LOG2
+    for elements, extra in ((at_count_edge, identity(0)), (at_work_edge, identity(13))):
+        report, peak = traced_peak(lambda: gram_matrix(Alpha(1), elements))
+        assert report.is_psd and peak < 1 << 22
+        _, peak = traced_peak(
+            lambda: pytest.raises(CapExceededError, gram_matrix, Alpha(1), elements + [extra])
+        )
+        assert peak < 1 << 16
 
 
 def test_gram_exact_psd_on_s22(s22):

@@ -174,6 +174,17 @@ def test_obstruction_sum_work_caps_exit_3(capsys):
         assert "cap exceeded" in capsys.readouterr().err
 
 
+def test_obstruction_unbounded_integers(capsys):
+    """Integers past the float range exit 3, except m = 1: C_n(1) = 1."""
+    huge = "1" + "0" * 400
+    for argv in (["3", huge], ["3", "1.." + huge], [huge, "5"]):
+        code, out = run_cli(["obstruction", "--alpha", argv[0], "--m", argv[1]])
+        assert code == 3 and out == ""
+        assert "cap exceeded" in capsys.readouterr().err
+    code, out = run_cli(["obstruction", "--alpha", huge, "--m", "1", "--format", "text"])
+    assert code == 0 and out == f"C_{huge}(1) = 1 [positive]\n"
+
+
 def test_obstruction_range_past_cap_exits_3_before_any_sum(monkeypatch, capsys):
     def no_sum(*args, **kwargs):
         raise AssertionError("summed before the range was checked")

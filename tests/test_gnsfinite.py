@@ -13,8 +13,6 @@ from cubechar import (
     NiceSet,
     PreconditionError,
     block_product,
-    compose,
-    cycle_type,
     embed_head,
     fixed_fraction,
     identity,
@@ -50,19 +48,19 @@ def test_rep_homomorphism_exhaustive_level1():
     group = list(all_permutations(1))
     for s in group:
         for t in group:
-            assert rep_matrix(compose(s, t)) == compose(rep_matrix(s), rep_matrix(t))
+            assert rep_matrix(s.compose(t)) == rep_matrix(s).compose(rep_matrix(t))
 
 
 def test_rep_homomorphism_random_level2(rng, s22):
     for _ in range(30):
         s = random_permutation(2, rng)
         t = random_permutation(2, rng)
-        assert rep_matrix(compose(s, t)) == compose(rep_matrix(s), rep_matrix(t))
-        assert compose(rep_matrix(s), rep_matrix(s.inverse())) == identity(4)
+        assert rep_matrix(s.compose(t)) == rep_matrix(s).compose(rep_matrix(t))
+        assert rep_matrix(s).compose(rep_matrix(s.inverse())) == identity(4)
 
 
 def test_rep_of_odometer_has_order_four():
-    assert cycle_type(rep_matrix(odometer(2))) == CycleType.from_counts({4: 4})
+    assert rep_matrix(odometer(2)).cycle_type() == CycleType.from_counts({4: 4})
 
 
 @pytest.mark.parametrize(

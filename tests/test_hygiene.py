@@ -102,3 +102,27 @@ def test_unchecked_permutations_come_from_allowlisted_builders():
     ]
     assert callers
     assert [c for c in callers if c[1] not in TRUSTED_CALLERS] == []
+
+
+#: The operations that dense tables and product forms share, as methods.
+PERMUTATION_METHODS = {"apply", "compose", "inverse", "cycle_type", "fixed_point_count"}
+
+
+def test_permutation_operations_are_methods_only():
+    """perm has no module-level twin of the shared methods; both permutation
+    classes define all five, and ProductFormPermutation reaches its tails
+    through them, never through a tail's image table (only the head's table
+    is read, to list the head's cycles)."""
+    tree = ast.parse(next(p for p in MODULES if p.stem == "perm").read_text())
+    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert functions & PERMUTATION_METHODS == set()
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    for name in ("CubePermutation", "ProductFormPermutation"):
+        methods = {node.name for node in classes[name].body if isinstance(node, ast.FunctionDef)}
+        assert PERMUTATION_METHODS <= methods
+    reads = [
+        ast.unparse(node)
+        for node in ast.walk(classes["ProductFormPermutation"])
+        if isinstance(node, ast.Attribute) and node.attr == "images"
+    ]
+    assert set(reads) <= {"self.head.images"}

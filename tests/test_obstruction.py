@@ -173,6 +173,24 @@ def test_integer_work_cap_is_checked_before_the_sums():
         c_alpha_integer(0, 10**12)
 
 
+def test_exact_caps_take_unbounded_integers():
+    """No cap turns an int into a float: C_n(1) = 1 for every n, and n or m
+    past the float range is refused by bit length; the 2^64 switch refuses
+    on both sides."""
+    huge = 10**400
+    assert c_alpha_integer(huge, 1) == 1
+    for n, m in ((3, huge), (huge, 5), (huge, 2), (huge, huge), (0, huge), (2**64, 2)):
+        with pytest.raises(CapExceededError, match="at least 2\\^64 bit operations"):
+            c_alpha_integer(n, m)
+    with pytest.raises(CapExceededError, match="digit cap"):
+        c_alpha_integer(2**64 - 1, 2)
+    with pytest.raises(CapExceededError, match="work cap"):
+        c_alpha_integer(3, 2**64 - 1)
+    with pytest.raises(CapExceededError, match="work cap"):
+        check_m_range(Fraction(3), 1, huge)
+    check_m_range(Fraction(huge), 1, 1)
+
+
 def test_real_sum_cap_edge(monkeypatch):
     """The interval route sums m = REAL_SUM_MAX_M and refuses one more before
     any term; a 64-bit precision cap keeps the edge to one pass."""

@@ -6,6 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cubechar import (
+    Alpha,
     CapExceededError,
     CubePermutation,
     CycleType,
@@ -16,16 +17,12 @@ from cubechar import (
     ProductFormPermutation,
     all_permutations,
     apply_to_nice,
-    are_conjugate,
     block_product,
-    compose,
+    char_eval,
     conjugate,
     cycle_string,
-    cycle_type,
     embed_head,
-    fixed_count,
     fixed_fraction,
-    fixed_set,
     flip_perm,
     from_cycles,
     identity,
@@ -58,7 +55,7 @@ def test_rejects_non_bijections():
 
 def test_unchecked_outputs_equal_checked_construction():
     p = CubePermutation(2, (2, 0, 3, 1))
-    trusted = [compose(p, p), p.inverse(), conjugate(p, p), block_product(p, p)]
+    trusted = [p.compose(p), p.inverse(), conjugate(p, p), block_product(p, p)]
     trusted += [identity(level) for level in range(7)]
     trusted += [q for level in range(3) for q in all_permutations(level)]
     for out in trusted:
@@ -70,15 +67,15 @@ def test_unchecked_outputs_equal_checked_construction():
 
 def test_compose_identity_inverse():
     p = CubePermutation(2, (2, 0, 3, 1))
-    assert compose(p, identity(2)) == p
-    assert compose(p, p.inverse()) == identity(2)
+    assert p.compose(identity(2)) == p
+    assert p.compose(p.inverse()) == identity(2)
     with pytest.raises(LevelMismatchError):
-        compose(p, identity(3))
+        p.compose(identity(3))
 
 
 @given(perms(3), perms(3), perms(3))
 def test_compose_associative(p, q, r):
-    assert compose(compose(p, q), r) == compose(p, compose(q, r))
+    assert p.compose(q).compose(r) == p.compose(q.compose(r))
 
 
 def test_odometer_structure():
@@ -91,32 +88,32 @@ def test_odometer_structure():
     power = od
     for k in range(1, 8):
         assert power != identity(3)
-        power = compose(od, power)
+        power = od.compose(power)
     assert power == identity(3)
 
 
 def test_odometer_square_cycle_type():
-    assert cycle_type(compose(odometer(2), odometer(2))) == CycleType.from_lengths([2, 2])
+    assert odometer(2).compose(odometer(2)).cycle_type() == CycleType.from_lengths([2, 2])
 
 
 # -- cycle data ---------------------------------------------------------------
 
 
 def test_cycle_type_examples():
-    assert cycle_type(identity(2)) == CycleType.from_lengths([1, 1, 1, 1])
-    assert cycle_type(odometer(3)) == CycleType.from_lengths([8])
+    assert identity(2).cycle_type() == CycleType.from_lengths([1, 1, 1, 1])
+    assert odometer(3).cycle_type() == CycleType.from_lengths([8])
 
 
 @given(perms(3))
 def test_cycle_type_matches_orbit_scan(p):
-    assert sorted(cycle_type(p).lengths()) == orbit_lengths(p.images)
+    assert sorted(p.cycle_type().lengths()) == orbit_lengths(p.images)
 
 
 def test_fixed_set_examples():
     assert fixed_fraction(identity(3)) == Dyadic(1)
     t = transposition(3, 0, 5)
     assert fixed_fraction(t) == Dyadic(6, 3)
-    assert fixed_set(t) == frozenset(range(8)) - {0, 5}
+    assert [x for x in range(8) if t(x) == x] == [1, 2, 3, 4, 6, 7]
     assert fixed_fraction(odometer(4)) == Dyadic(0)
 
 
@@ -126,7 +123,7 @@ def test_conjugacy_by_cycle_type_vs_brute_force(s22):
     for p in sample:
         for q in sample:
             brute = any(conjugate(p, g) == q for g in s22)
-            assert are_conjugate(p, q) == brute
+            assert (p.cycle_type() == q.cycle_type()) == brute
 
 
 # -- embeddings ---------------------------------------------------------------
@@ -137,7 +134,7 @@ def test_embed_head_examples():
     p = CubePermutation(2, (1, 2, 3, 0))
     lifted = embed_head(p, 4)
     assert fixed_fraction(lifted) == fixed_fraction(p)
-    assert cycle_type(lifted) == cycle_type(p).scaled(4)
+    assert lifted.cycle_type() == p.cycle_type().scaled(4)
     with pytest.raises(LevelMismatchError):
         embed_head(lifted, 2)
 
@@ -145,8 +142,8 @@ def test_embed_head_examples():
 @given(perms(2), st.integers(2, 5))
 def test_embed_head_is_homomorphism(p, target):
     q = CubePermutation(2, (3, 1, 0, 2))
-    lhs = embed_head(compose(p, q), target)
-    rhs = compose(embed_head(p, target), embed_head(q, target))
+    lhs = embed_head(p.compose(q), target)
+    rhs = embed_head(p, target).compose(embed_head(q, target))
     assert lhs == rhs
 
 
@@ -161,7 +158,7 @@ def test_head_and_tail_commute(p, q):
     n = m = 2
     head = embed_head(q, n + m)
     tail = block_product(identity(n), p)
-    assert compose(head, tail) == compose(tail, head) == block_product(q, p)
+    assert head.compose(tail) == tail.compose(head) == block_product(q, p)
 
 
 @given(perms(2), perms(2))
@@ -169,7 +166,7 @@ def test_embed_tail_is_homomorphism(p, q):
     def tail(x):
         return block_product(identity(1), x)
 
-    assert tail(compose(p, q)) == compose(tail(p), tail(q))
+    assert tail(p.compose(q)) == tail(p).compose(tail(q))
 
 
 # -- block products -----------------------------------------------------------
@@ -222,7 +219,7 @@ def test_flip_examples():
     assert flip_perm(NiceSet.full(2), 3) == identity(3)
     assert flip_perm(NiceSet.empty(1), 1) == transposition(1, 0, 1)
     f = flip_perm(NiceSet.from_indices(1, [0]), 2)
-    assert cycle_type(f) == CycleType.from_lengths([2, 1, 1])
+    assert f.cycle_type() == CycleType.from_lengths([2, 1, 1])
     with pytest.raises(PreconditionError):
         flip_perm(NiceSet(2, 0b0110), 2)
 
@@ -232,8 +229,8 @@ def test_flip_is_involution_with_fix_a(pair, m):
     level, mask = pair
     a = NiceSet(level, mask)
     f = flip_perm(a, m)
-    assert compose(f, f) == identity(m)
-    assert fixed_set(f) == frozenset(a.lift(m).members())
+    assert f.compose(f) == identity(m)
+    assert [x for x in range(f.size) if f(x) == x] == list(a.lift(m).members())
     assert fixed_fraction(f) == a.measure()
 
 
@@ -253,7 +250,7 @@ def test_flip_matches_checked_per_point_oracle(a, m):
     oracle = CubePermutation(m, [x if lifted.contains(x) else x ^ bit for x in range(1 << m)])
     f = flip_perm(a, m)
     assert f == oracle
-    assert compose(f, f) == identity(m)
+    assert f.compose(f) == identity(m)
 
 
 def test_conjugating_flip_moves_the_set():
@@ -268,7 +265,7 @@ def test_conjugation_preserves_cycle_type(rng):
     for _ in range(25):
         s = random_permutation(3, rng)
         g = random_permutation(3, rng)
-        assert cycle_type(conjugate(s, g)) == cycle_type(s)
+        assert conjugate(s, g).cycle_type() == s.cycle_type()
     assert conjugate(odometer(3), identity(3)) == odometer(3)
 
 
@@ -296,21 +293,35 @@ def random_product_form(rng, head_level=2, tail_level=2):
     return ProductFormPermutation(head, tail_level, tails)
 
 
-def test_product_form_matches_densification(rng):
-    for _ in range(20):
-        pf = random_product_form(rng)
-        dense = pf.densify()
-        assert [pf.apply(z) for z in range(1 << pf.level)] == list(dense.images)
-        assert pf.fixed_point_count() == fixed_count(dense)
-        assert pf.cycle_type() == cycle_type(dense)
+@st.composite
+def product_form_pairs(draw):
+    """Two product forms sharing random head (0-2) and tail (0-3) levels."""
+    head_level, tail_level = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+
+    def perm(level):
+        return CubePermutation(level, draw(st.permutations(range(1 << level))))
+
+    def form():
+        tails = [perm(tail_level) for _ in range(1 << head_level)]
+        return ProductFormPermutation(perm(head_level), tail_level, tails)
+
+    return form(), form()
 
 
-def test_product_form_compose_inverse(rng):
-    for _ in range(10):
-        a = random_product_form(rng)
-        b = random_product_form(rng)
-        assert a.compose(b).densify() == compose(a.densify(), b.densify())
-        assert a.inverse().densify() == a.densify().inverse()
+@given(product_form_pairs())
+def test_product_form_matches_densification(pair):
+    """Each of the five shared methods, fixed_fraction and char_eval agree on
+    a product form and its dense table."""
+    pf, other = pair
+    dense = pf.densify()
+    assert [pf.apply(z) for z in range(dense.size)] == [dense.apply(z) for z in range(dense.size)]
+    assert pf.compose(other).densify() == dense.compose(other.densify())
+    assert pf.inverse().densify() == dense.inverse()
+    assert pf.cycle_type() == dense.cycle_type()
+    assert pf.fixed_point_count() == dense.fixed_point_count()
+    assert fixed_fraction(pf) == fixed_fraction(dense)
+    for alpha in (Alpha(0), Alpha(2), Alpha.infinity()):
+        assert char_eval(alpha, pf) == char_eval(alpha, dense)
 
 
 def test_product_form_levels_must_match(rng):
