@@ -324,6 +324,14 @@ def test_product_form_matches_densification(pair):
         assert char_eval(alpha, pf) == char_eval(alpha, dense)
 
 
+def test_product_form_compose_inverse(rng):
+    for _ in range(10):
+        a = random_product_form(rng)
+        b = random_product_form(rng)
+        assert a.compose(b).densify() == a.densify().compose(b.densify())
+        assert a.inverse().densify() == a.densify().inverse()
+
+
 def test_product_form_levels_must_match(rng):
     a = random_product_form(rng, tail_level=1)
     b = random_product_form(rng, tail_level=2)
