@@ -15,6 +15,8 @@ from fractions import Fraction
 import mpmath
 from mpmath import libmp
 
+from .errors import CapExceededError
+
 DEFAULT_PRECISION = 64
 DEFAULT_PRECISION_CAP = 16384
 PRECISION_CAP_ENV = "CUBECHAR_PRECISION_CAP"
@@ -30,6 +32,16 @@ def precision_cap() -> int:
     if cap < DEFAULT_PRECISION:
         raise ValueError(f"precision cap {cap} below minimum {DEFAULT_PRECISION}")
     return cap
+
+
+def check_precision(prec: int) -> None:
+    """Refuse a working precision below DEFAULT_PRECISION (ValueError) or
+    above `precision_cap()` (CapExceededError) before any evaluation."""
+    if prec < DEFAULT_PRECISION:
+        raise ValueError(f"precision must be at least {DEFAULT_PRECISION}")
+    cap = precision_cap()
+    if prec > cap:
+        raise CapExceededError(f"precision {prec} over the {cap}-bit cap ({PRECISION_CAP_ENV})")
 
 
 def make_context(prec: int):
@@ -111,6 +123,18 @@ def pow_iv(ctx, base_num: int, base_den: int, exponent: Fraction):
         return ctx.mpf(base_num**e) / ctx.mpf(base_den**e)
     base = ctx.mpf(base_num) / ctx.mpf(base_den)
     return ctx.exp(fraction_iv(ctx, exponent) * ctx.log(base))
+
+
+def power_sum_iv(ctx, terms, exponent: Fraction):
+    """sum c * (num/den) ** exponent over the (c, num, den) terms, each as
+    `pow_iv` takes it; terms with c = 0 or num = 0 add nothing.  An int c
+    enters exactly as ctx.mpf(c), a Fraction c as `fraction_iv`."""
+    total = ctx.mpf(0)
+    for c, num, den in terms:
+        if c and num:
+            coeff = fraction_iv(ctx, c) if isinstance(c, Fraction) else ctx.mpf(c)
+            total += coeff * pow_iv(ctx, num, den, exponent)
+    return total
 
 
 def certify_sign(evaluate, start_prec: int = DEFAULT_PRECISION):

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .certreal import DEFAULT_PRECISION, Enclosure, certify_sign, make_context, pow_iv
+from .certreal import DEFAULT_PRECISION, Enclosure, certify_sign, make_context, pow_iv, power_sum_iv
 from .dyadic import Dyadic
 from .errors import CapExceededError, InternalInconsistencyError, PreconditionError
 from .perm import (
@@ -331,18 +331,6 @@ def psd_check_float(mat: np.ndarray) -> tuple:
     return False, [float(x) for x in evecs[:, 0]]
 
 
-def _witness_form_enclosure(coeffs, exponent: Fraction, prec: int) -> Enclosure:
-    """Enclosure of sum coeff_b * b^exponent over the grouped base values."""
-    ctx = make_context(prec)
-    total = ctx.mpf(0)
-    for base, coeff in coeffs.items():
-        if coeff == 0 or base.p == 0:
-            continue
-        c = ctx.mpf(coeff.numerator) / ctx.mpf(coeff.denominator)
-        total += c * pow_iv(ctx, base.p, 1 << base.q, exponent)
-    return Enclosure.from_iv(total, prec)
-
-
 def gram_matrix(
     alpha: Alpha,
     elements,
@@ -419,8 +407,10 @@ def gram_matrix(
             if c:
                 base = base_of[counts[i][j]]
                 coeffs[base] = coeffs.get(base, Fraction(0)) + c
+    terms = [(c, base.p, 1 << base.q) for base, c in coeffs.items()]
     enc, sign = certify_sign(
-        lambda p: _witness_form_enclosure(coeffs, exponent, p), start_prec=precision
+        lambda p: Enclosure.from_iv(power_sum_iv(make_context(p), terms, exponent), p),
+        start_prec=precision,
     )
     if sign == "negative":
         return GramReport(

@@ -16,9 +16,9 @@ import sys
 from fractions import Fraction
 
 from . import appendix, gnsfinite, obstruction, verify
-from .certreal import DEFAULT_PRECISION
+from .certreal import check_precision
 from .characters import Alpha, BasePower, char_eval, gram_matrix
-from .cube import NiceSet
+from .cube import NiceSet, check_level_cap
 from .dyadic import Dyadic
 from .errors import CapExceededError, FalsificationError
 from .perm import (
@@ -35,6 +35,10 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_UNDETERMINED = 4
 
+#: gns-check refuses samples x 4^level above 2^this before the first sample:
+#: each sample builds a table of 4^level entries (50 samples at level 10 pass).
+GNS_SAMPLE_CAP_LOG2 = 26
+
 
 def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -50,13 +54,8 @@ def _parse_m_range(text: str) -> tuple:
     return int(text), int(text)
 
 
-def _check_precision(precision: int) -> None:
-    if precision < DEFAULT_PRECISION:
-        raise ValueError(f"precision must be at least {DEFAULT_PRECISION}")
-
-
 def cmd_char_eval(args) -> int:
-    _check_precision(args.precision)
+    check_precision(args.precision)
     alpha = Alpha.parse(args.alpha)
     perm = parse_permutation(args.perm)
     value = char_eval(alpha, perm)
@@ -80,7 +79,7 @@ def cmd_char_eval(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    _check_precision(args.precision)
+    check_precision(args.precision)
     alpha = Alpha.parse(args.alpha)
     if args.all_level is not None:
         if args.all_level > 2:
@@ -181,6 +180,11 @@ def cmd_construct_si(args) -> int:
 
 def cmd_gns_check(args) -> int:
     level = args.level
+    check_level_cap(2 * level)
+    if args.samples << 2 * level > 1 << GNS_SAMPLE_CAP_LOG2:
+        raise CapExceededError(
+            f"{args.samples} samples of 4^{level} entries exceed the 2^{GNS_SAMPLE_CAP_LOG2} cap"
+        )
     rng = random.Random(args.seed)
     failures = []
     for _ in range(args.samples):
@@ -192,7 +196,8 @@ def cmd_gns_check(args) -> int:
     rep_s, rep_t = gnsfinite.rep_matrix(s), gnsfinite.rep_matrix(t)
     if gnsfinite.rep_matrix(s.compose(t)) != rep_s.compose(rep_t):
         failures.append("rep is not a homomorphism on a sampled pair")
-    if gnsfinite.tensor_character(s, 2) != gnsfinite.matrix_character(s) ** 2:
+    explicit_tensor = 4 * level <= gnsfinite.TENSOR_DIM_CAP_BITS
+    if explicit_tensor and gnsfinite.tensor_character(s, 2) != gnsfinite.matrix_character(s) ** 2:
         failures.append("tensor self-check failed")
     xi = gnsfinite.xi_vector(level)
     if gnsfinite.weighted_inner(xi, xi, level) != Dyadic(1):
@@ -268,8 +273,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct_si)
 
     p = sub.add_parser("gns-check", help="finite GNS truncation identities")
-    p.add_argument("--level", type=int, default=2)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument(
+        "--level",
+        type=int,
+        default=2,
+        help="cube level n <= 10; the tensor-square check runs only where the explicit"
+        f" tensor is built (n <= {gnsfinite.TENSOR_DIM_CAP_BITS // 4})",
+    )
+    p.add_argument(
+        "--samples", type=int, default=50, help=f"samples x 4^n at most 2^{GNS_SAMPLE_CAP_LOG2}"
+    )
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.add_argument("--nice-set", help="cylinder set for the stabilization scan, e.g. 'k=2:1010'")
     p.add_argument("--format", choices=("json", "text"), default="json")

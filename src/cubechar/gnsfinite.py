@@ -60,7 +60,8 @@ def tensor_character(s: CubePermutation, k: int) -> Dyadic:
 
     The explicit k-fold tensor is built whenever its dimension 4^(n k) fits
     2^TENSOR_DIM_CAP_BITS; above the cap the product formula is returned.
-    Criterion 2 and gns-check compare the two.
+    Criterion 2 compares the two, and so does gns-check where the explicit
+    build runs (levels n <= 3).
     """
     if k < 1:
         raise ValueError("tensor power k must be positive")

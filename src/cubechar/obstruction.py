@@ -18,7 +18,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .certreal import DEFAULT_PRECISION, Enclosure, certify_sign, make_context, pow_iv
+from .certreal import (
+    DEFAULT_PRECISION,
+    Enclosure,
+    certify_sign,
+    check_precision,
+    make_context,
+    pow_iv,
+    power_sum_iv,
+)
 from .errors import CapExceededError, FalsificationError, InternalInconsistencyError
 
 ALT_TRACE_MAX_M = 8
@@ -169,6 +177,12 @@ def _check_exact_caps(n: int, m: int) -> None:
         )
 
 
+def _c_alpha_terms(m: int):
+    """The terms (c, m - j, 1) of C_alpha(m) = sum c (m - j)^alpha over j = 0..m,
+    c = binom(m, j) (-1)^(j-1) (j-1), as a generator; the zero c at j = 1 is left out."""
+    return ((math.comb(m, j) * -((-1) ** j) * (j - 1), m - j, 1) for j in range(m + 1) if j != 1)
+
+
 def c_alpha_integer(n: int, m: int) -> int:
     """C_n(m) by the alternating sum (criterion 7 checks it against m!(S(n,m) +
     S(n,m-1))), capped by `_check_exact_caps` and at EXACT_VALUE_CAP_DIGITS digits."""
@@ -177,11 +191,7 @@ def c_alpha_integer(n: int, m: int) -> int:
     if m < 1:
         raise ValueError("m must be positive")
     _check_exact_caps(n, m)
-    total = 0
-    for j in range(m + 1):
-        coeff = math.comb(m, j) * -((-1) ** j) * (j - 1)
-        if coeff:
-            total += coeff * (m - j) ** n
+    total = sum(c * b**n for c, b, _ in _c_alpha_terms(m))
     if total >= _EXACT_VALUE_BOUND:
         raise CapExceededError(f"C_{n}({m}) has more than {EXACT_VALUE_CAP_DIGITS} digits")
     if total < 0:
@@ -226,20 +236,6 @@ class ObstructionReport:
         return [str(self.alpha), str(self.m), lo, hi, self.sign, self.method]
 
 
-def _c_alpha_sum_iv(ctx, alpha: Fraction, m: int):
-    total = ctx.mpf(0)
-    for j in range(m):  # the j = m term is 0^alpha = 0 for alpha > 0
-        coeff = math.comb(m, j) * -((-1) ** j) * (j - 1)
-        if coeff:
-            total += ctx.mpf(coeff) * pow_iv(ctx, m - j, 1, alpha)
-    return total
-
-
-def _c_alpha_enclosure(alpha: Fraction, m: int, prec: int) -> Enclosure:
-    ctx = make_context(prec)
-    return Enclosure.from_iv(_c_alpha_sum_iv(ctx, alpha, m), prec)
-
-
 def check_m_range(alpha: Fraction, lo: int, hi: int, precision: int = DEFAULT_PRECISION) -> None:
     """Raise, before any sum, what c_alpha_real(alpha, m, precision) raises
     for some lo <= m <= hi: ValueError for its arguments, or CapExceededError.
@@ -247,8 +243,7 @@ def check_m_range(alpha: Fraction, lo: int, hi: int, precision: int = DEFAULT_PR
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if precision < DEFAULT_PRECISION:
-        raise ValueError(f"precision must be at least {DEFAULT_PRECISION}")
+    check_precision(precision)
     if lo < 1:
         raise ValueError("m must be positive")
     if alpha.denominator == 1:
@@ -273,7 +268,10 @@ def c_alpha_real(alpha: Fraction, m: int, precision: int = DEFAULT_PRECISION) ->
         value = c_alpha_integer(int(alpha), m)
         sign = "zero" if value == 0 else ("positive" if value > 0 else "negative")
         return ObstructionReport(alpha, m, sign, "exact", exact_value=value)
-    enc, sign = certify_sign(lambda p: _c_alpha_enclosure(alpha, m, p), start_prec=precision)
+    enc, sign = certify_sign(
+        lambda p: Enclosure.from_iv(power_sum_iv(make_context(p), _c_alpha_terms(m), alpha), p),
+        start_prec=precision,
+    )
     return ObstructionReport(alpha, m, sign, "interval", enclosure=enc)
 
 
@@ -300,10 +298,7 @@ def alt_trace_bruteforce(alpha: Fraction, m: int):
         num = sum(coeff * f**a for f, coeff in enumerate(dist) if coeff)
         return Fraction(num, fact * m**a)
     ctx = make_context(DEFAULT_PRECISION)
-    total = ctx.mpf(0)
-    for f, coeff in enumerate(dist):
-        if coeff and f > 0:  # 0^alpha = 0 for alpha > 0
-            total += ctx.mpf(coeff) * pow_iv(ctx, f, 1, alpha)
+    total = power_sum_iv(ctx, [(coeff, f, 1) for f, coeff in enumerate(dist)], alpha)
     total /= ctx.mpf(fact) * pow_iv(ctx, m, 1, alpha)
     return Enclosure.from_iv(total, DEFAULT_PRECISION)
 
@@ -315,7 +310,7 @@ def alt_trace_closed_form(alpha: Fraction, m: int):
     if alpha.denominator == 1:
         return Fraction(c_alpha_integer(int(alpha), m), fact * m ** int(alpha))
     ctx = make_context(DEFAULT_PRECISION)
-    total = _c_alpha_sum_iv(ctx, alpha, m) / (ctx.mpf(fact) * pow_iv(ctx, m, 1, alpha))
+    total = power_sum_iv(ctx, _c_alpha_terms(m), alpha) / (ctx.mpf(fact) * pow_iv(ctx, m, 1, alpha))
     return Enclosure.from_iv(total, DEFAULT_PRECISION)
 
 

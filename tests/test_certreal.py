@@ -1,6 +1,20 @@
 from fractions import Fraction
 
-from cubechar.certreal import Enclosure, certify_sign
+import mpmath
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cubechar.certreal import (
+    DEFAULT_PRECISION,
+    DEFAULT_PRECISION_CAP,
+    Enclosure,
+    certify_sign,
+    check_precision,
+    make_context,
+    power_sum_iv,
+)
+from cubechar.errors import CapExceededError
 
 
 def _recording(tried, decide_at=None):
@@ -39,3 +53,58 @@ def test_certify_sign_clamps_to_a_cap_between_doublings(monkeypatch):
     tried.clear()
     certify_sign(_recording(tried), start_prec=128)
     assert tried == [64]
+
+
+def test_check_precision_edges(monkeypatch):
+    for prec in (DEFAULT_PRECISION, DEFAULT_PRECISION_CAP):
+        check_precision(prec)
+    with pytest.raises(ValueError, match="precision must be at least 64"):
+        check_precision(DEFAULT_PRECISION - 1)
+    with pytest.raises(CapExceededError):
+        check_precision(DEFAULT_PRECISION_CAP + 1)
+    monkeypatch.setenv("CUBECHAR_PRECISION_CAP", "100")
+    check_precision(100)
+    with pytest.raises(CapExceededError, match="precision 101 over the 100-bit cap"):
+        check_precision(101)
+
+
+# zero coefficients and zero bases are drawn often: both must add nothing
+coefficients = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(Fraction(-50), Fraction(50), max_denominator=1000),
+    st.just(0),
+    st.just(Fraction(0)),
+)
+terms = st.lists(
+    st.tuples(coefficients, st.one_of(st.just(0), st.integers(0, 300)), st.integers(1, 300)),
+    max_size=6,
+)
+exponents = st.one_of(
+    st.integers(1, 12).map(Fraction), st.fractions(Fraction(1, 50), Fraction(12), max_denominator=50)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms, exponents)
+def test_power_sum_iv_encloses_the_sum(terms, exponent):
+    """At an integer exponent the enclosure holds the exact Fraction sum; at
+    a rational one, a 300-digit mpmath value of it."""
+    enc = Enclosure.from_iv(power_sum_iv(make_context(64), terms, exponent), 64)
+    if exponent.denominator == 1:
+        exact = sum(
+            (Fraction(c) * Fraction(num, den) ** int(exponent) for c, num, den in terms if num),
+            Fraction(0),
+        )
+        assert enc.lo <= exact <= enc.hi
+        return
+    with mpmath.workdps(300):
+        e = _mp(exponent)
+        parts = [_mp(c) * _mp(Fraction(num, den)) ** e for c, num, den in terms]
+        value = mpmath.fsum(parts)
+        slack = mpmath.mpf(10) ** -280 * (1 + mpmath.fsum(map(abs, parts)))
+        assert _mp(enc.lo) <= value + slack and value - slack <= _mp(enc.hi)
+
+
+def _mp(f) -> mpmath.mpf:
+    f = Fraction(f)
+    return mpmath.mpf(f.numerator) / f.denominator

@@ -1,10 +1,15 @@
 import io
 import json
 from contextlib import redirect_stdout
+from pathlib import Path
 
-from cubechar import obstruction
+import pytest
+
+from cubechar import cli, gnsfinite, obstruction
 from cubechar.cli import main
 from conftest import traced_peak
+
+EXPECTED = Path(__file__).resolve().parent / "expected"
 
 
 def run_cli(argv):
@@ -67,6 +72,29 @@ def test_char_eval_rejects_low_precision(capsys):
     code, out = run_cli(["char-eval", "--alpha", "1.5", "--perm", "identity(2)", "--precision", "-5"])
     assert code == 2 and out == ""
     assert "precision must be at least 64" in capsys.readouterr().err
+
+
+#: A command that takes --precision, and its exit code at a precision in range.
+PRECISION_COMMANDS = {
+    "char-eval": (["char-eval", "--alpha", "3/2", "--perm", "level=2: 1 0 2 3"], 0),
+    "gram": (["gram", "--alpha", "3/2", "--all-level", "2", "--witness", "signs"], 1),
+    "obstruction": (["obstruction", "--alpha", "3/2", "--m", "1..5"], 0),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PRECISION_COMMANDS))
+def test_precision_is_refused_outside_64_to_the_cap(command, monkeypatch, capsys):
+    argv, in_range = PRECISION_COMMANDS[command]
+    monkeypatch.setenv("CUBECHAR_PRECISION_CAP", "128")
+    for precision, code, message in (
+        (63, 2, "error: precision must be at least 64"),
+        (64, in_range, ""),
+        (128, in_range, ""),
+        (129, 3, "cap exceeded: precision 129 over the 128-bit cap"),
+    ):
+        got, out = run_cli([*argv, "--precision", str(precision)])
+        assert got == code and (out == "") == (code > 1)
+        assert message in capsys.readouterr().err
 
 
 # -- gram ----------------------------------------------------------------------
@@ -270,6 +298,54 @@ def test_gns_check_level_above_cap_exits_before_allocation(capsys):
     assert code == 3
     assert "cap exceeded" in capsys.readouterr().err
     assert peak < 1 << 20
+
+
+def test_gns_check_refuses_samples_past_cap_before_the_first(monkeypatch, capsys):
+    assert 50 << 2 * 10 <= 1 << cli.GNS_SAMPLE_CAP_LOG2  # the default runs at level 10
+    (code, out), peak = traced_peak(
+        lambda: run_cli(["gns-check", "--level", "10", "--samples", "65"])
+    )
+    assert code == 3 and out == ""
+    assert "65 samples of 4^10 entries exceed the 2^26 cap" in capsys.readouterr().err
+    assert peak < 1 << 20
+    monkeypatch.setattr(cli, "GNS_SAMPLE_CAP_LOG2", 10)
+    assert run_cli(["gns-check", "--level", "2", "--samples", "64"])[0] == 0
+    assert run_cli(["gns-check", "--level", "2", "--samples", "65"]) == (3, "")
+
+
+def test_gns_check_tensor_check_runs_only_where_the_tensor_is_explicit(monkeypatch):
+    calls = []
+
+    def wrong_tensor(s, k):
+        calls.append(s.level)
+        return gnsfinite.matrix_character(s) ** k + 1
+
+    monkeypatch.setattr(gnsfinite, "tensor_character", wrong_tensor)
+    code, out = run_cli(["gns-check", "--level", "3", "--samples", "2", "--format", "text"])
+    assert code == 1 and out == "tensor self-check failed\n"
+    code, out = run_cli(["gns-check", "--level", "4", "--samples", "2", "--format", "text"])
+    assert code == 0 and out == "ok\n"
+    assert calls == [3]
+
+
+#: Byte-exact reports of the certified power sums and the Gram sign witness:
+#: file under tests/expected/, arguments, exit code.
+GOLDEN = [
+    ("obstruction_m1_30.csv", ["obstruction", "--alpha", "3/2,1/3,41/2,7/10", "--m", "1..30"], 0),
+    (
+        "obstruction_witness_201_2.json",
+        ["obstruction", "--witness", "--alpha", "201/2", "--format", "json"],
+        0,
+    ),
+    ("gram_signs_level2.json", ["gram", "--alpha", "3/2", "--all-level", "2", "--witness", "signs"], 1),
+    ("char_eval_odometer3.txt", ["char-eval", "--alpha", "7/3", "--perm", "odometer(3)"], 0),
+]
+
+
+@pytest.mark.parametrize("name, argv, code", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_report(name, argv, code, capsys):
+    assert run_cli(argv) == (code, (EXPECTED / name).read_bytes().decode())
+    assert capsys.readouterr().err == ""
 
 
 def test_cap_exceeded_exit_code():

@@ -126,3 +126,20 @@ def test_permutation_operations_are_methods_only():
         if isinstance(node, ast.Attribute) and node.attr == "images"
     ]
     assert set(reads) <= {"self.head.images"}
+
+
+#: The callers of `pow_iv` outside certreal: a single power, and the two
+#: alt-trace divisors m! * m^alpha.  Every sum of powers goes through
+#: `power_sum_iv`, so a new caller needs the same argument.
+POW_IV_CALLERS = {"enclosure", "alt_trace_bruteforce", "alt_trace_closed_form"}
+
+
+def test_interval_powers_outside_certreal_come_from_allowlisted_callers():
+    callers = [
+        (path.stem, owner)
+        for path in MODULES
+        if path.stem != "certreal"
+        for owner in _callers_of(ast.parse(path.read_text()), "pow_iv")
+    ]
+    assert callers
+    assert [c for c in callers if c[1] not in POW_IV_CALLERS] == []
