@@ -248,28 +248,35 @@ def psd_check_exact(mat) -> tuple:
     """Exact PSD decision for a symmetric matrix of ints or Fractions.
 
     Symmetric fraction-free (Bareiss) elimination over the integers, after
-    scaling by the lcm of the denominators, with diagonal pivoting.  Each step
-    divides exactly by the previous pivot, so the remaining block is the Schur
-    complement times a positive leading minor: a negative diagonal entry, or
-    an all-zero diagonal beside a nonzero entry, means not PSD.  Returns
+    scaling by the lcm of the denominators, on the upper triangle only: row k
+    holds its entries from the diagonal on.  The pivot is the first positive
+    diagonal entry, eliminated in place: its row and column are dropped, with
+    no swap, and the pivot row t reads its entries left of the diagonal from
+    the pivot column of the earlier rows.  Every other row updates its own
+    upper part to (d*x - t_r*t_c) // prev; a row with t_r = 0 is kept as it
+    is when d == prev and scaled to d*x // prev otherwise.  Each step divides
+    exactly by the previous pivot, so the remaining block is the Schur
+    complement times a positive minor: a negative diagonal entry, or an
+    all-zero diagonal beside a nonzero entry, means not PSD.  Returns
     (True, None) or (False, witness) where the witness v satisfies
     v^T M v < 0 exactly; only a failure pays for `_psd_witness`.
     """
-    a = _integer_rows(mat)
+    a = [row[k:] for k, row in enumerate(_integer_rows(mat))]
     prev = 1
     while a:
-        diag = [row[k] for k, row in enumerate(a)]
+        diag = [row[0] for row in a]
         if min(diag) < 0:
             return _psd_witness(mat)
         piv = next((k for k, x in enumerate(diag) if x > 0), None)
         if piv is None:
             return _psd_witness(mat) if any(map(any, a)) else (True, None)
-        if piv:
-            a[0], a[piv] = a[piv], a[0]
-            for row in a:
-                row[0], row[piv] = row[piv], row[0]
-        d, top = a[0][0], a[0][1:]
-        a = [[(d * x - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in a[1:]]
+        d = diag[piv]
+        t = [a[k].pop(piv - k) for k in range(piv)] + a.pop(piv)[1:]
+        for k, (row, tk) in enumerate(zip(a, t)):
+            if tk:
+                a[k] = [(d * x - tk * y) // prev for x, y in zip(row, t[k:])]
+            elif d != prev:
+                a[k] = [d * x // prev for x in row]
         prev = d
     return True, None
 

@@ -44,6 +44,11 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _check_count(flag: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{flag} must be non-negative, got {value}")
+
+
 def _parse_m_range(text: str) -> tuple:
     text = text.strip()
     if ".." in text:
@@ -82,6 +87,7 @@ def cmd_gram(args) -> int:
     check_precision(args.precision)
     alpha = Alpha.parse(args.alpha)
     if args.all_level is not None:
+        _check_count("--all-level", args.all_level)
         if args.all_level > 2:
             raise ValueError("--all-level supports n <= 2 (the group is otherwise huge)")
         elements = list(all_permutations(args.all_level))
@@ -180,6 +186,8 @@ def cmd_construct_si(args) -> int:
 
 def cmd_gns_check(args) -> int:
     level = args.level
+    _check_count("--level", level)
+    _check_count("--samples", args.samples)
     check_level_cap(2 * level)
     if args.samples << 2 * level > 1 << GNS_SAMPLE_CAP_LOG2:
         raise CapExceededError(

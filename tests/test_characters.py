@@ -1,3 +1,5 @@
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -212,6 +214,18 @@ def test_psd_small_matrices():
     assert not ok and quadratic_form([[F(0), F(1)], [F(1), F(0)]], w) < 0
     ok, w = psd_check_exact([[F(-1)]])
     assert not ok and w == (F(1),)
+    # the first pivot scales the row with a zero pivot-column entry (d=2 != prev=1),
+    # the second keeps it (d == prev == 2); an indefinite matrix that reads as
+    # PSD without that scaling; pivots after zero rows, with and without an
+    # entry in the pivot column
+    for mat, ok in [
+        ([[2, 0, 1], [0, 1, 0], [1, 0, 1]], True),
+        ([[3, 0, -2, 2], [0, 2, -2, 0], [-2, -2, 2, -1], [2, 0, -1, 2]], False),
+        ([[0, 0, 0], [0, 1, 1], [0, 1, 1]], True),
+        ([[0, 1], [1, 1]], False),
+    ]:
+        result = psd_check_exact(mat)
+        assert result == _psd_witness(mat) and result[0] == ok
 
 
 ENTRY_KINDS = {
@@ -221,24 +235,42 @@ ENTRY_KINDS = {
 }
 
 
+def _hadamard_gram(b, power):
+    """(B B^T)^power entrywise: PSD by the Schur product theorem."""
+    return [[sum(x * y for x, y in zip(bi, bj)) ** power for bj in b] for bi in b]
+
+
 @st.composite
 def symmetric_matrices(draw):
-    """(matrix, known_psd): free symmetric or zero-diagonal matrices, which
-    are mostly indefinite, or Hadamard powers of a possibly rank-deficient
-    B B^T, which are PSD by the Schur product theorem."""
-    n = draw(st.integers(1, 6))
+    """(matrix, known_psd), n <= 10.  "free" and "zero-diagonal" matrices are
+    mostly indefinite; "gram" is a Hadamard power of a possibly rank-deficient
+    B B^T.  "sparse-gram" draws B from 0 and +-1, so many rows have a zero entry
+    in the pivot column, kept as they are beside unit pivots (d == prev) and
+    scaled beside the others.  "late-pivot" puts zero rows of B first, so the
+    first positive diagonal is not at index 0, and may then set the entry of
+    a zero row in the column of the first row after them, which makes the
+    matrix indefinite."""
+    n = draw(st.integers(1, 10))
     entry = ENTRY_KINDS[draw(st.sampled_from(sorted(ENTRY_KINDS)))]
-    shape = draw(st.sampled_from(["free", "zero-diagonal", "gram"]))
-    if shape == "gram":
-        k = draw(st.integers(1, n))
-        b = [[draw(entry) for _ in range(k)] for _ in range(n)]
-        power = draw(st.integers(1, 3))
-        return [[sum(x * y for x, y in zip(bi, bj)) ** power for bj in b] for bi in b], True
-    mat = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            mat[i][j] = mat[j][i] = 0 if i == j and shape == "zero-diagonal" else draw(entry)
-    return mat, False
+    shape = draw(st.sampled_from(["free", "zero-diagonal", "gram", "sparse-gram", "late-pivot"]))
+    if shape in ("free", "zero-diagonal"):
+        mat = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                mat[i][j] = mat[j][i] = 0 if i == j and shape == "zero-diagonal" else draw(entry)
+        return mat, False
+    k = draw(st.integers(1, n))
+    power = draw(st.integers(1, 3))
+    if shape == "sparse-gram":
+        entry = st.sampled_from([0, 0, 1, -1])
+    zeros = draw(st.integers(1, max(1, n - 1))) if shape == "late-pivot" else 0
+    b = [[0] * k for _ in range(zeros)] + [[draw(entry) for _ in range(k)] for _ in range(n - zeros)]
+    mat = _hadamard_gram(b, power)
+    if shape == "late-pivot" and n > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, zeros - 1))
+        mat[i][zeros] = mat[zeros][i] = draw(entry.filter(bool))
+        return mat, False
+    return mat, True
 
 
 @given(symmetric_matrices())
@@ -248,6 +280,36 @@ def test_psd_check_matches_rational_elimination(case):
     assert (ok, witness) == _psd_witness(mat)
     if known_psd:
         assert ok
+    if not ok:
+        assert quadratic_form(mat, witness) < 0
+
+
+def _certify_shape(name):
+    """The Gram shapes of the benchmark's certify workload: the alpha = inf
+    matrix of 96 distinct elements, the alpha = 0 matrix of 96, and the
+    alpha = 2 Hadamard square of the agreement counts of 64 level-4 tables
+    (with its last diagonal entry zeroed, an indefinite variant)."""
+    if name == "identity(96)":
+        return [[int(i == j) for j in range(96)] for i in range(96)]
+    if name == "all-ones(96)":
+        return [[1] * 96 for _ in range(96)]
+    rng = random.Random(64)
+    tables = set()
+    while len(tables) < 64:
+        tables.add(tuple(rng.sample(range(16), 16)))
+    tables = sorted(tables)
+    mat = [[sum(map(operator.eq, s, t)) ** 2 for t in tables] for s in tables]
+    if name == "alpha2-level4-broken":
+        mat[-1][-1] = 0
+    return mat
+
+
+@pytest.mark.parametrize("name", ["identity(96)", "all-ones(96)", "alpha2-level4", "alpha2-level4-broken"])
+def test_psd_check_at_certify_shapes(name):
+    mat = _certify_shape(name)
+    ok, witness = psd_check_exact(mat)
+    assert (ok, witness) == _psd_witness(mat)
+    assert ok == (name != "alpha2-level4-broken")
     if not ok:
         assert quadratic_form(mat, witness) < 0
 

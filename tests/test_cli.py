@@ -119,6 +119,19 @@ def test_gram_psd_exit_codes():
     assert data["witness"] is not None
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gram", "--alpha", "2", "--all-level", "-1"], "--all-level"),
+        (["gns-check", "--level", "-1"], "--level"),
+        (["gns-check", "--samples", "-3"], "--samples"),
+    ],
+)
+def test_negative_counts_are_refused_by_flag(argv, flag, capsys):
+    assert run_cli(argv) == (2, "")
+    assert capsys.readouterr().err == f"error: {flag} must be non-negative, got {argv[-1]}\n"
+
+
 def test_gram_rejects_large_level():
     code, _ = run_cli(["gram", "--alpha", "1", "--all-level", "3"])
     assert code == 2
@@ -328,7 +341,8 @@ def test_gns_check_tensor_check_runs_only_where_the_tensor_is_explicit(monkeypat
     assert calls == [3]
 
 
-#: Byte-exact reports of the certified power sums and the Gram sign witness:
+#: Byte-exact reports of the certified power sums, the Gram sign witness and
+#: an exact (classified) Gram verdict:
 #: file under tests/expected/, arguments, exit code.
 GOLDEN = [
     ("obstruction_m1_30.csv", ["obstruction", "--alpha", "3/2,1/3,41/2,7/10", "--m", "1..30"], 0),
@@ -338,6 +352,7 @@ GOLDEN = [
         0,
     ),
     ("gram_signs_level2.json", ["gram", "--alpha", "3/2", "--all-level", "2", "--witness", "signs"], 1),
+    ("gram_alpha3_level2.json", ["gram", "--alpha", "3", "--all-level", "2", "--format", "json"], 0),
     ("char_eval_odometer3.txt", ["char-eval", "--alpha", "7/3", "--perm", "odometer(3)"], 0),
 ]
 

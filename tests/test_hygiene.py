@@ -143,3 +143,15 @@ def test_interval_powers_outside_certreal_come_from_allowlisted_callers():
     ]
     assert callers
     assert [c for c in callers if c[1] not in POW_IV_CALLERS] == []
+
+
+def test_psd_oracle_is_called_only_by_the_exact_check():
+    """`_psd_witness` is the oracle of `psd_check_exact` and the source of its
+    witness: inside the package only that function calls it, so the fast
+    path stays plain and the oracle sits beside it."""
+    callers = [
+        (path.stem, owner)
+        for path in MODULES
+        for owner in _callers_of(ast.parse(path.read_text()), "_psd_witness")
+    ]
+    assert callers and set(callers) == {("characters", "psd_check_exact")}
