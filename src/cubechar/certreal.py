@@ -111,7 +111,15 @@ def fraction_iv(ctx, f: Fraction):
 
 
 def pow_iv(ctx, base_num: int, base_den: int, exponent: Fraction):
-    """(base_num/base_den) ** exponent for base >= 0, exponent > 0."""
+    """(base_num/base_den) ** exponent for base >= 0, exponent > 0, as an
+    interval at ctx.prec.
+
+    exp(exponent * log(base)) turns the absolute width of its argument into
+    the relative width of the power: at ctx.prec the power would come back
+    wider by the factor |exponent * log(base)|, below (floor(exponent) + 1)
+    times the bit length of base_num or base_den.  log and exp run with the
+    bit length of that bound plus 2 more bits, and the power is rounded
+    outward to ctx.prec, within a few units in its last place."""
     if base_num < 0 or base_den <= 0:
         raise ValueError("base must be non-negative")
     if exponent <= 0:
@@ -121,8 +129,14 @@ def pow_iv(ctx, base_num: int, base_den: int, exponent: Fraction):
     if exponent.denominator == 1:
         e = int(exponent)
         return ctx.mpf(base_num**e) / ctx.mpf(base_den**e)
-    base = ctx.mpf(base_num) / ctx.mpf(base_den)
-    return ctx.exp(fraction_iv(ctx, exponent) * ctx.log(base))
+    bits = max(base_num.bit_length(), base_den.bit_length())
+    guard = ((exponent.numerator // exponent.denominator + 1) * bits).bit_length() + 2
+    ctx.prec += guard
+    try:
+        power = ctx.exp(fraction_iv(ctx, exponent) * ctx.log(ctx.mpf(base_num) / ctx.mpf(base_den)))
+    finally:
+        ctx.prec -= guard
+    return +power
 
 
 def power_sum_iv(ctx, terms, exponent: Fraction):

@@ -26,6 +26,7 @@ from .certreal import (
     make_context,
     pow_iv,
     power_sum_iv,
+    precision_cap,
 )
 from .errors import CapExceededError, FalsificationError, InternalInconsistencyError
 
@@ -49,10 +50,16 @@ _EXACT_VALUE_CAP_BITS = EXACT_VALUE_CAP_DIGITS * math.log2(10) + 1
 #: with m in the thousands reach it; at the bound the sums take a few seconds.
 EXACT_SUM_WORK_CAP_LOG2 = 25
 
+#: Bits the witness sum's evaluation gets above the cancellation that
+#: `_witness_precision` predicts; with powers tight to a few units in their
+#: last place it needed at most 8 of them (alpha from 0.01 to 201).
+WITNESS_GUARD_BITS = 16
+
 #: Largest m at which c_alpha_real encloses C_alpha(m) for non-integer alpha.
-#: The sum cancels about m bits, so each of its m terms escalates to a
-#: precision near m; up to this bound a sign takes at most about half a
-#: minute (the witness of alpha = 4001/2 at m = 2003 takes 22 s).
+#: The sum cancels up to about 2.5 m bits, so each of its m terms escalates
+#: to a precision of that order; up to this bound a sign takes at most about
+#: half a minute (the witness of alpha = 4001/2 at m = 2003, one evaluation
+#: at 4096 bits, takes about 5 s).
 REAL_SUM_MAX_M = 2048
 
 
@@ -351,13 +358,41 @@ def noninteger_witness(alpha: Fraction, precision: int = DEFAULT_PRECISION) -> t
     """
     alpha = _check_noninteger(alpha)
     m = math.ceil(alpha) + 2
-    report = c_alpha_real(alpha, m, precision=precision)
+    check_m_range(alpha, m, m, precision)
+    start = min(_witness_precision(alpha, m, precision), precision_cap())
+    report = c_alpha_real(alpha, m, precision=start)
     if report.sign != "negative":
         raise FalsificationError(
             f"C_alpha({m}) for alpha={alpha} is {report.sign}, not certified negative",
             report=[report],
         )
     return m, report
+
+
+def _witness_precision(alpha: Fraction, m: int, precision: int) -> int:
+    """The first of precision * 2^k that covers the bits the sum for the
+    witness C_alpha(m), m = ceil(alpha) + 2, cancels, plus WITNESS_GUARD_BITS:
+    the one evaluation it takes there certifies the sign.
+
+    The sum cancels log2(sum of |terms|) - log2|C_alpha(m)| bits.  By the
+    Peano-kernel form in `noninteger_witness`, C_alpha(m) is g^(m) averaged
+    against the B-spline N_m, whose mean is m/2, and with alpha within 3 of m
+    it is |g^(m)(m/2)| to within 0.3 bits for m >= 8 (7 bits at m = 3),
+    g^(m)(t) = (alpha)_(m-1) t^(alpha-m) [(alpha+1) t - (m-1)(alpha+1-m)]."""
+    a = float(alpha)
+    logs = [math.log2(abs(c)) + a * math.log2(b) for c, b, _ in _c_alpha_terms(m) if b]
+    top = max(logs)
+    log2_sum = top + math.log2(sum(2.0 ** (x - top) for x in logs))
+    half = m / 2
+    log2_value = (
+        sum(math.log2(abs(a - k)) for k in range(m - 1))
+        + (a - m) * math.log2(half)
+        + math.log2((a + 1) * half - (m - 1) * (a + 1 - m))
+    )
+    needed = log2_sum - log2_value + WITNESS_GUARD_BITS
+    while precision < needed:
+        precision *= 2
+    return precision
 
 
 def noninteger_witness_scan(alpha: Fraction, precision: int = DEFAULT_PRECISION) -> tuple:

@@ -12,6 +12,7 @@ from cubechar.certreal import (
     certify_sign,
     check_precision,
     make_context,
+    pow_iv,
     power_sum_iv,
 )
 from cubechar.errors import CapExceededError
@@ -103,6 +104,26 @@ def test_power_sum_iv_encloses_the_sum(terms, exponent):
         value = mpmath.fsum(parts)
         slack = mpmath.mpf(10) ** -280 * (1 + mpmath.fsum(map(abs, parts)))
         assert _mp(enc.lo) <= value + slack and value - slack <= _mp(enc.hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 10**4),
+    st.integers(1, 1 << 40),
+    st.fractions(Fraction(1, 50), Fraction(200), max_denominator=50),
+    st.sampled_from((64, 200)),
+)
+def test_pow_iv_is_tight_whatever_the_exponent(num, den, exponent, prec):
+    """The power's enclosure holds a 300-digit mpmath value and is at most 8
+    units in its last place wide at ctx.prec, however large exponent * log(base)."""
+    ctx = make_context(prec)
+    power = pow_iv(ctx, num, den, exponent)
+    assert ctx.prec == prec
+    enc = Enclosure.from_iv(power, prec)
+    with mpmath.workdps(300):
+        value = _mp(Fraction(num, den)) ** _mp(exponent)
+        assert _mp(enc.lo) <= value <= _mp(enc.hi)
+        assert _mp(enc.hi - enc.lo) <= value * mpmath.mpf(2) ** (3 - prec)
 
 
 def _mp(f) -> mpmath.mpf:

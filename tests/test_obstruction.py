@@ -300,6 +300,16 @@ def test_report_serialization():
     assert row[0] == "3/2" and row[1] == "4"
 
 
+def test_real_channel_needs_only_the_cancelled_bits():
+    """C_alpha(74) for alpha in (8, 9) cancels about 120 bits.  With each power
+    enclosed to a few units in its last place, 128 bits certify every such
+    sign; powers that lost log2(alpha * log(74)) bits each needed 256 for
+    alpha = 71/8."""
+    for alpha in (Fraction(25, 3), Fraction(43, 5), Fraction(71, 8)):
+        report = c_alpha_real(alpha, 74)
+        assert (report.sign, report.enclosure.prec) == ("positive", 128)
+
+
 # -- alternating trace ------------------------------------------------------------------
 
 
@@ -362,7 +372,14 @@ def test_paper_dichotomy_window():
 @settings(max_examples=25, deadline=None)
 @given(noninteger_alphas)
 def test_witness_matches_scan(alpha):
-    assert noninteger_witness(alpha) == noninteger_witness_scan(alpha)
+    """Same m and sign as the scan; the witness may certify its sum at a
+    higher precision than the scan's doubling from 64 bits, so the two
+    enclosures need only overlap."""
+    m, report = noninteger_witness(alpha)
+    scan_m, scan_report = noninteger_witness_scan(alpha)
+    assert (m, report.sign) == (scan_m, scan_report.sign) == (scan_m, "negative")
+    assert report.enclosure.prec >= scan_report.enclosure.prec
+    assert report.enclosure.overlaps(scan_report.enclosure)
 
 
 @settings(max_examples=25, deadline=None)
@@ -389,6 +406,28 @@ def test_witness_certifies_one_sum(monkeypatch):
     m, report = noninteger_witness(alpha)
     assert calls == [(alpha, 503)]
     assert (m, report.m) == (503, 503)
+
+
+@pytest.mark.parametrize("text", ["3/10", "5/2", "43/2", "277/8", "557/10", "201/2", "401/2"])
+def test_witness_is_certified_in_one_evaluation(text, monkeypatch):
+    """The witness sum starts at the precision its cancellation needs: one
+    evaluation, on the doubling ladder from the requested precision."""
+    tried = []
+    certify = obstruction.certify_sign
+
+    def recording(evaluate, start_prec):
+        return certify(lambda prec: tried.append(prec) or evaluate(prec), start_prec)
+
+    monkeypatch.setattr(obstruction, "certify_sign", recording)
+    alpha = Fraction(text)
+    m, report = noninteger_witness(alpha)
+    assert (m, report.sign) == (math.ceil(alpha) + 2, "negative")
+    assert tried == [report.enclosure.prec]
+    quotient, rest = divmod(report.enclosure.prec, 64)
+    assert rest == 0 and quotient & (quotient - 1) == 0
+    tried.clear()
+    noninteger_witness(alpha, precision=4096)
+    assert tried == [4096]
 
 
 def test_witness_undetermined_at_precision_cap(monkeypatch):
