@@ -178,7 +178,19 @@ def centrality_check(alpha: Alpha, g1: CubePermutation, g2: CubePermutation) -> 
 def multiplicativity_check(alpha: Alpha, s1: CubePermutation, s2: CubePermutation) -> bool:
     """chi_alpha(s1 x s2) == chi_alpha(s1) * chi_alpha(s2), where s1 x s2 acts
     by s1 on the first s1.level coordinates and by s2 on the ones after."""
-    return char_eval(alpha, block_product(s1, s2)) == char_eval(alpha, s1) * char_eval(alpha, s2)
+    return multiplicativity_holds(alpha, multiplicativity_bases(s1, s2))
+
+
+def multiplicativity_bases(s1: CubePermutation, s2: CubePermutation) -> tuple:
+    """The exponent-free half of `multiplicativity_check`: the fixed fractions
+    of the block product s1 x s2 (from its own table), of s1 and of s2."""
+    return fixed_fraction(block_product(s1, s2)), fixed_fraction(s1), fixed_fraction(s2)
+
+
+def multiplicativity_holds(alpha: Alpha, bases: tuple) -> bool:
+    """The exponent half of `multiplicativity_check` on its three bases."""
+    product, first, second = bases
+    return char_power(alpha, product) == char_power(alpha, first) * char_power(alpha, second)
 
 
 def fixproj_identity_check(
@@ -259,17 +271,20 @@ def psd_check_exact(mat) -> tuple:
     complement times a positive minor: a negative diagonal entry, or an
     all-zero diagonal beside a nonzero entry, means not PSD.  Returns
     (True, None) or (False, witness) where the witness v satisfies
-    v^T M v < 0 exactly; only a failure pays for `_psd_witness`.
+    v^T M v < 0 exactly; only a failure pays for `_psd_witness`, and a
+    failure for which it finds no witness raises InternalInconsistencyError.
     """
     a = [row[k:] for k, row in enumerate(_integer_rows(mat))]
     prev = 1
     while a:
         diag = [row[0] for row in a]
         if min(diag) < 0:
-            return _psd_witness(mat)
+            break
         piv = next((k for k, x in enumerate(diag) if x > 0), None)
         if piv is None:
-            return _psd_witness(mat) if any(map(any, a)) else (True, None)
+            if any(map(any, a)):
+                break
+            return True, None
         d = diag[piv]
         t = [a[k].pop(piv - k) for k in range(piv)] + a.pop(piv)[1:]
         for k, (row, tk) in enumerate(zip(a, t)):
@@ -278,7 +293,12 @@ def psd_check_exact(mat) -> tuple:
             elif d != prev:
                 a[k] = [d * x // prev for x in row]
         prev = d
-    return True, None
+    else:
+        return True, None
+    is_psd, witness = _psd_witness(mat)
+    if is_psd:
+        raise InternalInconsistencyError("the elimination rejected a matrix its oracle finds PSD")
+    return False, witness
 
 
 def _psd_witness(mat) -> tuple:
@@ -361,7 +381,30 @@ def gram_matrix(
     witness candidate (the alternating-projection test vector).
     More than GRAM_MAX_ELEMENTS elements, or n^2 x 2^level past
     2^GRAM_WORK_CAP_LOG2, raise CapExceededError first.
+
+    The composition of `gram_build` (everything that does not depend on
+    alpha) and `gram_report`; one build serves any number of exponents.
     """
+    return gram_report(alpha, gram_build(elements), witness_strategy, precision)
+
+
+@dataclass(frozen=True)
+class GramBuild:
+    """The exponent-free half of a Gram matrix, shared by every exponent.
+
+    Its sequences are tuples, so no exponent can change what the next one reads.
+    """
+
+    level: int
+    lifted: tuple  # the elements, lifted to `level`
+    names: tuple  # their cycle strings
+    counts: tuple  # counts[i][j]: points where lifted[i] and lifted[j] agree
+    bases: tuple  # (count, Dyadic(count, level)) for each distinct count
+
+
+def gram_build(elements) -> GramBuild:
+    """Check the caps, lift the elements to a common level, name them, and
+    count the agreements of every pair with their dyadic bases."""
     elements = list(elements)
     if not elements:
         raise ValueError("empty element list")
@@ -372,14 +415,32 @@ def gram_matrix(
             f"{n} elements at level {level} exceed the {GRAM_MAX_ELEMENTS}-element"
             f" or 2^{GRAM_WORK_CAP_LOG2} n^2 x 2^level cap"
         )
-    lifted = [embed_head(g, level) if g.level < level else g for g in elements]
-    names = tuple(cycle_string(g) for g in lifted)
+    lifted = tuple(embed_head(g, level) if g.level < level else g for g in elements)
     counts = [[1 << level] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             agree = sum(map(operator.eq, lifted[i].images, lifted[j].images))
             counts[i][j] = counts[j][i] = agree
-    base_of = {c: Dyadic(c, level) for c in set(itertools.chain.from_iterable(counts))}
+    distinct = sorted(set(itertools.chain.from_iterable(counts)))
+    return GramBuild(
+        level,
+        lifted,
+        tuple(cycle_string(g) for g in lifted),
+        tuple(map(tuple, counts)),
+        tuple((c, Dyadic(c, level)) for c in distinct),
+    )
+
+
+def gram_report(
+    alpha: Alpha,
+    build: GramBuild,
+    witness_strategy: str = "auto",
+    precision: int = DEFAULT_PRECISION,
+) -> GramReport:
+    """The exponent half of `gram_matrix`: the entries of one build raised to
+    alpha, and their PSD verdict."""
+    level, names, counts = build.level, build.names, build.counts
+    base_of = dict(build.bases)
 
     if alpha.is_classified:
         value_of = {c: char_power(alpha, b) for c, b in base_of.items()}
@@ -401,12 +462,13 @@ def gram_matrix(
     method = f"float(tol=2^-{FLOAT_TOLERANCE_BITS})"
     float_ok, w = psd_check_float(mid)
     if witness_strategy == "signs":
-        candidate = [Fraction(g.sign()) for g in lifted]
+        candidate = [Fraction(g.sign()) for g in build.lifted]
     elif float_ok:
         return GramReport(str(alpha), level, names, matrix, "PSD", method)
     else:
         candidate = [Fraction(x).limit_denominator(1 << 20) for x in w]
 
+    n = len(counts)
     coeffs: dict = {}
     for i in range(n):
         for j in range(n):

@@ -15,7 +15,7 @@ from .characters import Alpha, char_eval, char_power
 from .cube import NiceSet, check_level_cap, nice_intersect, nice_product
 from .dyadic import Dyadic
 from .errors import PreconditionError
-from .perm import CubePermutation, block_product, embed_head, flip_perm, identity
+from .perm import CubePermutation, block_product, embed_head, fixed_fraction, flip_perm, identity
 
 #: explicit tensor powers are built densely only up to this many basis points
 TENSOR_DIM_CAP_BITS = 14
@@ -84,7 +84,19 @@ def stabilization_scan(
 
     The finite-level witness that the flip images converge weakly: the
     conjugacy class of the product is already independent of m here.
+    The composition of `stabilization_bases` and `char_power`.
     """
+    return [char_power(alpha, base) for base in stabilization_bases(g1, g2, a, m_values)]
+
+
+def stabilization_bases(
+    g1: CubePermutation,
+    g2: CubePermutation,
+    a: NiceSet,
+    m_values,
+) -> list:
+    """The exponent-free half of `stabilization_scan`: mu(Fix(g1^-1 *
+    flip(A, m) * g2)) for each m, each from its own composed table."""
     if g1.level != g2.level:
         raise PreconditionError("g1 and g2 must share a level")
     base_level = g1.level
@@ -95,13 +107,13 @@ def stabilization_scan(
     for m in m_values:
         if m <= base_level or m <= a_c.level:
             raise PreconditionError(f"coordinate {m} must exceed both levels")
-    values = []
+    bases = []
     for m in m_values:
         left = embed_head(g1.inverse(), m)
         right = embed_head(g2, m)
         element = left.compose(flip_perm(a_c, m).compose(right))
-        values.append(char_eval(alpha, element))
-    return values
+        bases.append(fixed_fraction(element))
+    return bases
 
 
 def scan_is_constant(values) -> bool:

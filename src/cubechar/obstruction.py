@@ -290,15 +290,29 @@ def signed_fixcount_distribution(m: int) -> list:
     return _signed_fixcounts(m)
 
 
+def _check_nonnegative(alpha: Fraction) -> Fraction:
+    alpha = Fraction(alpha)
+    if alpha < 0:
+        raise ValueError("alpha must be non-negative")
+    return alpha
+
+
 def alt_trace_bruteforce(alpha: Fraction, m: int):
     """(1/m!) * sum over S(m) of sign(s) * (|Fix(s)|/m)^alpha by enumeration.
 
     Exact Fraction for integer alpha; a certified Enclosure otherwise.
+    The composition of `signed_fixcount_distribution` and
+    `alt_trace_from_distribution`.
     """
-    alpha = Fraction(alpha)
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
-    dist = signed_fixcount_distribution(m)
+    _check_nonnegative(alpha)
+    return alt_trace_from_distribution(alpha, signed_fixcount_distribution(m))
+
+
+def alt_trace_from_distribution(alpha: Fraction, dist: list):
+    """The exponent half of `alt_trace_bruteforce`: the trace at alpha from
+    the enumerated a[f] = dist[f] of S(m), m = len(dist) - 1."""
+    alpha = _check_nonnegative(alpha)
+    m = len(dist) - 1
     fact = math.factorial(m)
     if alpha.denominator == 1:
         a = int(alpha)

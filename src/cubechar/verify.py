@@ -16,7 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import appendix, gnsfinite, obstruction
-from .characters import Alpha, gram_matrix, multiplicativity_check
+from .characters import (
+    Alpha,
+    char_power,
+    gram_build,
+    gram_report,
+    multiplicativity_bases,
+    multiplicativity_holds,
+)
 from .cube import NiceSet
 from .dyadic import Dyadic
 from .errors import FalsificationError, InternalInconsistencyError
@@ -106,15 +113,16 @@ def criterion_tensor_powers(seed: int) -> CriterionResult:
 
 def criterion_multiplicativity(seed: int) -> CriterionResult:
     """chi(s1 tail(s2)) = chi(s1) chi(s2) for all pairs from S(2^2) and
-    alpha in {0, 1, 2, 3, inf}."""
+    alpha in {0, 1, 2, 3, inf}; each pair's block product is built once."""
     started = time.perf_counter()
     failures = []
     alphas = [Alpha(0), Alpha(1), Alpha(2), Alpha(3), Alpha.infinity()]
     elements = list(all_permutations(2))
     for s1 in elements:
         for s2 in elements:
+            bases = multiplicativity_bases(s1, s2)
             for alpha in alphas:
-                if not multiplicativity_check(alpha, s1, s2):
+                if not multiplicativity_holds(alpha, bases):
                     failures.append(f"alpha={alpha}: failed at {s1!r}, {s2!r}")
     return _result(
         3, "multiplicativity", 10.0, started, failures, ["576 pairs x 5 exponents"]
@@ -139,16 +147,20 @@ _PROJECTION_CATALOG = (
 
 def criterion_projection_identities(seed: int) -> CriterionResult:
     """Stabilization scans constant on m in {4..8}; intersection and product
-    identities exact on the fixed catalog for alpha in {1, 2, 3}."""
+    identities exact on the fixed catalog for alpha in {1, 2, 3}.  The scan
+    elements of each catalog entry are built once for all three exponents."""
     started = time.perf_counter()
     failures = []
     rng = random.Random(seed + 4)
     g1 = random_permutation(3, rng)
     g2 = random_permutation(3, rng)
+    scans = [
+        gnsfinite.stabilization_bases(g1, g2, a, range(4, 9)) for _, a, _ in _PROJECTION_CATALOG
+    ]
     for alpha_int in (1, 2, 3):
         alpha = Alpha(alpha_int)
-        for name, a, b in _PROJECTION_CATALOG:
-            values = gnsfinite.stabilization_scan(alpha, g1, g2, a, range(4, 9))
+        for (name, a, b), bases in zip(_PROJECTION_CATALOG, scans):
+            values = [char_power(alpha, base) for base in bases]
             if not gnsfinite.scan_is_constant(values):
                 failures.append(f"alpha={alpha} {name}: scan not constant: {values}")
             report = gnsfinite.projection_identity_checks(alpha, a, b, a, b)
@@ -238,16 +250,18 @@ def criterion_stirling_obstruction(seed: int) -> CriterionResult:
 
 def criterion_alt_trace_oracle(seed: int) -> CriterionResult:
     """Literal enumeration over S(m) matches C_alpha(m)/(m! m^alpha) for
-    m in {2..6}: exactly for alpha in {0,1,2,3}, within bounds for 1.5."""
+    m in {2..6}: exactly for alpha in {0,1,2,3}, within bounds for 1.5.
+    S(m) is enumerated once per m for all five exponents."""
     started = time.perf_counter()
     failures = []
     for m in range(2, 7):
+        dist = obstruction.signed_fixcount_distribution(m)
         for a in (0, 1, 2, 3):
-            brute = obstruction.alt_trace_bruteforce(Fraction(a), m)
+            brute = obstruction.alt_trace_from_distribution(Fraction(a), dist)
             closed = obstruction.alt_trace_closed_form(Fraction(a), m)
             if brute != closed:
                 failures.append(f"alpha={a} m={m}: {brute} != {closed}")
-        brute = obstruction.alt_trace_bruteforce(Fraction(3, 2), m)
+        brute = obstruction.alt_trace_from_distribution(Fraction(3, 2), dist)
         closed = obstruction.alt_trace_closed_form(Fraction(3, 2), m)
         if not brute.overlaps(closed):
             failures.append(f"alpha=3/2 m={m}: enclosures disjoint")
@@ -283,12 +297,13 @@ def criterion_noninteger_negativity(seed: int) -> CriterionResult:
 
 def criterion_gram_psd(seed: int) -> CriterionResult:
     """Exact PSD for alpha in {0,1,2,3} on S(2^2) and on 20 seeded 20-element
-    subsets of S(2^3); certified not-PSD via the sign vector at alpha = 3/2."""
+    subsets of S(2^3); certified not-PSD via the sign vector at alpha = 3/2.
+    Each element list is built once (`gram_build`) for all its exponents."""
     started = time.perf_counter()
     failures = []
-    s22 = list(all_permutations(2))
+    s22 = gram_build(all_permutations(2))
     for a in (0, 1, 2, 3):
-        report = gram_matrix(Alpha(a), s22)
+        report = gram_report(Alpha(a), s22)
         if not report.is_psd or report.method != "exact":
             failures.append(f"alpha={a} on S(2^2): verdict {report.verdict}")
     rng = random.Random(seed + 10)
@@ -297,14 +312,14 @@ def criterion_gram_psd(seed: int) -> CriterionResult:
         while len(chosen) < 20:
             p = random_permutation(3, rng)
             chosen[p.images] = p
-        subset = list(chosen.values())
+        subset = gram_build(chosen.values())
         for a in (0, 1, 2, 3):
-            report = gram_matrix(Alpha(a), subset)
+            report = gram_report(Alpha(a), subset)
             if not report.is_psd or report.method != "exact":
                 failures.append(f"alpha={a} subset {subset_index}: {report.verdict}")
     half = Fraction(3, 2)
     c_report = obstruction.c_alpha_real(half, 4)
-    gram = gram_matrix(Alpha(half), s22, witness_strategy="signs")
+    gram = gram_report(Alpha(half), s22, witness_strategy="signs")
     if c_report.sign == "negative":
         if gram.is_psd or gram.witness is None:
             failures.append(f"alpha=3/2: expected certified not-PSD, got {gram.verdict}")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cubechar import Dyadic, verify
+from cubechar import Dyadic, NiceSet, characters, gnsfinite, identity, verify
 
 SEED = 42
 #: The `cubechar verify-all --seed 42` report, recorded once; read only.
@@ -52,3 +52,53 @@ def test_tensor_criterion_reports_a_wrong_tensor(monkeypatch):
     result = verify.criterion_tensor_powers(SEED)
     assert not result.passed
     assert result.details[0] == "16-dim tensor of the level-1 transposition gave 1"
+
+
+def test_multiplicativity_criterion_reports_a_wrong_block_product(monkeypatch):
+    product = characters.block_product
+    monkeypatch.setattr(characters, "block_product", lambda s1, s2: product(s1, identity(s2.level)))
+    result = verify.criterion_multiplicativity(SEED)
+    assert not result.passed
+    assert result.details[0] == (
+        "alpha=1: failed at CubePermutation(level=2, e), CubePermutation(level=2, (2 3))"
+    )
+
+
+def test_projection_criterion_reports_a_scan_that_moves(monkeypatch):
+    embed = gnsfinite.embed_head
+    monkeypatch.setattr(gnsfinite, "embed_head", lambda p, m: identity(m) if m == 8 else embed(p, m))
+    result = verify.criterion_projection_identities(SEED)
+    assert not result.passed
+    assert result.details[0] == (
+        "alpha=1 full-vs-empty: scan not constant:"
+        " [Dyadic(0, 0), Dyadic(0, 0), Dyadic(0, 0), Dyadic(0, 0), Dyadic(1, 0)]"
+    )
+
+
+def test_projection_criterion_reports_a_wrong_intersection(monkeypatch):
+    monkeypatch.setattr(gnsfinite, "nice_intersect", lambda a, b: NiceSet.full(1))
+    result = verify.criterion_projection_identities(SEED)
+    assert not result.passed
+    assert result.details[0] == (
+        "alpha=1 full-vs-empty: {'alpha': '1', 'intersection': {'ok': False, 'value': '0'},"
+        " 'product': {'ok': True, 'value': '0'}, 'monotone': {'ok': True}}"
+    )
+
+
+def test_alt_trace_criterion_reports_a_wrong_enumeration(monkeypatch):
+    counts = verify.obstruction.signed_fixcount_distribution
+    monkeypatch.setattr(
+        verify.obstruction,
+        "signed_fixcount_distribution",
+        lambda m: [a + (f == 0) for f, a in enumerate(counts(m))],
+    )
+    result = verify.criterion_alt_trace_oracle(SEED)
+    assert not result.passed
+    assert result.details[0] == "alpha=0 m=2: 1/2 != 0"
+
+
+def test_gram_criterion_reports_an_uncertified_sign_witness(monkeypatch):
+    monkeypatch.setattr(characters, "certify_sign", lambda evaluate, start_prec: (None, "undetermined"))
+    result = verify.criterion_gram_psd(SEED)
+    assert not result.passed
+    assert result.details[0] == "alpha=3/2: expected certified not-PSD, got not PSD"

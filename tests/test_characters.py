@@ -37,6 +37,8 @@ from cubechar.characters import (
     GRAM_MAX_ELEMENTS,
     GRAM_WORK_CAP_LOG2,
     _psd_witness,
+    gram_build,
+    gram_report,
 )
 from conftest import traced_peak
 
@@ -228,6 +230,14 @@ def test_psd_small_matrices():
         assert result == _psd_witness(mat) and result[0] == ok
 
 
+def test_psd_check_raises_when_its_oracle_finds_no_witness(monkeypatch):
+    """A rejection that the rational elimination does not confirm is a fault
+    of the integer elimination, not a PSD verdict."""
+    monkeypatch.setattr(characters, "_psd_witness", lambda mat: (True, None))
+    with pytest.raises(InternalInconsistencyError):
+        psd_check_exact([[1, 2], [2, 1]])
+
+
 ENTRY_KINDS = {
     "integer": st.integers(-4, 4),
     "dyadic": st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 4, 8])),
@@ -335,6 +345,24 @@ def test_gram_entries_match_compose_oracle(elements, alpha):
                 assert report.matrix[i][j] == str(value)
     if alpha.is_classified:
         assert report.is_psd and report.method == "exact"
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(cube_perms, min_size=1, max_size=6),
+    st.permutations(ALPHAS),
+    st.permutations(["auto", "signs"]),
+)
+def test_one_gram_build_serves_every_exponent(elements, alphas, strategies):
+    """Reports from one shared build, in any order of exponents and witness
+    strategies, equal fresh gram_matrix reports: no exponent changes what the
+    next one reads."""
+    build = gram_build(elements)
+    assert all(type(row) is tuple for row in build.counts)
+    for alpha in alphas:
+        for strategy in strategies:
+            assert gram_report(alpha, build, strategy) == gram_matrix(alpha, elements, strategy)
+    assert build == gram_build(elements)
 
 
 def test_gram_single_identity():

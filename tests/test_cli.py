@@ -341,8 +341,8 @@ def test_gns_check_tensor_check_runs_only_where_the_tensor_is_explicit(monkeypat
     assert calls == [3]
 
 
-#: Byte-exact reports of the certified power sums, the Gram sign witness and
-#: an exact (classified) Gram verdict:
+#: Byte-exact reports of the certified power sums, the Gram sign witness, an
+#: exact (classified) Gram verdict and the acceptance suite:
 #: file under tests/expected/, arguments, exit code.
 GOLDEN = [
     ("obstruction_m1_30.csv", ["obstruction", "--alpha", "3/2,1/3,41/2,7/10", "--m", "1..30"], 0),
@@ -354,6 +354,7 @@ GOLDEN = [
     ("gram_signs_level2.json", ["gram", "--alpha", "3/2", "--all-level", "2", "--witness", "signs"], 1),
     ("gram_alpha3_level2.json", ["gram", "--alpha", "3", "--all-level", "2", "--format", "json"], 0),
     ("char_eval_odometer3.txt", ["char-eval", "--alpha", "7/3", "--perm", "odometer(3)"], 0),
+    ("verify_all_seed7.json", ["verify-all", "--seed", "7", "--format", "json"], 0),
 ]
 
 

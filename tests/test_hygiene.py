@@ -131,7 +131,7 @@ def test_permutation_operations_are_methods_only():
 #: The callers of `pow_iv` outside certreal: a single power, and the two
 #: alt-trace divisors m! * m^alpha.  Every sum of powers goes through
 #: `power_sum_iv`, so a new caller needs the same argument.
-POW_IV_CALLERS = {"enclosure", "alt_trace_bruteforce", "alt_trace_closed_form"}
+POW_IV_CALLERS = {"enclosure", "alt_trace_from_distribution", "alt_trace_closed_form"}
 
 
 def test_interval_powers_outside_certreal_come_from_allowlisted_callers():
