@@ -24,6 +24,7 @@ from .characters import (
     multiplicativity_check,
     psd_check_exact,
     psd_check_float,
+    psd_witness,
     quadratic_form,
 )
 from .certreal import Enclosure, certify_sign

@@ -246,45 +246,32 @@ class GramReport:
         return out
 
 
-def _integer_rows(mat) -> list:
-    """Fresh rows of integers: the matrix scaled by the lcm of its denominators."""
-    rows = [list(row) for row in mat]
-    if all(isinstance(x, int) for row in rows for x in row):
-        return rows
-    rows = [[Fraction(x) for x in row] for row in rows]
-    den = math.lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+def psd_check_exact(mat) -> bool:
+    """Exact PSD decision for a symmetric matrix of ints.
 
-
-def psd_check_exact(mat) -> tuple:
-    """Exact PSD decision for a symmetric matrix of ints or Fractions.
-
-    Symmetric fraction-free (Bareiss) elimination over the integers, after
-    scaling by the lcm of the denominators, on the upper triangle only: row k
-    holds its entries from the diagonal on.  The pivot is the first positive
-    diagonal entry, eliminated in place: its row and column are dropped, with
-    no swap, and the pivot row t reads its entries left of the diagonal from
-    the pivot column of the earlier rows.  Every other row updates its own
-    upper part to (d*x - t_r*t_c) // prev; a row with t_r = 0 is kept as it
-    is when d == prev and scaled to d*x // prev otherwise.  Each step divides
-    exactly by the previous pivot, so the remaining block is the Schur
-    complement times a positive minor: a negative diagonal entry, or an
-    all-zero diagonal beside a nonzero entry, means not PSD.  Returns
-    (True, None) or (False, witness) where the witness v satisfies
-    v^T M v < 0 exactly; only a failure pays for `_psd_witness`, and a
-    failure for which it finds no witness raises InternalInconsistencyError.
+    Symmetric fraction-free (Bareiss) elimination over the integers on the
+    upper triangle only: row k holds its entries from the diagonal on, each
+    read through `operator.index`, so a Fraction or float entry raises
+    TypeError.  The pivot is the first positive diagonal entry, eliminated
+    in place: its row and column are dropped, with no swap, and the pivot
+    row t reads its entries left of the diagonal from the pivot column of
+    the earlier rows.  Every other row updates its own upper part to
+    (d*x - t_r*t_c) // prev; a row with t_r = 0 is kept as it is when
+    d == prev and scaled to d*x // prev otherwise.  Each step divides exactly
+    by the previous pivot, so the remaining block is the Schur complement
+    times a positive minor: a negative diagonal entry, or an all-zero
+    diagonal beside a nonzero entry, means not PSD.  Its oracle is
+    `psd_witness`, which only the tests call.
     """
-    a = [row[k:] for k, row in enumerate(_integer_rows(mat))]
+    a = [list(map(operator.index, row[k:])) for k, row in enumerate(mat)]
     prev = 1
     while a:
         diag = [row[0] for row in a]
         if min(diag) < 0:
-            break
+            return False
         piv = next((k for k, x in enumerate(diag) if x > 0), None)
         if piv is None:
-            if any(map(any, a)):
-                break
-            return True, None
+            return not any(map(any, a))
         d = diag[piv]
         t = [a[k].pop(piv - k) for k in range(piv)] + a.pop(piv)[1:]
         for k, (row, tk) in enumerate(zip(a, t)):
@@ -293,19 +280,15 @@ def psd_check_exact(mat) -> tuple:
             elif d != prev:
                 a[k] = [d * x // prev for x in row]
         prev = d
-    else:
-        return True, None
-    is_psd, witness = _psd_witness(mat)
-    if is_psd:
-        raise InternalInconsistencyError("the elimination rejected a matrix its oracle finds PSD")
-    return False, witness
+    return True
 
 
-def _psd_witness(mat) -> tuple:
-    """The oracle for `psd_check_exact` and the source of its witness.
+def psd_witness(mat) -> tuple:
+    """The oracle for `psd_check_exact`, with a witness on a failure.
 
     Symmetric elimination over the rationals with the same diagonal pivoting,
-    carrying the change of basis.  Returns (True, None) or (False, witness).
+    carrying the change of basis.  Returns (True, None) or (False, witness)
+    where the witness v satisfies v^T M v < 0 exactly.
     """
     n = len(mat)
     a = [[Fraction(x) for x in row] for row in mat]
@@ -448,7 +431,7 @@ def gram_report(
         qmax = max(v.q for v in value_of.values())
         int_of = {c: v.p << (qmax - v.q) for c, v in value_of.items()}
         scaled = [[int_of[c] for c in row] for row in counts]
-        if not psd_check_exact(scaled)[0]:
+        if not psd_check_exact(scaled):
             raise InternalInconsistencyError(f"alpha={alpha}: Gram matrix failed the PSD check")
         matrix = tuple(tuple(text_of[c] for c in row) for row in counts)
         return GramReport(str(alpha), level, names, matrix, "PSD", "exact")

@@ -160,7 +160,7 @@ def _check_exact_caps(n: int, m: int) -> None:
     For m >= n+2 the value is 0, but the sum still forms the powers (m-j)^n:
     refused when m^n has more bits, or past 2^EXACT_SUM_WORK_CAP_LOG2 work.
     """
-    if m == 1:  # C_n(1) = 1^n passes every cap
+    if m <= 1:  # C_n(0) = 0^n and C_n(1) = 1^n pass every cap
         return
     if max(n, m).bit_length() > 64:  # settled before n or m could overflow a float
         raise CapExceededError(f"C_{n}({m}) needs at least 2^64 bit operations, over the work cap")
@@ -300,9 +300,9 @@ def _check_nonnegative(alpha: Fraction) -> Fraction:
 def alt_trace_bruteforce(alpha: Fraction, m: int):
     """(1/m!) * sum over S(m) of sign(s) * (|Fix(s)|/m)^alpha by enumeration.
 
-    Exact Fraction for integer alpha; a certified Enclosure otherwise.
-    The composition of `signed_fixcount_distribution` and
-    `alt_trace_from_distribution`.
+    Exact Fraction for integer alpha, under the caps of `c_alpha_integer`;
+    a certified Enclosure otherwise.  The composition of
+    `signed_fixcount_distribution` and `alt_trace_from_distribution`.
     """
     _check_nonnegative(alpha)
     return alt_trace_from_distribution(alpha, signed_fixcount_distribution(m))
@@ -316,6 +316,7 @@ def alt_trace_from_distribution(alpha: Fraction, dist: list):
     fact = math.factorial(m)
     if alpha.denominator == 1:
         a = int(alpha)
+        _check_exact_caps(a, m)  # num is C_a(m)
         num = sum(coeff * f**a for f, coeff in enumerate(dist) if coeff)
         return Fraction(num, fact * m**a)
     ctx = make_context(DEFAULT_PRECISION)

@@ -65,14 +65,31 @@ def test_multiplicativity_criterion_reports_a_wrong_block_product(monkeypatch):
 
 
 def test_projection_criterion_reports_a_scan_that_moves(monkeypatch):
-    embed = gnsfinite.embed_head
-    monkeypatch.setattr(gnsfinite, "embed_head", lambda p, m: identity(m) if m == 8 else embed(p, m))
+    flip = gnsfinite.flip_perm
+    monkeypatch.setattr(gnsfinite, "flip_perm", lambda a, m: flip(NiceSet.empty(1), m) if m == 8 else flip(a, m))
     result = verify.criterion_projection_identities(SEED)
     assert not result.passed
     assert result.details[0] == (
         "alpha=1 full-vs-empty: scan not constant:"
-        " [Dyadic(0, 0), Dyadic(0, 0), Dyadic(0, 0), Dyadic(0, 0), Dyadic(1, 0)]"
+        " [Dyadic(3, 2), Dyadic(3, 2), Dyadic(3, 2), Dyadic(3, 2), Dyadic(0, 0)]"
     )
+
+
+@pytest.mark.parametrize("seed", [7, SEED])
+def test_projection_criterion_scans_nonzero_values(monkeypatch, seed):
+    """The constancy check compares values that are not all zero: at least
+    half of the catalog entries scan a nonzero fixed set."""
+    scans = []
+    bases = gnsfinite.stabilization_bases
+
+    def recorded(*args):
+        scans.append(bases(*args))
+        return scans[-1]
+
+    monkeypatch.setattr(gnsfinite, "stabilization_bases", recorded)
+    assert verify.criterion_projection_identities(seed).passed
+    assert len(scans) == len(verify._PROJECTION_CATALOG)
+    assert 2 * sum(scan[0] != 0 for scan in scans) >= len(scans)
 
 
 def test_projection_criterion_reports_a_wrong_intersection(monkeypatch):

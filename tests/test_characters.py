@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from fractions import Fraction
@@ -27,6 +28,7 @@ from cubechar import (
     multiplicativity_check,
     odometer,
     psd_check_exact,
+    psd_witness,
     quadratic_form,
     random_permutation,
     transposition,
@@ -36,7 +38,6 @@ from cubechar.characters import (
     EXACT_POWER_CAP_BITS,
     GRAM_MAX_ELEMENTS,
     GRAM_WORK_CAP_LOG2,
-    _psd_witness,
     gram_build,
     gram_report,
 )
@@ -208,14 +209,12 @@ def test_fixproj_precondition():
 
 def test_psd_small_matrices():
     F = Fraction
-    assert psd_check_exact([[F(0)]]) == (True, None)
-    assert psd_check_exact([[F(1), F(1)], [F(1), F(1)]]) == (True, None)
-    ok, w = psd_check_exact([[F(1), F(2)], [F(2), F(1)]])
-    assert not ok and quadratic_form([[F(1), F(2)], [F(2), F(1)]], w) < 0
-    ok, w = psd_check_exact([[F(0), F(1)], [F(1), F(0)]])
-    assert not ok and quadratic_form([[F(0), F(1)], [F(1), F(0)]], w) < 0
-    ok, w = psd_check_exact([[F(-1)]])
-    assert not ok and w == (F(1),)
+    small = [([[0]], True), ([[1, 1], [1, 1]], True), ([[1, 2], [2, 1]], False), ([[0, 1], [1, 0]], False)]
+    for mat, ok in small:
+        assert psd_check_exact(mat) == ok
+        is_psd, w = psd_witness([[F(x) for x in row] for row in mat])
+        assert is_psd == ok and (ok or quadratic_form(mat, w) < 0)
+    assert psd_witness([[F(-1)]]) == (False, (F(1),))
     # the first pivot scales the row with a zero pivot-column entry (d=2 != prev=1),
     # the second keeps it (d == prev == 2); an indefinite matrix that reads as
     # PSD without that scaling; pivots after zero rows, with and without an
@@ -226,16 +225,17 @@ def test_psd_small_matrices():
         ([[0, 0, 0], [0, 1, 1], [0, 1, 1]], True),
         ([[0, 1], [1, 1]], False),
     ]:
-        result = psd_check_exact(mat)
-        assert result == _psd_witness(mat) and result[0] == ok
+        assert psd_check_exact(mat) == psd_witness(mat)[0] == ok
 
 
-def test_psd_check_raises_when_its_oracle_finds_no_witness(monkeypatch):
-    """A rejection that the rational elimination does not confirm is a fault
-    of the integer elimination, not a PSD verdict."""
-    monkeypatch.setattr(characters, "_psd_witness", lambda mat: (True, None))
-    with pytest.raises(InternalInconsistencyError):
-        psd_check_exact([[1, 2], [2, 1]])
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2), 1.0], ids=repr)
+def test_psd_check_refuses_non_integer_entries(entry):
+    """Only ints are decided: a Fraction or float entry is not scaled or
+    floored but refused, wherever it sits in the upper triangle."""
+    with pytest.raises(TypeError):
+        psd_check_exact([[entry]])
+    with pytest.raises(TypeError):
+        psd_check_exact([[4, entry], [entry, 4]])
 
 
 ENTRY_KINDS = {
@@ -243,6 +243,13 @@ ENTRY_KINDS = {
     "dyadic": st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 4, 8])),
     "fraction": st.fractions(min_value=-3, max_value=3, max_denominator=12),
 }
+
+
+def _lcm_scaled(mat) -> list:
+    """The matrix as ints: every entry times the lcm of the denominators."""
+    rows = [[Fraction(x) for x in row] for row in mat]
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
 
 def _hadamard_gram(b, power):
@@ -286,8 +293,8 @@ def symmetric_matrices(draw):
 @given(symmetric_matrices())
 def test_psd_check_matches_rational_elimination(case):
     mat, known_psd = case
-    ok, witness = psd_check_exact(mat)
-    assert (ok, witness) == _psd_witness(mat)
+    ok, witness = psd_witness(mat)
+    assert psd_check_exact(_lcm_scaled(mat)) == ok
     if known_psd:
         assert ok
     if not ok:
@@ -317,8 +324,8 @@ def _certify_shape(name):
 @pytest.mark.parametrize("name", ["identity(96)", "all-ones(96)", "alpha2-level4", "alpha2-level4-broken"])
 def test_psd_check_at_certify_shapes(name):
     mat = _certify_shape(name)
-    ok, witness = psd_check_exact(mat)
-    assert (ok, witness) == _psd_witness(mat)
+    ok, witness = psd_witness(mat)
+    assert psd_check_exact(mat) == ok
     assert ok == (name != "alpha2-level4-broken")
     if not ok:
         assert quadratic_form(mat, witness) < 0
@@ -406,7 +413,7 @@ def test_gram_exact_psd_on_s22(s22):
 @pytest.mark.parametrize("alpha", [Alpha(0), Alpha(2), Alpha.infinity()], ids=str)
 def test_gram_psd_failure_at_classified_alpha_is_an_internal_error(monkeypatch, s22, alpha):
     """Schur's theorem makes these matrices PSD, so a failed check is a bug."""
-    monkeypatch.setattr(characters, "psd_check_exact", lambda mat: (False, (1,) * len(mat)))
+    monkeypatch.setattr(characters, "psd_check_exact", lambda mat: False)
     with pytest.raises(InternalInconsistencyError):
         gram_matrix(alpha, s22)
 

@@ -145,13 +145,20 @@ def test_interval_powers_outside_certreal_come_from_allowlisted_callers():
     assert [c for c in callers if c[1] not in POW_IV_CALLERS] == []
 
 
-def test_psd_oracle_is_called_only_by_the_exact_check():
-    """`_psd_witness` is the oracle of `psd_check_exact` and the source of its
-    witness: inside the package only that function calls it, so the fast
-    path stays plain and the oracle sits beside it."""
-    callers = [
-        (path.stem, owner)
-        for path in MODULES
-        for owner in _callers_of(ast.parse(path.read_text()), "_psd_witness")
-    ]
-    assert callers and set(callers) == {("characters", "psd_check_exact")}
+#: Who in the package may call each brute-force oracle.  The oracles sit
+#: beside their fast paths and are compared with them in tests; a criterion
+#: that compares them names itself here, and no fast path calls one.
+ORACLE_CALLERS = {
+    "psd_witness": set(),
+    "noninteger_witness_scan": set(),
+    "stirling2_recurrence": set(),
+    "signed_derangement_sum_bruteforce": {"criterion_derangement_sums"},
+    "signed_fixcount_distribution": {"criterion_alt_trace_oracle", "alt_trace_bruteforce"},
+}
+
+
+@pytest.mark.parametrize("oracle", sorted(ORACLE_CALLERS))
+def test_oracles_are_called_only_by_allowlisted_callers(oracle):
+    trees = [ast.parse(path.read_text()) for path in MODULES]
+    assert any(isinstance(node, ast.FunctionDef) and node.name == oracle for tree in trees for node in tree.body)
+    assert {owner for tree in trees for owner in _callers_of(tree, oracle)} == ORACLE_CALLERS[oracle]

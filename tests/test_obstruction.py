@@ -342,6 +342,15 @@ def test_alt_trace_rejects_large_m():
         alt_trace_bruteforce(Fraction(1), 9)
 
 
+def test_alt_trace_caps_integer_exponents_like_the_closed_form():
+    """The enumerated numerator is C_alpha(m), so both routes refuse the
+    same exponents before summing, and agree below the cap."""
+    for route in (alt_trace_bruteforce, alt_trace_closed_form):
+        with pytest.raises(CapExceededError):
+            route(Fraction(10**5), 8)
+    assert alt_trace_bruteforce(Fraction(4000), 8) == alt_trace_closed_form(Fraction(4000), 8)
+
+
 # -- witness search --------------------------------------------------------------------
 
 
