@@ -16,28 +16,17 @@ from .characters import (
     Alpha,
     BasePower,
     GramReport,
-    centrality_check,
     char_eval,
     char_power,
-    fixproj_identity_check,
     gram_matrix,
-    multiplicativity_check,
     psd_check_exact,
     psd_check_float,
     psd_witness,
     quadratic_form,
 )
 from .certreal import Enclosure, certify_sign
-from .cube import (
-    DEFAULT_LEVEL_CAP,
-    BinaryWord,
-    NiceSet,
-    measure,
-    nice_intersect,
-    nice_product,
-    nice_union,
-)
-from .dyadic import Dyadic, parse_dyadic
+from .cube import DEFAULT_LEVEL_CAP, NiceSet, nice_intersect, nice_product
+from .dyadic import Dyadic
 from .errors import (
     CapExceededError,
     FalsificationError,
@@ -87,9 +76,7 @@ from .perm import (
     odometer,
     parse_permutation,
     random_permutation,
-    table_string,
     transposition,
-    uniform_distance,
 )
 
 __version__ = "0.1.0"

@@ -20,20 +20,16 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .certreal import DEFAULT_PRECISION, Enclosure, certify_sign, make_context, pow_iv, power_sum_iv
 from .dyadic import Dyadic
-from .errors import CapExceededError, InternalInconsistencyError, PreconditionError
+from .errors import CapExceededError, InternalInconsistencyError
 from .perm import (
     CubePermutation,
     block_product,
     cycle_string,
     embed_head,
     fixed_fraction,
-    flip_perm,
 )
-from . import cube
 
 FLOAT_TOLERANCE_BITS = 40
 
@@ -93,12 +89,6 @@ class Alpha:
     @property
     def is_classified(self) -> bool:
         return self.is_infinity or self.is_integer
-
-    @property
-    def integer(self) -> int:
-        if self._integer is None:
-            raise ValueError(f"{self} is not an integer exponent")
-        return self._integer
 
     @property
     def fraction(self) -> Fraction:
@@ -167,49 +157,19 @@ def char_eval(alpha: Alpha, s):
     return char_power(alpha, fixed_fraction(s))
 
 
-def centrality_check(alpha: Alpha, g1: CubePermutation, g2: CubePermutation) -> bool:
-    """chi_alpha(g1 g2) == chi_alpha(g2 g1); always true since the products
-    are conjugate."""
-    level = max(g1.level, g2.level)
-    a, b = embed_head(g1, level), embed_head(g2, level)
-    return char_eval(alpha, a.compose(b)) == char_eval(alpha, b.compose(a))
-
-
-def multiplicativity_check(alpha: Alpha, s1: CubePermutation, s2: CubePermutation) -> bool:
-    """chi_alpha(s1 x s2) == chi_alpha(s1) * chi_alpha(s2), where s1 x s2 acts
-    by s1 on the first s1.level coordinates and by s2 on the ones after."""
-    return multiplicativity_holds(alpha, multiplicativity_bases(s1, s2))
-
-
 def multiplicativity_bases(s1: CubePermutation, s2: CubePermutation) -> tuple:
-    """The exponent-free half of `multiplicativity_check`: the fixed fractions
-    of the block product s1 x s2 (from its own table), of s1 and of s2."""
+    """The exponent-free half of the multiplicativity law chi_alpha(s1 x s2)
+    == chi_alpha(s1) * chi_alpha(s2), where s1 x s2 acts by s1 on the first
+    s1.level coordinates and by s2 on the ones after: the fixed fractions of
+    the block product s1 x s2 (from its own table), of s1 and of s2."""
     return fixed_fraction(block_product(s1, s2)), fixed_fraction(s1), fixed_fraction(s2)
 
 
 def multiplicativity_holds(alpha: Alpha, bases: tuple) -> bool:
-    """The exponent half of `multiplicativity_check` on its three bases."""
+    """The exponent half of the multiplicativity law, on the three bases of
+    `multiplicativity_bases`."""
     product, first, second = bases
     return char_power(alpha, product) == char_power(alpha, first) * char_power(alpha, second)
-
-
-def fixproj_identity_check(
-    alpha: Alpha, s: CubePermutation, a: cube.NiceSet, m: int
-) -> bool:
-    """chi_alpha(s * flip(A, m)) == mu(A)^alpha when A is contained in Fix(s).
-
-    The finite-level shadow of the projection identity pi(s) P^A = P^A.
-    """
-    a_c = a.canonical()
-    level = max(s.level, a_c.level)
-    s_l = embed_head(s, level)
-    for i in a_c.lift(level).members():
-        if s_l(i) != i:
-            raise PreconditionError("the nice set must be contained in Fix(s)")
-    if m <= level:
-        raise PreconditionError(f"coordinate {m} must exceed level {level}")
-    composite = embed_head(s, m).compose(flip_perm(a_c, m))
-    return char_eval(alpha, composite) == char_power(alpha, a.measure())
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +292,11 @@ def quadratic_form(mat, v):
     return sum(Fraction(v[i]) * Fraction(mat[i][j]) * Fraction(v[j]) for i in range(n) for j in range(n))
 
 
-def psd_check_float(mat: np.ndarray) -> tuple:
-    """(is_psd, witness_or_None) at relative tolerance 2^-FLOAT_TOLERANCE_BITS."""
+def psd_check_float(mat) -> tuple:
+    """(is_psd, witness_or_None) at relative tolerance 2^-FLOAT_TOLERANCE_BITS,
+    for a symmetric matrix of floats (nested lists or an array)."""
+    import numpy as np
+
     evals, evecs = np.linalg.eigh(mat)
     scale = max(1.0, float(abs(evals[-1])))
     if float(evals[0]) >= -(2.0**-FLOAT_TOLERANCE_BITS) * scale:
@@ -440,7 +403,7 @@ def gram_report(
     exponent = alpha.fraction
     mid_of = {c: BasePower(b, exponent).midpoint_float() for c, b in base_of.items()}
     text_of = {c: repr(x) for c, x in mid_of.items()}
-    mid = np.array([[mid_of[c] for c in row] for row in counts])
+    mid = [[mid_of[c] for c in row] for row in counts]
     matrix = tuple(tuple(text_of[c] for c in row) for row in counts)
     method = f"float(tol=2^-{FLOAT_TOLERANCE_BITS})"
     float_ok, w = psd_check_float(mid)

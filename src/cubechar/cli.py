@@ -110,6 +110,8 @@ def cmd_gram(args) -> int:
 
 def cmd_obstruction(args) -> int:
     alphas = [Fraction(part) for part in args.alpha.split(",") if part.strip()]
+    if not alphas:
+        raise ValueError("--alpha needs at least one value")
     if args.witness:
         if len(alphas) != 1:
             raise ValueError("--witness takes a single alpha")
@@ -268,8 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("obstruction", help="the alternating sums C_alpha(m)")
     p.add_argument("--alpha", required=True)
-    p.add_argument("--m", default="1..8", help="single m or range 'a..b'")
-    p.add_argument("--witness", action="store_true", help="search for a certified negative value")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--m", default="1..8", help="single m or range 'a..b'")
+    which.add_argument("--witness", action="store_true", help="search for a certified negative value")
     p.add_argument("--precision", type=int, default=64)
     p.add_argument("--format", choices=("csv", "json", "text"), default="csv")
     p.set_defaults(func=cmd_obstruction)

@@ -8,8 +8,6 @@ convention the odometer is "add one with carry to the right".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dyadic import Dyadic
 from .errors import CapExceededError
 
@@ -20,37 +18,6 @@ DEFAULT_LEVEL_CAP = 20
 def check_level_cap(level: int) -> None:
     if level > DEFAULT_LEVEL_CAP:
         raise CapExceededError(f"level {level} exceeds dense-table cap {DEFAULT_LEVEL_CAP}")
-
-
-@dataclass(frozen=True)
-class BinaryWord:
-    """A point of X_n: a length-n bit word, stored by level and integer index."""
-
-    level: int
-    index: int
-
-    def __post_init__(self):
-        if self.level < 1:
-            raise ValueError("word level must be positive")
-        if not 0 <= self.index < 1 << self.level:
-            raise ValueError(f"index {self.index} out of range at level {self.level}")
-
-    @classmethod
-    def from_bits(cls, bits) -> "BinaryWord":
-        bits = tuple(bits)
-        index = 0
-        for i, b in enumerate(bits):
-            if b not in (0, 1):
-                raise ValueError("bits must be 0 or 1")
-            index |= b << i
-        return cls(len(bits), index)
-
-    @property
-    def bits(self) -> tuple:
-        return tuple((self.index >> i) & 1 for i in range(self.level))
-
-    def __str__(self):
-        return "".join(str(b) for b in self.bits)
 
 
 class NiceSet:
@@ -118,9 +85,6 @@ class NiceSet:
     def members(self):
         return tuple(i for i in range(1 << self.level) if self.mask >> i & 1)
 
-    def contains(self, index: int) -> bool:
-        return bool(self.mask >> index & 1)
-
     def lift(self, level: int) -> "NiceSet":
         """Re-express at a higher level; each word gains every possible suffix."""
         if level < self.level:
@@ -147,10 +111,6 @@ class NiceSet:
     def measure(self) -> Dyadic:
         return Dyadic(self.size(), self.level)
 
-    @property
-    def is_empty(self) -> bool:
-        return self.mask == 0
-
     # equality is denotational: the same subset of X, at whatever level
     def __eq__(self, other):
         if not isinstance(other, NiceSet):
@@ -169,23 +129,9 @@ class NiceSet:
         return self.text()
 
 
-def common_level(a: NiceSet, b: NiceSet) -> tuple:
-    level = max(a.level, b.level)
-    return a.lift(level), b.lift(level)
-
-
-def measure(a: NiceSet) -> Dyadic:
-    return a.measure()
-
-
 def nice_intersect(a: NiceSet, b: NiceSet) -> NiceSet:
-    la, lb = common_level(a, b)
-    return NiceSet(la.level, la.mask & lb.mask)
-
-
-def nice_union(a: NiceSet, b: NiceSet) -> NiceSet:
-    la, lb = common_level(a, b)
-    return NiceSet(la.level, la.mask | lb.mask)
+    level = max(a.level, b.level)
+    return NiceSet(level, a.lift(level).mask & b.lift(level).mask)
 
 
 def nice_product(c: NiceSet, d: NiceSet) -> NiceSet:

@@ -39,14 +39,6 @@ class Dyadic:
         object.__setattr__(d, "q", q)
         return d
 
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> "Dyadic":
-        den = f.denominator
-        q = den.bit_length() - 1
-        if den != 1 << q:
-            raise ValueError(f"{f} is not a dyadic rational")
-        return cls(f.numerator, q)
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.p, 1 << self.q)
 
@@ -155,19 +147,3 @@ class Dyadic:
         if self.q == 0:
             return str(self.p)
         return f"{self.p}/{1 << self.q}"
-
-
-def parse_dyadic(text: str) -> Dyadic:
-    """Parse 'p', 'p/d' (d a power of two) or 'p/2^q'."""
-    text = text.strip()
-    if "/" not in text:
-        return Dyadic(int(text))
-    num, den = text.split("/", 1)
-    den = den.strip()
-    if den.startswith("2^"):
-        return Dyadic(int(num), int(den[2:]))
-    d = int(den)
-    q = d.bit_length() - 1
-    if d != 1 << q:
-        raise ValueError(f"denominator {d} is not a power of two")
-    return Dyadic(int(num), q)

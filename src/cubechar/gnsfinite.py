@@ -14,7 +14,7 @@ from itertools import compress
 from .characters import Alpha, char_eval, char_power
 from .cube import NiceSet, check_level_cap, nice_intersect, nice_product
 from .dyadic import Dyadic
-from .errors import PreconditionError
+from .errors import CapExceededError, PreconditionError
 from .perm import CubePermutation, block_product, embed_head, fixed_fraction, flip_perm, identity
 
 #: explicit tensor powers are built densely only up to this many basis points
@@ -58,15 +58,18 @@ def _diagonal_form(rep: CubePermutation, xi) -> Dyadic:
 def tensor_character(s: CubePermutation, k: int) -> Dyadic:
     """<pi^(x)k(s) xi^(x)k, xi^(x)k>, which equals matrix_character(s)^k.
 
-    The explicit k-fold tensor is built whenever its dimension 4^(n k) fits
-    2^TENSOR_DIM_CAP_BITS; above the cap the product formula is returned.
-    Criterion 2 compares the two, and so does gns-check where the explicit
-    build runs (levels n <= 3).
+    Built from the explicit k-fold tensor, whose dimension 4^(n k) must fit
+    2^TENSOR_DIM_CAP_BITS; above it CapExceededError is raised before any
+    table.  Criterion 2 compares it with the product formula, and so does
+    gns-check at the levels the cap admits (n <= 3).
     """
     if k < 1:
         raise ValueError("tensor power k must be positive")
     if 2 * s.level * k > TENSOR_DIM_CAP_BITS:
-        return matrix_character(s) ** k
+        raise CapExceededError(
+            f"tensor power k={k} at level {s.level} has dimension 4^{s.level * k},"
+            f" over the 2^{TENSOR_DIM_CAP_BITS} cap"
+        )
     xi, xi_k = xi_vector(s.level), [1]
     for _ in range(k):
         xi_k = [a * b for b in xi for a in xi_k]

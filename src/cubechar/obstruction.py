@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .certreal import (
     DEFAULT_PRECISION,
     Enclosure,
@@ -87,6 +85,8 @@ def _permutation_rows(k: int):
     next block overwrites: from block v-1 to block v, the image v of the
     relabelled rows becomes v-1.
     """
+    import numpy as np
+
     if k == 0:
         yield np.zeros((1, 0), np.int8)
         return
@@ -113,6 +113,8 @@ def _signed_fixcounts(k: int) -> list:
     pairs; its fixed-point count is the number of columns i holding i.  The
     buffers are preallocated, so at k = 9 the peak stays under 1 MB.
     """
+    import numpy as np
+
     size = math.factorial(k - 1)
     odd = np.empty(size, bool)
     hit = np.empty(size, bool)
@@ -216,10 +218,6 @@ class ObstructionReport:
     method: str  # exact | interval
     exact_value: int | None = None
     enclosure: Enclosure | None = None
-
-    @property
-    def certified(self) -> bool:
-        return self.sign != "undetermined"
 
     def to_json_dict(self) -> dict:
         out = {

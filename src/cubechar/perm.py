@@ -124,13 +124,6 @@ class CycleType:
     def scaled(self, factor: int) -> "CycleType":
         return CycleType(tuple((k, v * factor) for k, v in self.counts))
 
-    def lengths(self) -> tuple:
-        """Expanded multiset; only for small types."""
-        out = []
-        for k, v in self.counts:
-            out.extend([k] * v)
-        return tuple(out)
-
     def __str__(self):
         return " ".join(f"{k}^{v}" if v > 1 else str(k) for k, v in self.counts) or "-"
 
@@ -187,9 +180,6 @@ class CubePermutation:
 
     def fixed_point_count(self) -> int:
         return sum(1 for i, v in enumerate(self.images) if v == i)
-
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images))
 
     def sign(self) -> int:
         return permutation_sign(self.images)
@@ -257,14 +247,6 @@ def conjugate(s: CubePermutation, g: CubePermutation) -> CubePermutation:
 def fixed_fraction(p) -> Dyadic:
     """mu(Fix(p)) for a CubePermutation or a ProductFormPermutation."""
     return Dyadic(p.fixed_point_count(), p.level)
-
-
-def uniform_distance(p: CubePermutation, q: CubePermutation) -> Dyadic:
-    """Fraction of points the two tables disagree on."""
-    if p.level != q.level:
-        raise LevelMismatchError("lift to a common level first")
-    diff = sum(1 for a, b in zip(p.images, q.images) if a != b)
-    return Dyadic(diff, p.level)
 
 
 def block_product(*perms: CubePermutation) -> CubePermutation:
@@ -417,10 +399,6 @@ def cycle_string(p: CubePermutation) -> str:
         if len(cyc) > 1
     ]
     return "".join(parts) if parts else "e"
-
-
-def table_string(p: CubePermutation) -> str:
-    return f"level={p.level}: " + " ".join(str(v) for v in p.images)
 
 
 def parse_permutation(text: str) -> CubePermutation:

@@ -16,16 +16,14 @@ from cubechar import (
     InternalInconsistencyError,
     NiceSet,
     PreconditionError,
-    centrality_check,
     char_eval,
     char_power,
     conjugate,
     embed_head,
     fixed_fraction,
-    fixproj_identity_check,
+    flip_perm,
     gram_matrix,
     identity,
-    multiplicativity_check,
     odometer,
     psd_check_exact,
     psd_witness,
@@ -40,6 +38,8 @@ from cubechar.characters import (
     GRAM_WORK_CAP_LOG2,
     gram_build,
     gram_report,
+    multiplicativity_bases,
+    multiplicativity_holds,
 )
 from conftest import traced_peak
 
@@ -51,7 +51,7 @@ ALPHAS = [Alpha(0), Alpha(1), Alpha(2), Alpha(3), Alpha.infinity(), Alpha(Fracti
 
 def test_alpha_parse_and_channels():
     assert Alpha.parse("inf").is_infinity
-    assert Alpha.parse("3").is_integer and Alpha.parse("3").integer == 3
+    assert Alpha.parse("3").is_integer and Alpha.parse("3").fraction == 3
     assert Alpha.parse("2.0").is_integer
     a = Alpha.parse("1.5")
     assert not a.is_classified and a.fraction == Fraction(3, 2)
@@ -94,11 +94,9 @@ def test_char_eval_examples():
 def test_alpha_integer_is_stored_at_construction(alpha, integer):
     assert alpha.is_integer == (integer is not None)
     assert alpha.is_classified == (integer is not None or alpha.is_infinity)
-    if integer is None:
-        with pytest.raises(ValueError):
-            alpha.integer
-    else:
-        assert alpha.integer == integer and type(alpha.integer) is int
+    if integer is not None:
+        # the exact channel raises to the stored int power
+        assert char_power(alpha, Dyadic(1, 1)) == Dyadic(1, integer)
 
 
 @pytest.mark.parametrize("base", [Dyadic(1, 1), Dyadic(3, 3), Dyadic(5, 3)])
@@ -152,56 +150,56 @@ def test_power_law():
 
 
 def test_centrality(rng):
+    """chi_alpha(g1 g2) == chi_alpha(g2 g1): the two products are conjugate."""
     for alpha in ALPHAS:
-        assert centrality_check(alpha, identity(2), odometer(2))
         for _ in range(10):
             g1 = random_permutation(3, rng)
             g2 = random_permutation(3, rng)
-            assert centrality_check(alpha, g1, g2)
-    # mixed levels lift automatically
-    assert centrality_check(Alpha(2), odometer(2), odometer(3))
+            assert char_eval(alpha, g1.compose(g2)) == char_eval(alpha, g2.compose(g1))
+    # mixed levels, lifted to the larger one
+    a, b = embed_head(odometer(2), 3), odometer(3)
+    assert char_eval(Alpha(2), a.compose(b)) == char_eval(Alpha(2), b.compose(a))
 
 
 def test_multiplicativity_trivial_cases():
     t = transposition(1, 0, 1)
-    assert multiplicativity_check(Alpha(1), t, t)  # 0 = 0*0
-    assert multiplicativity_check(Alpha(2), identity(2), odometer(2))
+    assert multiplicativity_holds(Alpha(1), multiplicativity_bases(t, t))  # 0 = 0*0
+    assert multiplicativity_holds(Alpha(2), multiplicativity_bases(identity(2), odometer(2)))
 
 
 def test_multiplicativity_random(rng, s22):
     for _ in range(30):
-        s1 = random_permutation(2, rng)
-        s2 = random_permutation(2, rng)
-        for a in (1, 2, 3):
-            assert multiplicativity_check(Alpha(a), s1, s2)
-        assert multiplicativity_check(Alpha(Fraction(3, 2)), s1, s2)
+        bases = multiplicativity_bases(random_permutation(2, rng), random_permutation(2, rng))
+        for alpha in (Alpha(1), Alpha(2), Alpha(3), Alpha(Fraction(3, 2))):
+            assert multiplicativity_holds(alpha, bases)
 
 
 # -- fixproj ----------------------------------------------------------------------
 
 
 def test_fixproj_examples():
-    from cubechar import flip_perm
-
+    """chi_alpha(s * flip(A, m)) == mu(A)^alpha when A lies in Fix(s): the
+    finite-level shadow of the projection identity pi(s) P^A = P^A."""
     half = NiceSet.from_indices(1, [0])
+    flip = flip_perm(half, 3)
     for alpha in ALPHAS:
-        assert fixproj_identity_check(alpha, identity(2), half, 3)
+        assert char_eval(alpha, embed_head(identity(2), 3).compose(flip)) == char_power(alpha, half.measure())
     # empty set: everything is flipped, chi_1 = 0
-    assert fixproj_identity_check(Alpha(1), odometer(2), NiceSet.empty(0), 3)
+    everything = embed_head(odometer(2), 3).compose(flip_perm(NiceSet.empty(0), 3))
+    assert char_eval(Alpha(1), everything) == Dyadic(0)
     # s transposes the two points with x1 = 1 (indices 1 and 3 at level 2)
     s = transposition(2, 1, 3)
-    assert fixproj_identity_check(Alpha(1), s, half, 3)
-    got = char_eval(Alpha(1), embed_head(s, 3).compose(flip_perm(half, 3)))
-    assert got == Dyadic(1, 1)
+    assert char_eval(Alpha(1), embed_head(s, 3).compose(flip)) == Dyadic(1, 1)
 
 
 def test_fixproj_precondition():
+    """The identity needs A inside Fix(s), and flip(A, m) needs m above A's level."""
     half = NiceSet.from_indices(1, [0])
-    s = transposition(2, 0, 1)  # moves a point of the set
+    s = transposition(2, 0, 1)  # moves the point 0 of the set
+    assert char_eval(Alpha(1), embed_head(s, 3).compose(flip_perm(half, 3))) == Dyadic(1, 2)
+    assert half.measure() == Dyadic(1, 1)
     with pytest.raises(PreconditionError):
-        fixproj_identity_check(Alpha(1), s, half, 3)
-    with pytest.raises(PreconditionError):
-        fixproj_identity_check(Alpha(1), identity(2), half, 2)
+        flip_perm(half, 1)
 
 
 # -- PSD machinery ------------------------------------------------------------------

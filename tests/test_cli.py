@@ -168,6 +168,21 @@ def test_obstruction_rejects_reversed_range(capsys):
     assert "reversed range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alphas", [",", ""])
+def test_obstruction_rejects_an_empty_alpha_list(alphas, capsys):
+    for fmt in ("csv", "json"):
+        code, out = run_cli(["obstruction", "--alpha", alphas, "--m", "2", "--format", fmt])
+        assert code == 2 and out == ""
+        assert "at least one value" in capsys.readouterr().err
+
+
+def test_obstruction_witness_refuses_m(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["obstruction", "--alpha", "3/2", "--witness", "--m", "5"])
+    assert exc.value.code == 2
+    assert "not allowed with argument --witness" in capsys.readouterr().err
+
+
 def test_obstruction_witness():
     code, out = run_cli(["obstruction", "--witness", "--alpha", "1.5", "--format", "json"])
     assert code == 0

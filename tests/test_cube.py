@@ -4,15 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cubechar import (
-    BinaryWord,
-    Dyadic,
-    NiceSet,
-    measure,
-    nice_intersect,
-    nice_product,
-    nice_union,
-)
+from cubechar import Dyadic, NiceSet, flip_perm, nice_intersect, nice_product, odometer
 
 levels = st.integers(0, 6)
 nice_sets = levels.flatmap(
@@ -31,38 +23,30 @@ def brute_members(a: NiceSet, level: int):
     return out
 
 
-# -- BinaryWord -------------------------------------------------------------
-
-
-@given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2**n - 1))))
-def test_word_round_trip(pair):
-    level, index = pair
-    w = BinaryWord(level, index)
-    assert BinaryWord.from_bits(w.bits) == w
+# -- word convention -----------------------------------------------------------
 
 
 def test_word_convention_little_endian():
-    # coordinate 1 is the least significant bit
-    w = BinaryWord(3, 1)
-    assert w.bits == (1, 0, 0)
-    assert str(w) == "100"
-    with pytest.raises(ValueError):
-        BinaryWord(2, 4)
+    # coordinate m is bit m-1 of the index: flipping it off the empty set adds 2^(m-1)
+    for m in (1, 2, 3):
+        assert flip_perm(NiceSet.empty(0), m).images == tuple(x ^ (1 << (m - 1)) for x in range(1 << m))
+    # so adding one to the index is "add one, carry to the right"
+    assert odometer(3).images == (1, 2, 3, 4, 5, 6, 7, 0)
 
 
 # -- measure ----------------------------------------------------------------
 
 
 def test_measure_examples():
-    assert measure(NiceSet.full(3)) == Dyadic(1)
-    assert measure(NiceSet.empty(2)) == Dyadic(0)
-    assert measure(NiceSet.from_indices(1, [0])) == Dyadic(1, 1)
+    assert NiceSet.full(3).measure() == Dyadic(1)
+    assert NiceSet.empty(2).measure() == Dyadic(0)
+    assert NiceSet.from_indices(1, [0]).measure() == Dyadic(1, 1)
 
 
 @given(nice_sets, st.integers(0, 3))
 def test_lift_preserves_measure(a, extra):
     lifted = a.lift(a.level + extra)
-    assert measure(lifted) == measure(a)
+    assert lifted.measure() == a.measure()
     assert lifted == a  # denotational equality
 
 
@@ -75,10 +59,16 @@ def test_canonical_is_minimal_and_equal(a):
         assert c.mask >> half != c.mask & ((1 << half) - 1)
 
 
+def complement(a: NiceSet) -> NiceSet:
+    return NiceSet(a.level, NiceSet.full(a.level).mask ^ a.mask)
+
+
 @given(nice_sets, nice_sets)
 def test_inclusion_exclusion(a, b):
-    lhs = measure(nice_intersect(a, b)).as_fraction() + measure(nice_union(a, b)).as_fraction()
-    assert lhs == measure(a).as_fraction() + measure(b).as_fraction()
+    """mu(A /\\ B) + mu(A \\/ B) = mu(A) + mu(B), the union being the
+    complement of the intersection of the complements."""
+    union = 1 - nice_intersect(complement(a), complement(b)).measure()
+    assert nice_intersect(a, b).measure() + union == a.measure() + b.measure()
 
 
 # -- intersect / product ------------------------------------------------------
@@ -87,7 +77,7 @@ def test_inclusion_exclusion(a, b):
 def test_intersect_examples():
     x1_zero = NiceSet.from_indices(1, [0])
     x1_one = NiceSet.from_indices(1, [1])
-    assert nice_intersect(x1_zero, x1_one).is_empty
+    assert nice_intersect(x1_zero, x1_one).size() == 0
     assert nice_intersect(x1_zero, x1_zero) == x1_zero
 
     x2_zero = NiceSet.from_indices(2, [0, 1])
@@ -95,7 +85,7 @@ def test_intersect_examples():
     # enumerate the four level-2 words by hand: need x1=0 and x2=0
     expected = {i for i in range(4) if i & 1 == 0 and i >> 1 & 1 == 0}
     assert set(both.members()) == expected
-    assert measure(both) == Dyadic(1, 2)
+    assert both.measure() == Dyadic(1, 2)
 
 
 @given(nice_sets, nice_sets)
@@ -111,23 +101,23 @@ def test_product_examples():
     p = nice_product(c, d)
     assert p.level == 2
     assert set(p.members()) == {2}  # word 01: x1=0, x2=1
-    assert measure(p) == Dyadic(1, 2)
+    assert p.measure() == Dyadic(1, 2)
 
-    assert measure(nice_product(NiceSet.full(1), d)) == measure(d)
+    assert nice_product(NiceSet.full(1), d).measure() == d.measure()
 
     d2 = NiceSet.from_indices(2, [0, 3])  # {00, 11}
     p2 = nice_product(c, d2)
     # oracle: enumerate level-3 words with x1=0 and (x2,x3) in {00,11}
     expected = {i for i in range(8) if i & 1 == 0 and (i >> 1) in (0, 3)}
     assert set(p2.members()) == expected
-    assert measure(p2) == Dyadic(1, 1) * Dyadic(1, 1)  # 1/2 * 1/2
+    assert p2.measure() == Dyadic(1, 1) * Dyadic(1, 1)  # 1/2 * 1/2
 
 
 @given(nice_sets, nice_sets)
 def test_product_measure_multiplies(c, d):
     if c.level + d.level <= 12:
-        assert measure(nice_product(c, d)).as_fraction() == (
-            measure(c).as_fraction() * measure(d).as_fraction()
+        assert nice_product(c, d).measure().as_fraction() == (
+            c.measure().as_fraction() * d.measure().as_fraction()
         )
 
 
@@ -140,4 +130,4 @@ def test_text_round_trip():
 
 
 def test_measure_is_fraction_compatible():
-    assert measure(NiceSet(3, 0b10110100)).as_fraction() == Fraction(4, 8)
+    assert NiceSet(3, 0b10110100).measure().as_fraction() == Fraction(4, 8)

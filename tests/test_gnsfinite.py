@@ -130,8 +130,12 @@ def test_diagonal_form_matches_full_sum(s, k):
 
 
 def test_tensor_cap():
-    # past the explicit-build cap the product formula still answers
-    assert tensor_character(odometer(4), 2) == Dyadic(0)
+    """Past the explicit-build cap the tensor power is refused, not replaced
+    by the product formula it is checked against."""
+    assert tensor_character(odometer(3), 2) == Dyadic(0)  # 4^6 = 2^12 basis points
+    for level, k in ((4, 2), (2, 4), (8, 1)):
+        with pytest.raises(CapExceededError, match="cap"):
+            tensor_character(odometer(level), k)
 
 
 def test_tensor_matches_power(rng):

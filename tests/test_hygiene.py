@@ -1,13 +1,16 @@
-"""Static checks that keep dead code out of the package."""
+"""Checks that keep dead code and needless imports out of the package."""
 
 import ast
+import os
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "cubechar").glob("*.py"))
 NON_INIT = [p for p in MODULES if p.name != "__init__.py"]
-TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _loaded_names(tree) -> set:
@@ -37,27 +40,61 @@ def test_no_unreferenced_private_helpers(path):
     assert [name for name in private if name not in _loaded_names(tree)] == []
 
 
+MODULE_STEMS = {p.stem for p in MODULES}
+
+
+def _reads(tree) -> tuple:
+    """(names, attributes) a tree reads, each a Counter: bare names and
+    `module.name` lookups of a package module count as names, and every
+    `.attribute` counts as an attribute."""
+    names, attributes = Counter(), Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            attributes[node.attr] += 1
+            if isinstance(node.value, ast.Name) and node.value.id in MODULE_STEMS:
+                names[node.attr] += 1
+    return names, attributes
+
+
 @pytest.fixture(scope="module")
-def referenced_names() -> set:
-    """Names loaded as variables or read as attributes anywhere in the package
-    or its tests; `__init__` exports do not count."""
-    names = set()
-    for path in NON_INIT + TESTS:
-        tree = ast.parse(path.read_text())
-        names |= _loaded_names(tree)
-        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    return names
+def package_reads() -> tuple:
+    """What the package's own modules read; `__init__` exports and the tests
+    do not count as callers."""
+    names, attributes = Counter(), Counter()
+    for path in NON_INIT:
+        n, a = _reads(ast.parse(path.read_text()))
+        names += n
+        attributes += a
+    return names, attributes
+
+
+def _public_definitions(tree):
+    """(qualified name, node, 0 or 1) for every public function and class,
+    and every public method of a public class: 0 where a caller reads it as
+    a name, 1 where it reads it as an attribute.  Dunders are private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node, 0
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                        yield f"{node.name}.{method.name}", method, 1
 
 
 @pytest.mark.parametrize("path", NON_INIT, ids=lambda p: p.stem)
-def test_no_orphan_public_names(path, referenced_names):
-    tree = ast.parse(path.read_text())
-    public = [
-        node.name
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+def test_no_orphan_public_names(path, package_reads):
+    """Every public name has a caller in the package outside its own body,
+    unless it is a brute-force oracle listed in ORACLE_CALLERS: a unit test
+    alone does not keep a name alive."""
+    orphans = [
+        qualname
+        for qualname, node, kind in _public_definitions(ast.parse(path.read_text()))
+        if package_reads[kind][node.name] - _reads(node)[kind][node.name] <= 0
+        and qualname not in ORACLE_CALLERS
     ]
-    assert [name for name in public if name not in referenced_names] == []
+    assert orphans == []
 
 
 #: The builders whose tables are bijections by construction, and so may skip
@@ -149,7 +186,9 @@ def test_interval_powers_outside_certreal_come_from_allowlisted_callers():
 #: beside their fast paths and are compared with them in tests; a criterion
 #: that compares them names itself here, and no fast path calls one.
 ORACLE_CALLERS = {
+    "alt_trace_bruteforce": set(),
     "psd_witness": set(),
+    "quadratic_form": set(),
     "noninteger_witness_scan": set(),
     "stirling2_recurrence": set(),
     "signed_derangement_sum_bruteforce": {"criterion_derangement_sums"},
@@ -162,3 +201,13 @@ def test_oracles_are_called_only_by_allowlisted_callers(oracle):
     trees = [ast.parse(path.read_text()) for path in MODULES]
     assert any(isinstance(node, ast.FunctionDef) and node.name == oracle for tree in trees for node in tree.body)
     assert {owner for tree in trees for owner in _callers_of(tree, oracle)} == ORACLE_CALLERS[oracle]
+
+
+def test_import_leaves_numpy_out():
+    """numpy is imported inside the functions that use it, so a cold
+    `import cubechar` does not pay for it."""
+    src = str(MODULES[0].parents[1])
+    code = "import sys, cubechar; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout == "False\n"

@@ -29,9 +29,7 @@ from cubechar import (
     odometer,
     parse_permutation,
     random_permutation,
-    table_string,
     transposition,
-    uniform_distance,
 )
 from conftest import orbit_lengths, traced_peak
 
@@ -106,7 +104,7 @@ def test_cycle_type_examples():
 
 @given(perms(3))
 def test_cycle_type_matches_orbit_scan(p):
-    assert sorted(p.cycle_type().lengths()) == orbit_lengths(p.images)
+    assert p.cycle_type() == CycleType.from_lengths(orbit_lengths(p.images))
 
 
 def test_fixed_set_examples():
@@ -247,7 +245,7 @@ def test_flip_matches_checked_per_point_oracle(a, m):
     assume(m > a_c.level)
     lifted = a_c.lift(m)
     bit = 1 << (m - 1)
-    oracle = CubePermutation(m, [x if lifted.contains(x) else x ^ bit for x in range(1 << m)])
+    oracle = CubePermutation(m, [x if lifted.mask >> x & 1 else x ^ bit for x in range(1 << m)])
     f = flip_perm(a, m)
     assert f == oracle
     assert f.compose(f) == identity(m)
@@ -267,21 +265,6 @@ def test_conjugation_preserves_cycle_type(rng):
         g = random_permutation(3, rng)
         assert conjugate(s, g).cycle_type() == s.cycle_type()
     assert conjugate(odometer(3), identity(3)) == odometer(3)
-
-
-# -- metric ---------------------------------------------------------------------
-
-
-def test_uniform_distance():
-    assert uniform_distance(odometer(2), odometer(2)) == Dyadic(0)
-    assert uniform_distance(identity(4), transposition(4, 3, 7)) == Dyadic(2, 4)
-
-
-def test_uniform_distance_triangle(rng):
-    for _ in range(40):
-        p, q, r = (random_permutation(3, rng) for _ in range(3))
-        d = uniform_distance
-        assert d(p, r).as_fraction() <= (d(p, q) + d(q, r)).as_fraction()
 
 
 # -- product form ----------------------------------------------------------------
@@ -349,13 +332,12 @@ def test_parse_table_and_cycles():
     assert parse_permutation("identity(3)") == identity(3)
     assert parse_permutation("odometer(2)") == odometer(2)
     assert parse_permutation("e") == identity(1)
-    assert parse_permutation(table_string(p)) == p
 
 
 def test_cycle_string_round_trip(rng):
     for _ in range(20):
         p = random_permutation(3, rng)
-        text = f"level=3: {cycle_string(p)}" if not p.is_identity() else "identity(3)"
+        text = f"level=3: {cycle_string(p)}" if p != identity(3) else "identity(3)"
         assert parse_permutation(text) == p
 
 
