@@ -8,6 +8,7 @@ never depend on a rounding mode or global precision state.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,8 +45,15 @@ def check_precision(prec: int) -> None:
         raise CapExceededError(f"precision {prec} over the {cap}-bit cap ({PRECISION_CAP_ENV})")
 
 
+@functools.lru_cache(maxsize=64)
 def make_context(prec: int):
-    """A fresh interval context; avoids mutating mpmath's global state."""
+    """The interval context at `prec`: one private context per precision,
+    built on first use and shared by every later caller, so mpmath's global
+    `mp` and `iv` are never touched.  A caller that changes `ctx.prec` must
+    restore it before it returns, also when it raises, as `pow_iv` does.
+
+    A context holds about 30 KB and a caller may ask for any precision up
+    to the cap, so only the 64 precisions used last are kept."""
     ctx = mpmath.ctx_iv.MPIntervalContext()
     ctx.prec = prec
     return ctx
@@ -119,7 +127,9 @@ def pow_iv(ctx, base_num: int, base_den: int, exponent: Fraction):
     wider by the factor |exponent * log(base)|, below (floor(exponent) + 1)
     times the bit length of base_num or base_den.  log and exp run with the
     bit length of that bound plus 2 more bits, and the power is rounded
-    outward to ctx.prec, within a few units in its last place."""
+    outward to ctx.prec, within a few units in its last place.  ctx.prec is
+    restored on every exit, an exception included: the context may be the
+    one `make_context` shares."""
     if base_num < 0 or base_den <= 0:
         raise ValueError("base must be non-negative")
     if exponent <= 0:

@@ -108,6 +108,15 @@ def cmd_gram(args) -> int:
     return EXIT_OK if report.is_psd else EXIT_FAILED
 
 
+def _print_obstruction_csv(reports) -> None:
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["alpha", "m", "value_lo", "value_hi", "sign", "method"])
+    for r in reports:
+        writer.writerow(r.csv_row())
+    sys.stdout.write(out.getvalue())
+
+
 def cmd_obstruction(args) -> int:
     alphas = [Fraction(part) for part in args.alpha.split(",") if part.strip()]
     if not alphas:
@@ -125,8 +134,10 @@ def cmd_obstruction(args) -> int:
             raise
         if args.format == "json":
             _print_json({"witness_m": m, "report": report.to_json_dict()})
-        else:
+        elif args.format == "text":
             print(f"m={m} C_alpha(m) in {report.enclosure} certified {report.sign}")
+        else:
+            _print_obstruction_csv([report])
         return EXIT_OK
     lo, hi = _parse_m_range(args.m)
     for alpha in alphas:
@@ -143,12 +154,7 @@ def cmd_obstruction(args) -> int:
             shown = str(r.exact_value) if r.method == "exact" else str(r.enclosure)
             print(f"C_{r.alpha}({r.m}) = {shown} [{r.sign}]")
     else:
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["alpha", "m", "value_lo", "value_hi", "sign", "method"])
-        for r in reports:
-            writer.writerow(r.csv_row())
-        sys.stdout.write(out.getvalue())
+        _print_obstruction_csv(reports)
     if any(r.sign == "undetermined" for r in reports):
         return EXIT_UNDETERMINED
     return EXIT_OK

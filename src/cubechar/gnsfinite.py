@@ -20,6 +20,11 @@ from .perm import CubePermutation, block_product, embed_head, fixed_fraction, fl
 #: explicit tensor powers are built densely only up to this many basis points
 TENSOR_DIM_CAP_BITS = 14
 
+#: xi^(x)k as an immutable tuple, keyed by (level, k); `tensor_character`
+#: stores a key only after its cap check, so every value has at most
+#: 2^TENSOR_DIM_CAP_BITS entries and there are finitely many keys.
+_XI_POWERS: dict = {}
+
 
 def rep_matrix(s: CubePermutation) -> CubePermutation:
     """pi(s) on the level-2n cube X_n x X_n: moves (x, y) to (s(x), y)."""
@@ -60,8 +65,10 @@ def tensor_character(s: CubePermutation, k: int) -> Dyadic:
 
     Built from the explicit k-fold tensor, whose dimension 4^(n k) must fit
     2^TENSOR_DIM_CAP_BITS; above it CapExceededError is raised before any
-    table.  Criterion 2 compares it with the product formula, and so does
-    gns-check at the levels the cap admits (n <= 3).
+    table.  The table pi^(x)k(s) is built on every call; xi^(x)k depends only
+    on (n, k) and is built once, then read from `_XI_POWERS`.  Criterion 2
+    compares it with the product formula, and so does gns-check at the
+    levels the cap admits (n <= 3).
     """
     if k < 1:
         raise ValueError("tensor power k must be positive")
@@ -70,9 +77,12 @@ def tensor_character(s: CubePermutation, k: int) -> Dyadic:
             f"tensor power k={k} at level {s.level} has dimension 4^{s.level * k},"
             f" over the 2^{TENSOR_DIM_CAP_BITS} cap"
         )
-    xi, xi_k = xi_vector(s.level), [1]
-    for _ in range(k):
-        xi_k = [a * b for b in xi for a in xi_k]
+    xi_k = _XI_POWERS.get((s.level, k))
+    if xi_k is None:
+        xi, xi_k = xi_vector(s.level), [1]
+        for _ in range(k):
+            xi_k = [a * b for b in xi for a in xi_k]
+        xi_k = _XI_POWERS[s.level, k] = tuple(xi_k)
     return _diagonal_form(block_product(*[rep_matrix(s)] * k), xi_k)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cubechar import Dyadic, NiceSet, characters, gnsfinite, identity, verify
+from cubechar import Alpha, Dyadic, NiceSet, all_permutations, characters, gnsfinite, identity, verify
 
 SEED = 42
 #: The `cubechar verify-all --seed 42` report, recorded once; read only.
@@ -62,6 +62,37 @@ def test_multiplicativity_criterion_reports_a_wrong_block_product(monkeypatch):
     assert result.details[0] == (
         "alpha=1: failed at CubePermutation(level=2, e), CubePermutation(level=2, (2 3))"
     )
+
+
+def test_multiplicativity_failures_keep_the_per_pair_order(monkeypatch):
+    """Failures are listed pair by pair and exponent by exponent, exactly
+    as a loop that checks every pair at every exponent lists them."""
+    true_bases = characters.multiplicativity_bases
+
+    def wrong_bases(s1, s2):
+        product, first, second = true_bases(s1, s2)
+        if s1.images[0] == s2.images[1]:
+            return first, first, second  # drops the factor of s2
+        if s2.images[0] == 3:
+            return Dyadic(1), first, second
+        return product, first, second
+
+    monkeypatch.setattr(verify, "multiplicativity_bases", wrong_bases)
+    result = verify.criterion_multiplicativity(SEED)
+    expected = []
+    alphas = [Alpha(0), Alpha(1), Alpha(2), Alpha(3), Alpha.infinity()]
+    elements = list(all_permutations(2))
+    for s1 in elements:
+        for s2 in elements:
+            bases = wrong_bases(s1, s2)
+            for alpha in alphas:
+                if not characters.multiplicativity_holds(alpha, bases):
+                    expected.append(f"alpha={alpha}: failed at {s1!r}, {s2!r}")
+    assert not result.passed
+    assert result.details == tuple(expected)
+    failed_alphas = {detail.split(":")[0] for detail in expected}
+    assert failed_alphas == {"alpha=1", "alpha=2", "alpha=3", "alpha=inf"}
+    assert len({detail.split(":")[1] for detail in expected}) > 100
 
 
 def test_projection_criterion_reports_a_scan_that_moves(monkeypatch):

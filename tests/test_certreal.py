@@ -4,6 +4,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import libmp
 
 from cubechar.certreal import (
     DEFAULT_PRECISION,
@@ -124,6 +125,68 @@ def test_pow_iv_is_tight_whatever_the_exponent(num, den, exponent, prec):
         value = _mp(Fraction(num, den)) ** _mp(exponent)
         assert _mp(enc.lo) <= value <= _mp(enc.hi)
         assert _mp(enc.hi - enc.lo) <= value * mpmath.mpf(2) ** (3 - prec)
+
+
+def _fresh_context(prec: int):
+    ctx = mpmath.ctx_iv.MPIntervalContext()
+    ctx.prec = prec
+    return ctx
+
+
+def _endpoints(x) -> tuple:
+    return tuple(libmp.to_rational(raw) for raw in x._mpi_)
+
+
+bases = st.tuples(st.integers(0, 1 << 20), st.integers(1, 1 << 20))
+rational_alphas = st.builds(Fraction, st.integers(1, 200), st.integers(1, 10))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(bases, st.lists(st.tuples(st.integers(-9, 9), bases), max_size=4), rational_alphas),
+        min_size=1,
+        max_size=6,
+    ),
+    st.lists(st.integers(64, 1024), min_size=2, max_size=4),
+)
+def test_shared_contexts_agree_with_fresh_ones(steps, precs):
+    """pow_iv and power_sum_iv on make_context(p) give the endpoints a fresh
+    context at p gives, with the precisions visited in interleaved order."""
+    for i, ((num, den), terms, alpha) in enumerate(steps * 2):
+        prec = precs[i % len(precs)]
+        shared, fresh = make_context(prec), _fresh_context(prec)
+        assert shared is make_context(prec) and shared.prec == prec
+        assert _endpoints(pow_iv(shared, num, den, alpha)) == _endpoints(pow_iv(fresh, num, den, alpha))
+        terms = [(c, n, d) for c, (n, d) in terms]
+        assert _endpoints(power_sum_iv(shared, terms, alpha)) == _endpoints(
+            power_sum_iv(fresh, terms, alpha)
+        )
+        assert shared.prec == prec
+
+
+def test_make_context_keeps_a_bounded_number_of_contexts():
+    contexts = [make_context(prec) for prec in range(2000, 2100)]
+    assert make_context.cache_info().currsize <= 64
+    assert make_context(2099) is contexts[-1]
+    assert [ctx.prec for ctx in contexts] == list(range(2000, 2100))
+
+
+def test_pow_iv_restores_the_shared_precision_when_exp_raises(monkeypatch):
+    ctx = make_context(320)
+
+    def failing_exp(x):
+        assert ctx.prec > 320
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(ctx, "exp", failing_exp)
+    with pytest.raises(ZeroDivisionError, match="injected"):
+        pow_iv(ctx, 3, 7, Fraction(5, 2))
+    assert ctx.prec == 320
+    monkeypatch.undo()
+    assert make_context(320) is ctx and ctx.prec == 320
+    expected = pow_iv(_fresh_context(320), 3, 7, Fraction(5, 2))
+    assert _endpoints(pow_iv(ctx, 3, 7, Fraction(5, 2))) == _endpoints(expected)
 
 
 def _mp(f) -> mpmath.mpf:

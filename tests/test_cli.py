@@ -1,6 +1,8 @@
+import csv
 import io
 import json
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -189,6 +191,18 @@ def test_obstruction_witness():
     data = json.loads(out)
     assert data["witness_m"] == 4
     assert data["report"]["sign"] == "negative"
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "csv"]], ids=["default", "csv"])
+def test_obstruction_witness_csv(fmt):
+    """The witness in CSV, the default format: the header of the range
+    output, then the witness's own row."""
+    code, out = run_cli(["obstruction", "--witness", "--alpha", "1.5", *fmt])
+    assert code == 0
+    header, row = csv.reader(io.StringIO(out))
+    assert header == ["alpha", "m", "value_lo", "value_hi", "sign", "method"]
+    assert row[:2] == ["3/2", "4"] and row[4:] == ["negative", "interval"]
+    assert Fraction(row[2]) <= Fraction(row[3]) < 0
 
 
 def test_obstruction_witness_rejects_integers():

@@ -15,6 +15,7 @@ from cubechar import (
     block_product,
     embed_head,
     fixed_fraction,
+    gnsfinite,
     identity,
     matrix_character,
     odometer,
@@ -28,7 +29,7 @@ from cubechar import (
     weighted_inner,
     xi_vector,
 )
-from cubechar.gnsfinite import _diagonal_form
+from cubechar.gnsfinite import TENSOR_DIM_CAP_BITS, _diagonal_form
 from conftest import traced_peak
 
 
@@ -143,6 +144,31 @@ def test_tensor_matches_power(rng):
         s = random_permutation(2, rng)
         for k in (1, 2, 3):
             assert tensor_character(s, k) == matrix_character(s) ** k
+
+
+def test_tensor_cache_matches_power_and_stays_under_the_cap(s22, rng):
+    """tensor_character reads xi^(x)k from its cache: the characters still
+    equal the product formula, every cached key fits the cap, every value is
+    the tuple of the explicit tensor power, and an over-cap k adds nothing."""
+    for s in s22:
+        for k in (1, 2, 3):
+            assert tensor_character(s, k) == matrix_character(s) ** k
+    for _ in range(10):
+        s = random_permutation(3, rng)
+        for k in (1, 2):
+            assert tensor_character(s, k) == matrix_character(s) ** k
+    cache = gnsfinite._XI_POWERS
+    assert {(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)} <= cache.keys()
+    for (level, k), xi_k in cache.items():
+        assert 2 * level * k <= TENSOR_DIM_CAP_BITS
+        expected = [1]
+        for _ in range(k):
+            expected = [a * b for b in xi_vector(level) for a in expected]
+        assert type(xi_k) is tuple and xi_k == tuple(expected)
+    keys = set(cache)
+    _, peak = traced_peak(lambda: pytest.raises(CapExceededError, tensor_character, odometer(3), 3))
+    assert peak < 1 << 16
+    assert set(cache) == keys
 
 
 # -- stabilization ------------------------------------------------------------------

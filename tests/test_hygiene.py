@@ -182,6 +182,38 @@ def test_interval_powers_outside_certreal_come_from_allowlisted_callers():
     assert [c for c in callers if c[1] not in POW_IV_CALLERS] == []
 
 
+#: mpmath's global contexts and the global mpf type: state shared with any
+#: other mpmath user in the process.
+MPMATH_GLOBALS = {"mp", "iv", "mpf"}
+
+
+def test_interval_contexts_come_from_make_context():
+    """certreal.make_context builds every MPIntervalContext, one per
+    precision, and no package module reads mpmath's globals, by attribute
+    (`mpmath.mp`) or by import (`from mpmath import iv`)."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in MODULES}
+    builders = [
+        (stem, owner) for stem, tree in trees.items() for owner in _callers_of(tree, "MPIntervalContext")
+    ]
+    assert builders == [("certreal", "make_context")]
+    reads = []
+    for stem, tree in trees.items():
+        aliases = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+            if alias.name == "mpmath"
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in aliases and node.attr in MPMATH_GLOBALS:
+                    reads.append((stem, ast.unparse(node)))
+            elif isinstance(node, ast.ImportFrom) and node.module == "mpmath":
+                reads += [(stem, alias.name) for alias in node.names if alias.name in MPMATH_GLOBALS | {"*"}]
+    assert reads == []
+
+
 #: Who in the package may call each brute-force oracle.  The oracles sit
 #: beside their fast paths and are compared with them in tests; a criterion
 #: that compares them names itself here, and no fast path calls one.
