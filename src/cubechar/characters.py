@@ -14,6 +14,7 @@ Conventions: 0^0 = 1 (so chi_0 is identically 1), x^inf = 0 for x < 1 and
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -23,13 +24,7 @@ from fractions import Fraction
 from .certreal import DEFAULT_PRECISION, Enclosure, certify_sign, make_context, pow_iv, power_sum_iv
 from .dyadic import Dyadic
 from .errors import CapExceededError, InternalInconsistencyError
-from .perm import (
-    CubePermutation,
-    block_product,
-    cycle_string,
-    embed_head,
-    fixed_fraction,
-)
+from .perm import cycle_string, embed_head, fixed_fraction
 
 FLOAT_TOLERANCE_BITS = 40
 
@@ -157,17 +152,12 @@ def char_eval(alpha: Alpha, s):
     return char_power(alpha, fixed_fraction(s))
 
 
-def multiplicativity_bases(s1: CubePermutation, s2: CubePermutation) -> tuple:
-    """The exponent-free half of the multiplicativity law chi_alpha(s1 x s2)
-    == chi_alpha(s1) * chi_alpha(s2), where s1 x s2 acts by s1 on the first
-    s1.level coordinates and by s2 on the ones after: the fixed fractions of
-    the block product s1 x s2 (from its own table), of s1 and of s2."""
-    return fixed_fraction(block_product(s1, s2)), fixed_fraction(s1), fixed_fraction(s2)
-
-
 def multiplicativity_holds(alpha: Alpha, bases: tuple) -> bool:
-    """The exponent half of the multiplicativity law, on the three bases of
-    `multiplicativity_bases`."""
+    """The multiplicativity law chi_alpha(s1 x s2) == chi_alpha(s1) *
+    chi_alpha(s2), where s1 x s2 acts by s1 on the first s1.level
+    coordinates and by s2 on the ones after, at one exponent.  `bases` holds
+    the exponent-free half: the fixed fractions of the block product
+    s1 x s2 (from its own table), of s1 and of s2."""
     product, first, second = bases
     return char_power(alpha, product) == char_power(alpha, first) * char_power(alpha, second)
 
@@ -209,21 +199,111 @@ class GramReport:
 def psd_check_exact(mat) -> bool:
     """Exact PSD decision for a symmetric matrix of ints.
 
-    Symmetric fraction-free (Bareiss) elimination over the integers on the
-    upper triangle only: row k holds its entries from the diagonal on, each
-    read through `operator.index`, so a Fraction or float entry raises
-    TypeError.  The pivot is the first positive diagonal entry, eliminated
-    in place: its row and column are dropped, with no swap, and the pivot
-    row t reads its entries left of the diagonal from the pivot column of
-    the earlier rows.  Every other row updates its own upper part to
-    (d*x - t_r*t_c) // prev; a row with t_r = 0 is kept as it is when
-    d == prev and scaled to d*x // prev otherwise.  Each step divides exactly
-    by the previous pivot, so the remaining block is the Schur complement
-    times a positive minor: a negative diagonal entry, or an all-zero
-    diagonal beside a nonzero entry, means not PSD.  Its oracle is
-    `psd_witness`, which only the tests call.
+    Reads the upper triangle only: row k holds its entries from the
+    diagonal on, each read through `operator.index`, so a Fraction or float
+    entry raises TypeError.  Two steps; the answers are the elimination's.
+
+      * A verified floating-point Cholesky certificate
+        (`_cholesky_certifies_pd`): if Cholesky runs to completion on A
+        with its diagonal lowered by c >= gamma_{n+1}/(1 - gamma_{n+1})
+        tr(A) plus an underflow term, A is proven positive definite (Rump,
+        "Verification of positive definiteness", BIT 46 (2006), on Higham's
+        backward-error bound, Accuracy and Stability of Numerical
+        Algorithms, 2nd ed., Thm 10.3).  It is a proof, not a float guess,
+        and it never answers "not PSD".
+      * Every matrix it does not certify -- singular, indefinite, or too
+        close to either -- is decided exactly by the integer Bareiss
+        elimination (`_bareiss_psd`).
+
+    Its oracle is `psd_witness`, which only the tests call.
     """
-    a = [list(map(operator.index, row[k:])) for k, row in enumerate(mat)]
+    rows = [list(map(operator.index, row[k:])) for k, row in enumerate(mat)]
+    return _cholesky_certifies_pd(rows) or _bareiss_psd(rows)
+
+
+def _cholesky_certifies_pd(rows) -> bool:
+    """True only if the symmetric matrix A whose upper triangle is `rows`
+    (row k from the diagonal on, ints) is proven positive definite.
+
+    False sends A to the exact elimination.  It is returned for an empty
+    matrix, for an entry of absolute value above 2^53 (its float could be
+    inexact), for a diagonal entry <= 0, and whenever the check fails.
+    Otherwise A is exactly a float matrix.  With n its order, u = 2^-53 the
+    unit roundoff, eta = 2^-1074 the smallest subnormal and gamma =
+    gamma_{n+1} = (n+1)u / (1 - (n+1)u), take
+
+        c >= gamma/(1 - gamma) tr(A) + 4 (2(n+1) + max_i a_ii) eta,
+
+    rounded up, and let Ã be A with each diagonal entry rounded down to
+    nextafter(a_ii - c, -inf), so that A - Ã >= c I.  Suppose floating-point
+    Cholesky runs to completion on Ã, in any order of the inner products.
+    Then Ã + E = G^T G is positive semidefinite with |E| <= gamma/(1 - gamma)
+    d d^T + 4 (2(n+1) + max ã_ii) eta I, where d_i = sqrt(ã_ii) (Higham, Thm
+    10.3; the eta term, at least Rump's, allows for underflow).  Since
+    ||d d^T||_2 = tr(Ã) < tr(A) and max ã_ii < max a_ii,
+    lambda_min(Ã) >= -||E||_2 > -c, and so
+    lambda_min(A) >= lambda_min(Ã) + c > 0.  A larger c only declines more
+    matrices; it never changes an answer.  Nothing overflows: every partial
+    sum is at most n 2^53 in absolute value.
+
+    Only the upper triangle is read, as the elimination reads it: row k is
+    copied into column k of a float array, and `numpy.linalg.cholesky` reads
+    the lower triangle.
+    """
+    n = len(rows)
+    if not n:
+        return False
+    diag = [row[0] for row in rows]
+    if min(diag) <= 0:
+        return False
+    import numpy as np
+
+    try:
+        upper = np.array(list(itertools.chain.from_iterable(rows)), dtype=np.int64)
+    except OverflowError:
+        return False
+    if upper.max() > 1 << 53 or upper.min() < -(1 << 53):
+        return False
+    shift = Fraction((n + 1) * sum(diag), (1 << 53) - 2 * (n + 1))
+    shift += Fraction(4 * (2 * (n + 1) + max(diag)), 1 << 1074)
+    c = math.nextafter(float(shift), math.inf)
+    m = np.zeros((n, n))
+    m.T[_upper_positions(n)] = upper
+    np.fill_diagonal(m, np.nextafter(m.diagonal() - c, -np.inf))
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@functools.lru_cache(maxsize=16)
+def _upper_positions(n: int) -> tuple:
+    """`numpy.triu_indices(n)`, read-only and kept: building it takes longer
+    than the Cholesky factorisation of a 20 x 20 matrix."""
+    import numpy as np
+
+    positions = np.triu_indices(n)
+    for index in positions:
+        index.flags.writeable = False
+    return positions
+
+
+def _bareiss_psd(a) -> bool:
+    """Exact PSD decision on the upper-triangle rows `a` of a symmetric int
+    matrix (row k from the diagonal on), which it consumes.
+
+    Symmetric fraction-free (Bareiss) elimination over the integers.  The
+    pivot is the first positive diagonal entry, eliminated in place: its
+    row and column are dropped, with no swap, and the pivot row t reads its
+    entries left of the diagonal from the pivot column of the earlier rows.
+    Every other row updates its own upper part to (d*x - t_r*t_c) // prev;
+    a row with t_r = 0 is kept as it is when d == prev and scaled to
+    d*x // prev otherwise.  Each step divides exactly by the previous pivot,
+    so the remaining block is the Schur complement times a positive minor: a
+    negative diagonal entry, or an all-zero diagonal beside a nonzero entry,
+    means not PSD.
+    """
     prev = 1
     while a:
         diag = [row[0] for row in a]

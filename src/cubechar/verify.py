@@ -21,7 +21,6 @@ from .characters import (
     char_power,
     gram_build,
     gram_report,
-    multiplicativity_bases,
     multiplicativity_holds,
 )
 from .cube import NiceSet
@@ -30,6 +29,7 @@ from .errors import FalsificationError, InternalInconsistencyError
 from .perm import (
     all_permutations,
     apply_to_nice,
+    block_product,
     conjugate,
     embed_head,
     fixed_fraction,
@@ -113,24 +113,26 @@ def criterion_tensor_powers(seed: int) -> CriterionResult:
 
 def criterion_multiplicativity(seed: int) -> CriterionResult:
     """chi(s1 tail(s2)) = chi(s1) chi(s2) for all pairs from S(2^2) and
-    alpha in {0, 1, 2, 3, inf}.  Each pair builds its own block product and
-    reads its three bases from it; the exponent law depends on nothing but
-    those bases, so it is checked once per distinct triple and the exponents
-    it fails at are reported for every pair with that triple, pair by pair
-    and exponent by exponent.  Triples are keyed by the bases' (p, q)
-    fields: Dyadic values are canonical, and hashing a Dyadic builds a
-    Fraction."""
+    alpha in {0, 1, 2, 3, inf}.  The fixed fraction of each element is read
+    once; each pair builds its own block product and reads its base from
+    that table.  The exponent law depends on nothing but the three bases, so
+    it is checked once per distinct triple and the exponents it fails at
+    are reported for every pair with that triple, pair by pair and exponent
+    by exponent.  Triples are keyed by the bases' (p, q) fields: Dyadic
+    values are canonical, and hashing a Dyadic builds a Fraction."""
     started = time.perf_counter()
     failures = []
     alphas = [Alpha(0), Alpha(1), Alpha(2), Alpha(3), Alpha.infinity()]
     elements = list(all_permutations(2))
+    fractions = [fixed_fraction(s) for s in elements]
     failing = {}  # (p, q) of the three bases -> the alphas the law fails at
-    for s1 in elements:
-        for s2 in elements:
-            bases = product, first, second = multiplicativity_bases(s1, s2)
+    for s1, first in zip(elements, fractions):
+        for s2, second in zip(elements, fractions):
+            product = fixed_fraction(block_product(s1, s2))
             key = (product.p, product.q, first.p, first.q, second.p, second.q)
             failed = failing.get(key)
             if failed is None:
+                bases = (product, first, second)
                 failed = failing[key] = [a for a in alphas if not multiplicativity_holds(a, bases)]
             for alpha in failed:
                 failures.append(f"alpha={alpha}: failed at {s1!r}, {s2!r}")

@@ -8,7 +8,17 @@ from pathlib import Path
 
 import pytest
 
-from cubechar import Alpha, Dyadic, NiceSet, all_permutations, characters, gnsfinite, identity, verify
+from cubechar import (
+    Alpha,
+    Dyadic,
+    NiceSet,
+    all_permutations,
+    characters,
+    fixed_fraction,
+    gnsfinite,
+    identity,
+    verify,
+)
 
 SEED = 42
 #: The `cubechar verify-all --seed 42` report, recorded once; read only.
@@ -55,8 +65,8 @@ def test_tensor_criterion_reports_a_wrong_tensor(monkeypatch):
 
 
 def test_multiplicativity_criterion_reports_a_wrong_block_product(monkeypatch):
-    product = characters.block_product
-    monkeypatch.setattr(characters, "block_product", lambda s1, s2: product(s1, identity(s2.level)))
+    product = verify.block_product
+    monkeypatch.setattr(verify, "block_product", lambda s1, s2: product(s1, identity(s2.level)))
     result = verify.criterion_multiplicativity(SEED)
     assert not result.passed
     assert result.details[0] == (
@@ -67,17 +77,19 @@ def test_multiplicativity_criterion_reports_a_wrong_block_product(monkeypatch):
 def test_multiplicativity_failures_keep_the_per_pair_order(monkeypatch):
     """Failures are listed pair by pair and exponent by exponent, exactly
     as a loop that checks every pair at every exponent lists them."""
-    true_bases = characters.multiplicativity_bases
+    true_product = verify.block_product
+
+    def wrong_product(s1, s2):
+        if s1.images[0] == s2.images[1]:
+            return true_product(s1, identity(s2.level))  # drops the factor of s2
+        if s2.images[0] == 3:
+            return identity(s1.level + s2.level)  # fixes every point
+        return true_product(s1, s2)
 
     def wrong_bases(s1, s2):
-        product, first, second = true_bases(s1, s2)
-        if s1.images[0] == s2.images[1]:
-            return first, first, second  # drops the factor of s2
-        if s2.images[0] == 3:
-            return Dyadic(1), first, second
-        return product, first, second
+        return fixed_fraction(wrong_product(s1, s2)), fixed_fraction(s1), fixed_fraction(s2)
 
-    monkeypatch.setattr(verify, "multiplicativity_bases", wrong_bases)
+    monkeypatch.setattr(verify, "block_product", wrong_product)
     result = verify.criterion_multiplicativity(SEED)
     expected = []
     alphas = [Alpha(0), Alpha(1), Alpha(2), Alpha(3), Alpha.infinity()]
@@ -150,3 +162,31 @@ def test_gram_criterion_reports_an_uncertified_sign_witness(monkeypatch):
     result = verify.criterion_gram_psd(SEED)
     assert not result.passed
     assert result.details[0] == "alpha=3/2: expected certified not-PSD, got not PSD"
+
+
+def test_gram_criterion_certifies_every_positive_definite_subset_matrix(monkeypatch):
+    """The Cholesky certificate, not the elimination, decides every alpha in
+    {1, 2, 3} matrix of the 20 seeded subsets; every alpha = 0 matrix (all
+    ones, rank 1) goes on to the elimination."""
+    decided = []
+    certify = characters._cholesky_certifies_pd
+
+    def counted(rows):
+        decided.append(certify(rows))
+        return decided[-1]
+
+    exponents = []
+    report = verify.gram_report
+
+    def recorded(alpha, build, *args, **kwargs):
+        if alpha.is_classified:
+            exponents.append((str(alpha), len(build.counts)))
+        return report(alpha, build, *args, **kwargs)
+
+    monkeypatch.setattr(characters, "_cholesky_certifies_pd", counted)
+    monkeypatch.setattr(verify, "gram_report", recorded)
+    assert verify.criterion_gram_psd(SEED).passed
+    assert len(decided) == len(exponents) == 84
+    subsets = [(alpha, ok) for (alpha, n), ok in zip(exponents, decided) if n == 20]
+    assert len(subsets) == 80
+    assert all(ok == (alpha != "0") for alpha, ok in subsets)

@@ -16,6 +16,7 @@ from cubechar import (
     InternalInconsistencyError,
     NiceSet,
     PreconditionError,
+    block_product,
     char_eval,
     char_power,
     conjugate,
@@ -38,7 +39,6 @@ from cubechar.characters import (
     GRAM_WORK_CAP_LOG2,
     gram_build,
     gram_report,
-    multiplicativity_bases,
     multiplicativity_holds,
 )
 from conftest import traced_peak
@@ -161,6 +161,11 @@ def test_centrality(rng):
     assert char_eval(Alpha(2), a.compose(b)) == char_eval(Alpha(2), b.compose(a))
 
 
+def multiplicativity_bases(s1, s2):
+    """The fixed fractions of the block product s1 x s2, of s1 and of s2."""
+    return fixed_fraction(block_product(s1, s2)), fixed_fraction(s1), fixed_fraction(s2)
+
+
 def test_multiplicativity_trivial_cases():
     t = transposition(1, 0, 1)
     assert multiplicativity_holds(Alpha(1), multiplicativity_bases(t, t))  # 0 = 0*0
@@ -205,11 +210,26 @@ def test_fixproj_precondition():
 # -- PSD machinery ------------------------------------------------------------------
 
 
+def _upper_rows(mat) -> list:
+    """Row k of an int matrix from the diagonal on: what `psd_check_exact`
+    hands to the certificate and then to the elimination."""
+    return [list(map(operator.index, row[k:])) for k, row in enumerate(mat)]
+
+
+def _bareiss(mat) -> bool:
+    """The exact elimination alone, on matrices the certificate would decide."""
+    return characters._bareiss_psd(_upper_rows(mat))
+
+
+def _certifies(mat) -> bool:
+    return characters._cholesky_certifies_pd(_upper_rows(mat))
+
+
 def test_psd_small_matrices():
     F = Fraction
     small = [([[0]], True), ([[1, 1], [1, 1]], True), ([[1, 2], [2, 1]], False), ([[0, 1], [1, 0]], False)]
     for mat, ok in small:
-        assert psd_check_exact(mat) == ok
+        assert psd_check_exact(mat) == _bareiss(mat) == ok
         is_psd, w = psd_witness([[F(x) for x in row] for row in mat])
         assert is_psd == ok and (ok or quadratic_form(mat, w) < 0)
     assert psd_witness([[F(-1)]]) == (False, (F(1),))
@@ -223,7 +243,7 @@ def test_psd_small_matrices():
         ([[0, 0, 0], [0, 1, 1], [0, 1, 1]], True),
         ([[0, 1], [1, 1]], False),
     ]:
-        assert psd_check_exact(mat) == psd_witness(mat)[0] == ok
+        assert psd_check_exact(mat) == _bareiss(mat) == psd_witness(mat)[0] == ok
 
 
 @pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2), 1.0], ids=repr)
@@ -292,7 +312,8 @@ def symmetric_matrices(draw):
 def test_psd_check_matches_rational_elimination(case):
     mat, known_psd = case
     ok, witness = psd_witness(mat)
-    assert psd_check_exact(_lcm_scaled(mat)) == ok
+    scaled = _lcm_scaled(mat)
+    assert psd_check_exact(scaled) == _bareiss(scaled) == ok
     if known_psd:
         assert ok
     if not ok:
@@ -321,12 +342,97 @@ def _certify_shape(name):
 
 @pytest.mark.parametrize("name", ["identity(96)", "all-ones(96)", "alpha2-level4", "alpha2-level4-broken"])
 def test_psd_check_at_certify_shapes(name):
+    """The certificate decides the two positive definite shapes and leaves the
+    singular all-ones matrix and the indefinite one to the elimination."""
     mat = _certify_shape(name)
     ok, witness = psd_witness(mat)
     assert psd_check_exact(mat) == ok
+    assert _certifies(mat) == (name in ("identity(96)", "alpha2-level4"))
     assert ok == (name != "alpha2-level4-broken")
     if not ok:
         assert quadratic_form(mat, witness) < 0
+
+
+_N = 1 << 52
+
+
+def _rank1(v) -> list:
+    return [[x * y for y in v] for x in v]
+
+
+def _indefinite_by_one(v, w) -> list:
+    """v v^T + w w^T - e_last e_last^T: a rank-2 PSD matrix minus one unit,
+    indefinite, yet floating-point Cholesky runs to completion on it, also
+    with each diagonal entry one ulp lower."""
+    mat = [[a * b + c * d for b, d in zip(v, w)] for a, c in zip(v, w)]
+    mat[-1][-1] -= 1
+    return mat
+
+
+CERTIFICATE_BOUNDARIES = {
+    # (matrix, PSD, decided by the certificate)
+    "lambda_min-1-near-2^52": ([[_N, _N - 1], [_N - 1, _N]], True, False),
+    "indefinite-by-one-near-2^52": ([[_N, _N + 1], [_N + 1, _N]], False, False),
+    "indefinite-float-cholesky-passes": (
+        _indefinite_by_one([-1005714, -1031005, 879118], [979913, 1003571, 980529]),
+        False,
+        False,
+    ),
+    "rank-1-large": (_rank1([1 << 26, -(1 << 26) + 3, 12345, 1]), True, False),
+    "rank-1-large-odd": (_rank1([3, 94906265, -7]), True, False),
+    "well-conditioned-near-2^52": ([[_N, 1], [1, _N]], True, True),
+    "diagonal-2^53": ([[1 << 53, 0], [0, 1 << 53]], True, True),
+    "diagonal-above-2^53": ([[(1 << 53) + 1, 0], [0, 1]], True, False),
+    "off-diagonal-below-minus-2^53": ([[1 << 54, -(1 << 53) - 1], [-(1 << 53) - 1, 1 << 54]], True, False),
+    "entry-above-int64": ([[1 << 70, 1], [1, 1 << 70]], True, False),
+    "upper-triangle-decides": ([[1, 2], [0, 1]], False, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_BOUNDARIES))
+def test_psd_check_at_certificate_boundaries(name):
+    """Each answer is the oracle's on the symmetric matrix of the upper
+    triangle, whether the certificate decides it or declines it."""
+    mat, ok, certified = CERTIFICATE_BOUNDARIES[name]
+    symmetric = [[mat[min(i, j)][max(i, j)] for j in range(len(mat))] for i in range(len(mat))]
+    assert psd_witness(symmetric)[0] == ok
+    assert psd_check_exact(mat) == _bareiss(mat) == ok
+    assert _certifies(mat) == certified
+
+
+def test_cholesky_certificate_factors_a_matrix_below_the_shift(monkeypatch):
+    """What the certificate hands to floating-point Cholesky is the symmetric
+    matrix of the upper triangle, with every diagonal entry at or below
+    a_ii - c for the exact shift c = gamma/(1 - gamma) tr(A) + 4(2(n+1) +
+    max a_ii) eta of the proof, so A - Ã >= c I holds exactly."""
+    import numpy as np
+
+    seen = []
+    cholesky = np.linalg.cholesky
+
+    def recorded(m):
+        seen.append(m.copy())
+        return cholesky(m)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recorded)
+    rng = random.Random(5)
+    mats = [_certify_shape("alpha2-level4"), [[_N, 1], [1, _N]]]
+    for n in range(1, 13):
+        mat = _hadamard_gram([[rng.randint(-99, 99) for _ in range(n + 2)] for _ in range(n)], 1)
+        mat[0][-1] += 1  # no longer symmetric: the upper triangle is the matrix
+        mats.append(mat)
+    for mat in mats:
+        _certifies(mat)
+    assert len(seen) == len(mats)
+    for mat, m in zip(mats, seen):
+        n = len(mat)
+        diag = [mat[i][i] for i in range(n)]
+        shift = Fraction((n + 1) * sum(diag), (1 << 53) - 2 * (n + 1))
+        shift += Fraction(4 * (2 * (n + 1) + max(diag)), 1 << 1074)
+        for i in range(n):
+            assert Fraction(float(m[i, i])) <= diag[i] - shift
+            for j in range(i):
+                assert m[i, j] == mat[j][i]
 
 
 cube_perms = st.integers(2, 4).flatmap(
