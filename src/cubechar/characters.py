@@ -215,7 +215,10 @@ def psd_check_exact(mat) -> bool:
         close to either -- is decided exactly by the integer Bareiss
         elimination (`_bareiss_psd`).
 
-    Its oracle is `psd_witness`, which only the tests call.
+    A non-symmetric matrix is decided as the symmetric matrix of its upper
+    triangle; the lower triangle is never read.  Its oracle is
+    `psd_witness`, which only the tests call and which refuses a
+    non-symmetric matrix.
     """
     rows = [list(map(operator.index, row[k:])) for k, row in enumerate(mat)]
     return _cholesky_certifies_pd(rows) or _bareiss_psd(rows)
@@ -264,9 +267,7 @@ def _cholesky_certifies_pd(rows) -> bool:
         return False
     if upper.max() > 1 << 53 or upper.min() < -(1 << 53):
         return False
-    shift = Fraction((n + 1) * sum(diag), (1 << 53) - 2 * (n + 1))
-    shift += Fraction(4 * (2 * (n + 1) + max(diag)), 1 << 1074)
-    c = math.nextafter(float(shift), math.inf)
+    c = _cholesky_shift(n, sum(diag), max(diag))
     m = np.zeros((n, n))
     m.T[_upper_positions(n)] = upper
     np.fill_diagonal(m, np.nextafter(m.diagonal() - c, -np.inf))
@@ -275,6 +276,17 @@ def _cholesky_certifies_pd(rows) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _cholesky_shift(n: int, trace: int, top: int) -> float:
+    """The shift c of `_cholesky_certifies_pd`, rounded up: the float above
+    (n+1) tr(A) / (2^53 - 2(n+1)) + 4 (2(n+1) + max a_ii) 2^-1074, which is
+    gamma/(1 - gamma) tr(A) plus the underflow term.  The sum is one int
+    over one int, and int / int is correctly rounded, as float(Fraction) is.
+    """
+    den = (1 << 53) - 2 * (n + 1)
+    num = ((n + 1) * trace << 1074) + 4 * (2 * (n + 1) + top) * den
+    return math.nextafter(num / (den << 1074), math.inf)
 
 
 @functools.lru_cache(maxsize=16)
@@ -328,10 +340,13 @@ def psd_witness(mat) -> tuple:
 
     Symmetric elimination over the rationals with the same diagonal pivoting,
     carrying the change of basis.  Returns (True, None) or (False, witness)
-    where the witness v satisfies v^T M v < 0 exactly.
+    where the witness v satisfies v^T M v < 0 exactly.  It eliminates with
+    both triangles, so a non-symmetric matrix raises ValueError.
     """
     n = len(mat)
     a = [[Fraction(x) for x in row] for row in mat]
+    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("psd_witness needs a symmetric matrix")
     basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for i in range(n):
         neg = next((j for j in range(i, n) if a[j][j] < 0), None)
@@ -464,7 +479,16 @@ def gram_report(
     precision: int = DEFAULT_PRECISION,
 ) -> GramReport:
     """The exponent half of `gram_matrix`: the entries of one build raised to
-    alpha, and their PSD verdict."""
+    alpha, and their PSD verdict.
+
+    A non-integer witness candidate v is certified by the sign of v^T M v =
+    sum over the agreement counts c of w_c * (c/2^level)^alpha.  Each weight
+    w_c is summed in ints: v is scaled by the lcm D of its denominators, the
+    products n_i n_j of the nonzero scaled entries are added under their
+    count, and w_c is that total over D^2.  The counts come in the order of
+    their first nonzero product, row by row; a count whose total is 0 is
+    kept (`power_sum_iv` skips it).
+    """
     level, names, counts = build.level, build.names, build.counts
     base_of = dict(build.bases)
 
@@ -494,15 +518,16 @@ def gram_report(
     else:
         candidate = [Fraction(x).limit_denominator(1 << 20) for x in w]
 
-    n = len(counts)
-    coeffs: dict = {}
-    for i in range(n):
-        for j in range(n):
-            c = candidate[i] * candidate[j]
-            if c:
-                base = base_of[counts[i][j]]
-                coeffs[base] = coeffs.get(base, Fraction(0)) + c
-    terms = [(c, base.p, 1 << base.q) for base, c in coeffs.items()]
+    scale = math.lcm(*(x.denominator for x in candidate))
+    nums = [x.numerator * (scale // x.denominator) for x in candidate]
+    totals: dict = {}
+    for ni, row in zip(nums, counts):
+        if ni:
+            for nj, c in zip(nums, row):
+                if nj:
+                    totals[c] = totals.get(c, 0) + ni * nj
+    square = scale * scale
+    terms = [(Fraction(t, square), base_of[c].p, 1 << base_of[c].q) for c, t in totals.items()]
     enc, sign = certify_sign(
         lambda p: Enclosure.from_iv(power_sum_iv(make_context(p), terms, exponent), p),
         start_prec=precision,

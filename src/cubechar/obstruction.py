@@ -77,61 +77,64 @@ def signed_derangement_sum_bruteforce(k: int) -> int:
 
 
 def _permutation_rows(k: int):
-    """Yield S(k) in lexicographic order as k int8 blocks of (k-1)! rows.
+    """Yield S(k) in lexicographic order as k pairs (block, odd): an int8
+    block of (k-1)! rows and the inversion parity of each row.
 
     Block v holds the permutations with first image v: v, then the rows of
     S(k-1) relabelled onto range(k) minus v (adding 1 to each image >= v
-    keeps their order).  Every block is written into one buffer, which the
-    next block overwrites: from block v-1 to block v, the image v of the
-    relabelled rows becomes v-1.
+    keeps their order, so it keeps their inversions).  The first column adds
+    exactly v inversions, one for each later entry below v, so a row's
+    parity is its S(k-1) row's parity XOR (v & 1).  Every block is written
+    into one buffer, which the next block overwrites: from block v-1 to
+    block v, the image v of the relabelled rows becomes v-1.
     """
     import numpy as np
 
     if k == 0:
-        yield np.zeros((1, 0), np.int8)
+        yield np.zeros((1, 0), np.int8), np.zeros(1, bool)
         return
     # column-major, so that every column the loops read is contiguous
-    block = np.empty((math.factorial(k - 1), k), np.int8, order="F")
-    for v, rows in enumerate(_permutation_rows(k - 1)):
+    size = math.factorial(k - 1)
+    block = np.empty((size, k), np.int8, order="F")
+    inherited = np.empty(size, bool)
+    for v, (rows, odd) in enumerate(_permutation_rows(k - 1)):
         block[v * len(rows) : (v + 1) * len(rows), 1:] = rows
+        inherited[v * len(rows) : (v + 1) * len(rows)] = odd
     np.add(block[:, 1:], 1, out=block[:, 1:])
-    moved = np.empty(len(block), bool)
+    flipped = ~inherited
+    moved = np.empty(size, bool)
     for v in range(k):
         if v:
             for c in range(1, k):
                 np.equal(block[:, c], v, out=moved)
                 np.subtract(block[:, c], moved, out=block[:, c])
         block[:, 0] = v
-        yield block
+        yield block, flipped if v & 1 else inherited
 
 
 def _signed_fixcounts(k: int) -> list:
     """a[f] = sum of sign(s) over the s in S(k) with exactly f fixed points.
 
-    Enumerates every permutation, block by block of _permutation_rows.  The
-    sign of a row is the parity of its inversions, XOR-ed over the column
-    pairs; its fixed-point count is the number of columns i holding i.  The
-    buffers are preallocated, so at k = 9 the peak stays under 1 MB.
+    Enumerates every permutation, block by block of _permutation_rows, which
+    gives each row's sign as the parity of its inversions.  Its fixed-point
+    count is the number of columns i holding i.  One bincount per block
+    counts (k+1)*odd + fixed: the even rows land in its first k+1 bins, the
+    odd rows in the rest, which are subtracted at the end.  The buffers are
+    preallocated, so at k = 9 the peak stays under 1 MB.
     """
     import numpy as np
 
     size = math.factorial(k - 1)
-    odd = np.empty(size, bool)
     hit = np.empty(size, bool)
     fixed = np.empty(size, np.int8)
-    dist = np.zeros(k + 1, np.int64)
-    for block in _permutation_rows(k):
-        odd.fill(False)
-        fixed.fill(0)
+    dist = np.zeros(2 * k + 2, np.int64)
+    for block, odd in _permutation_rows(k):
+        np.multiply(odd, np.int8(k + 1), out=fixed)
         for i in range(k):
             np.equal(block[:, i], i, out=hit)
             np.add(fixed, hit, out=fixed)
-            for j in range(i + 1, k):
-                np.greater(block[:, i], block[:, j], out=hit)
-                np.logical_xor(odd, hit, out=odd)
-        dist += np.bincount(fixed[~odd], minlength=k + 1)
-        dist -= np.bincount(fixed[odd], minlength=k + 1)
-    return [int(a) for a in dist]
+        dist += np.bincount(fixed, minlength=2 * k + 2)
+    return [int(a) for a in dist[: k + 1] - dist[k + 1 :]]
 
 
 def stirling2(n: int, m: int) -> int:

@@ -251,11 +251,16 @@ def fixed_fraction(p) -> Dyadic:
 
 def block_product(*perms: CubePermutation) -> CubePermutation:
     """Act by perms[0] on the first perms[0].level coordinates, by perms[1]
-    on the next perms[1].level, and so on; identity(0) for no factors."""
+    on the next perms[1].level, and so on; identity(0) for no factors.
+
+    Image x of the product is the images of x's blocks, each shifted to its
+    block's place and OR-ed together; each factor's shifted images are built
+    once, before the products with the images built so far.
+    """
     check_level_cap(sum(p.level for p in perms))
     images, shift = [0], 0
     for p in perms:
-        images = [v | (w << shift) for w in p.images for v in images]
+        images = [v | h for h in [w << shift for w in p.images] for v in images]
         shift += p.level
     return _trusted_permutation(shift, tuple(images))
 

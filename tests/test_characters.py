@@ -400,6 +400,34 @@ def test_psd_check_at_certificate_boundaries(name):
     assert _certifies(mat) == certified
 
 
+def test_psd_witness_refuses_a_non_symmetric_matrix():
+    """The oracle eliminates with both triangles, so it refuses the matrix
+    that `psd_check_exact` decides by its upper triangle alone."""
+    mat = CERTIFICATE_BOUNDARIES["upper-triangle-decides"][0]
+    assert psd_check_exact(mat) is False
+    with pytest.raises(ValueError):
+        psd_witness(mat)
+    with pytest.raises(ValueError):
+        psd_witness([[Fraction(1), Fraction(1, 2)], [Fraction(1, 3), Fraction(1)]])
+
+
+def _fraction_shift(n, trace, top):
+    """The certificate's shift as two Fractions, rounded up to a float."""
+    shift = Fraction((n + 1) * trace, (1 << 53) - 2 * (n + 1))
+    shift += Fraction(4 * (2 * (n + 1) + top), 1 << 1074)
+    return math.nextafter(float(shift), math.inf)
+
+
+def test_cholesky_shift_is_the_fraction_formula():
+    """One int over one int rounds to the same double as the Fraction sum,
+    from tiny traces up to tr(A) near 2^53 n, the largest the certificate
+    admits."""
+    for n in (1, 2, 3, 7, 20, 96, 128):
+        for trace in (n, 3 * n + 1, 1 << 20, (1 << 40) + 7, ((1 << 53) - 1) * n, (1 << 53) * n):
+            for top in (1, max(1, trace // n), min(trace, 1 << 53)):
+                assert characters._cholesky_shift(n, trace, top) == _fraction_shift(n, trace, top)
+
+
 def test_cholesky_certificate_factors_a_matrix_below_the_shift(monkeypatch):
     """What the certificate hands to floating-point Cholesky is the symmetric
     matrix of the upper triangle, with every diagonal entry at or below
@@ -536,6 +564,74 @@ def test_gram_sign_witness_matches_obstruction(s22):
     hi = 3 * c.enclosure.hi
     quad_lo, quad_hi = (Fraction(x) for x in _interval_strings(report.witness_value))
     assert quad_lo <= hi and lo <= quad_hi  # the two enclosures overlap
+
+
+def _witness_terms_by_fractions(candidate, build):
+    """The weights of v^T M v as Fraction sums keyed by the Dyadic base, in
+    row-major order of their first nonzero product: the oracle for the int
+    sums of `gram_report`."""
+    base_of = dict(build.bases)
+    n = len(build.counts)
+    coeffs: dict = {}
+    for i in range(n):
+        for j in range(n):
+            c = candidate[i] * candidate[j]
+            if c:
+                base = base_of[build.counts[i][j]]
+                coeffs[base] = coeffs.get(base, Fraction(0)) + c
+    return [(c, base.p, 1 << base.q) for base, c in coeffs.items()]
+
+
+class _Captured(Exception):
+    pass
+
+
+witness_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-(1 << 21), 1 << 21), st.integers(0, 20).map(lambda e: 1 << e)),
+    st.builds(Fraction, st.integers(-(1 << 21), 1 << 21), st.integers(1, 1 << 20)),
+)
+
+#: e, (0 1 2) and (0 2 1) on level 2 agree pairwise on one point, so the
+#: candidate t (2, 2, -1) gives the count 1 the total 2 t^2 (4 - 2 - 2) = 0.
+_CANCELLING = [identity(2), CubePermutation(2, (1, 2, 0, 3)), CubePermutation(2, (2, 0, 1, 3))]
+
+
+@st.composite
+def witness_cases(draw):
+    """(elements, candidate) with zero entries, mixed denominators up to
+    2^20, and, for "cancel", a count whose total is exactly 0."""
+    if draw(st.booleans()):
+        elements = draw(st.lists(cube_perms, min_size=1, max_size=8))
+        return elements, [draw(witness_entries) for _ in elements], False
+    t = draw(witness_entries.filter(bool))
+    extra = draw(st.lists(cube_perms, max_size=4))
+    return _CANCELLING + extra, [2 * t, 2 * t, -t] + [Fraction(0)] * len(extra), True
+
+
+@settings(max_examples=60, deadline=None)
+@given(witness_cases())
+def test_gram_witness_terms_match_the_fraction_sums(case):
+    """The terms `gram_report` hands to `power_sum_iv` for a float-path
+    candidate have the oracle's keys, order and values, a zero total too."""
+    elements, candidate, cancels = case
+    build = gram_build(elements)
+    captured = []
+
+    def capture(ctx, terms, exponent):
+        captured.append(list(terms))
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(characters, "psd_check_float", lambda mat: (False, candidate))
+        mp.setattr(characters, "power_sum_iv", capture)
+        with pytest.raises(_Captured):
+            gram_report(Alpha(Fraction(3, 2)), build, "auto")
+    expected = _witness_terms_by_fractions(candidate, build)
+    assert captured == [expected]
+    assert all(type(c) is Fraction for c, _, _ in captured[0])
+    if cancels:
+        assert any(c == 0 for c, _, _ in captured[0])
 
 
 def _interval_strings(text):

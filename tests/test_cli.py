@@ -382,6 +382,7 @@ GOLDEN = [
     ),
     ("gram_signs_level2.json", ["gram", "--alpha", "3/2", "--all-level", "2", "--witness", "signs"], 1),
     ("gram_alpha3_level2.json", ["gram", "--alpha", "3", "--all-level", "2", "--format", "json"], 0),
+    ("gram_alpha1_2_level2.json", ["gram", "--alpha", "1/2", "--all-level", "2", "--format", "json"], 1),
     ("char_eval_odometer3.txt", ["char-eval", "--alpha", "7/3", "--perm", "odometer(3)"], 0),
     ("verify_all_seed7.json", ["verify-all", "--seed", "7", "--format", "json"], 0),
 ]

@@ -75,16 +75,28 @@ def _fixcounts_by_loop(k):
 
 @pytest.mark.parametrize("k", range(8))
 def test_permutation_rows_enumerate_s_k_in_order(k):
-    rows = [tuple(int(x) for x in row) for block in _permutation_rows(k) for row in block]
+    pairs = [
+        (tuple(int(x) for x in row), bool(o)) for block, odd in _permutation_rows(k) for row, o in zip(block, odd)
+    ]
+    rows = [row for row, _ in pairs]
     assert rows == list(itertools.permutations(range(k)))
-    for row in rows:
+    for row, odd in pairs:
         inversions = sum(row[i] > row[j] for i, j in itertools.combinations(range(k), 2))
         assert (-1) ** inversions == permutation_sign(row)
+        assert odd == bool(inversions & 1)
 
 
 @pytest.mark.parametrize("k", range(1, 8))
 def test_signed_fixcounts_match_the_loop(k):
     assert _signed_fixcounts(k) == _fixcounts_by_loop(k)
+
+
+@pytest.mark.parametrize("k", [8, 9])
+def test_signed_fixcounts_match_the_closed_form(k):
+    """a[f] = C(k, f) d(k - f): choose the fixed points, derange the rest,
+    with d(0) = 1 and d(j) the signed derangement sum of S(j)."""
+    d = [1] + [signed_derangement_sum(j) for j in range(1, k + 1)]
+    assert _signed_fixcounts(k) == [math.comb(k, f) * d[k - f] for f in range(k + 1)]
 
 
 def test_derangement_bruteforce_memory_is_bounded():
