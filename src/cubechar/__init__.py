@@ -37,6 +37,7 @@ from .errors import (
 from .gnsfinite import (
     ProjectionIdentityReport,
     matrix_character,
+    projection_bases,
     projection_identity_checks,
     rep_matrix,
     scan_is_constant,

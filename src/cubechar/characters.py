@@ -196,6 +196,20 @@ class GramReport:
         return out
 
 
+@dataclass(frozen=True)
+class GramVerdict:
+    """The PSD decision of a Gram matrix, without its entries or names."""
+
+    verdict: str  # "PSD" | "not PSD"
+    method: str
+    witness: tuple | None = None
+    witness_value: str | None = None
+
+    @property
+    def is_psd(self) -> bool:
+        return self.verdict == "PSD"
+
+
 def psd_check_exact(mat) -> bool:
     """Exact PSD decision for a symmetric matrix of ints.
 
@@ -408,7 +422,8 @@ def gram_matrix(
     """The matrix chi_alpha(g_i g_j^-1) with a PSD certificate.
 
     Its base mu(Fix(g_i g_j^-1)) is the share of points where g_i and g_j
-    agree; each distinct share is raised to alpha once.  Integer and
+    agree; each distinct share is raised to alpha once for the verdict and
+    once more for its text.  Integer and
     infinite exponents give PSD matrices: with B[i, (x, z)] = [g_i(x) = z] on
     level L the agreement counts are B B^T, so for integer alpha the matrix
     is the Hadamard power (B B^T)^oalpha / 2^(L alpha), PSD by the Schur
@@ -424,7 +439,8 @@ def gram_matrix(
     2^GRAM_WORK_CAP_LOG2, raise CapExceededError first.
 
     The composition of `gram_build` (everything that does not depend on
-    alpha) and `gram_report`; one build serves any number of exponents.
+    alpha) and `gram_report`; one build serves any number of exponents, and
+    `gram_verdict` decides one without rendering it.
     """
     return gram_report(alpha, gram_build(elements), witness_strategy, precision)
 
@@ -438,14 +454,13 @@ class GramBuild:
 
     level: int
     lifted: tuple  # the elements, lifted to `level`
-    names: tuple  # their cycle strings
     counts: tuple  # counts[i][j]: points where lifted[i] and lifted[j] agree
     bases: tuple  # (count, Dyadic(count, level)) for each distinct count
 
 
 def gram_build(elements) -> GramBuild:
-    """Check the caps, lift the elements to a common level, name them, and
-    count the agreements of every pair with their dyadic bases."""
+    """Check the caps, lift the elements to a common level, and count the
+    agreements of every pair with their dyadic bases."""
     elements = list(elements)
     if not elements:
         raise ValueError("empty element list")
@@ -466,55 +481,49 @@ def gram_build(elements) -> GramBuild:
     return GramBuild(
         level,
         lifted,
-        tuple(cycle_string(g) for g in lifted),
         tuple(map(tuple, counts)),
         tuple((c, Dyadic(c, level)) for c in distinct),
     )
 
 
-def gram_report(
+def gram_verdict(
     alpha: Alpha,
     build: GramBuild,
     witness_strategy: str = "auto",
     precision: int = DEFAULT_PRECISION,
-) -> GramReport:
-    """The exponent half of `gram_matrix`: the entries of one build raised to
-    alpha, and their PSD verdict.
+) -> GramVerdict:
+    """The PSD decision of one build's matrix at alpha, with no entry or
+    element rendered as text.
 
-    A non-integer witness candidate v is certified by the sign of v^T M v =
-    sum over the agreement counts c of w_c * (c/2^level)^alpha.  Each weight
-    w_c is summed in ints: v is scaled by the lcm D of its denominators, the
-    products n_i n_j of the nonzero scaled entries are added under their
-    count, and w_c is that total over D^2.  The counts come in the order of
-    their first nonzero product, row by row; a count whose total is 0 is
-    kept (`power_sum_iv` skips it).
+    A classified exponent is decided by `psd_check_exact` on the entries
+    scaled to ints; a failure raises InternalInconsistencyError.  Otherwise
+    the float check decides, and a witness candidate v is certified by the
+    sign of v^T M v = sum over the agreement counts c of
+    w_c * (c/2^level)^alpha.  Each weight w_c is summed in ints: v is scaled
+    by the lcm D of its denominators, the products n_i n_j of the nonzero
+    scaled entries are added under their count, and w_c is that total over
+    D^2.  The counts come in the order of their first nonzero product, row
+    by row; a count whose total is 0 is kept (`power_sum_iv` skips it).
     """
-    level, names, counts = build.level, build.names, build.counts
-    base_of = dict(build.bases)
+    counts = build.counts
 
     if alpha.is_classified:
-        value_of = {c: char_power(alpha, b) for c, b in base_of.items()}
-        text_of = {c: str(v) for c, v in value_of.items()}
-        qmax = max(v.q for v in value_of.values())
-        int_of = {c: v.p << (qmax - v.q) for c, v in value_of.items()}
-        scaled = [[int_of[c] for c in row] for row in counts]
-        if not psd_check_exact(scaled):
+        value_of = [(c, char_power(alpha, b)) for c, b in build.bases]
+        qmax = max(v.q for _, v in value_of)
+        int_of = {c: v.p << (qmax - v.q) for c, v in value_of}
+        if not psd_check_exact([[int_of[c] for c in row] for row in counts]):
             raise InternalInconsistencyError(f"alpha={alpha}: Gram matrix failed the PSD check")
-        matrix = tuple(tuple(text_of[c] for c in row) for row in counts)
-        return GramReport(str(alpha), level, names, matrix, "PSD", "exact")
+        return GramVerdict("PSD", "exact")
 
     # non-integer channel
     exponent = alpha.fraction
-    mid_of = {c: BasePower(b, exponent).midpoint_float() for c, b in base_of.items()}
-    text_of = {c: repr(x) for c, x in mid_of.items()}
-    mid = [[mid_of[c] for c in row] for row in counts]
-    matrix = tuple(tuple(text_of[c] for c in row) for row in counts)
+    mid_of = {c: BasePower(b, exponent).midpoint_float() for c, b in build.bases}
     method = f"float(tol=2^-{FLOAT_TOLERANCE_BITS})"
-    float_ok, w = psd_check_float(mid)
+    float_ok, w = psd_check_float([[mid_of[c] for c in row] for row in counts])
     if witness_strategy == "signs":
         candidate = [Fraction(g.sign()) for g in build.lifted]
     elif float_ok:
-        return GramReport(str(alpha), level, names, matrix, "PSD", method)
+        return GramVerdict("PSD", method)
     else:
         candidate = [Fraction(x).limit_denominator(1 << 20) for x in w]
 
@@ -527,22 +536,49 @@ def gram_report(
                 if nj:
                     totals[c] = totals.get(c, 0) + ni * nj
     square = scale * scale
+    base_of = dict(build.bases)
     terms = [(Fraction(t, square), base_of[c].p, 1 << base_of[c].q) for c, t in totals.items()]
     enc, sign = certify_sign(
         lambda p: Enclosure.from_iv(power_sum_iv(make_context(p), terms, exponent), p),
         start_prec=precision,
     )
     if sign == "negative":
-        return GramReport(
-            str(alpha),
-            level,
-            names,
-            matrix,
+        return GramVerdict(
             "not PSD",
             method + "+interval-certified",
             witness=tuple(str(c) for c in candidate),
             witness_value=str(enc),
         )
     # certification failed: report what the float check says, witness-free
-    verdict = "PSD" if float_ok else "not PSD"
-    return GramReport(str(alpha), level, names, matrix, verdict, method)
+    return GramVerdict("PSD" if float_ok else "not PSD", method)
+
+
+def gram_report(
+    alpha: Alpha,
+    build: GramBuild,
+    witness_strategy: str = "auto",
+    precision: int = DEFAULT_PRECISION,
+) -> GramReport:
+    """The exponent half of `gram_matrix`: `gram_verdict` for one build at
+    alpha, rendered with its matrix and element names.
+
+    Each distinct agreement count is rendered once and every entry with that
+    count shares its string: the exact value for a classified exponent, the
+    repr of the midpoint float the verdict's float check read otherwise.
+    Each lifted element is named by its cycle string.
+    """
+    decision = gram_verdict(alpha, build, witness_strategy, precision)
+    if alpha.is_classified:
+        text_of = {c: str(char_power(alpha, b)) for c, b in build.bases}
+    else:
+        text_of = {c: repr(BasePower(b, alpha.fraction).midpoint_float()) for c, b in build.bases}
+    return GramReport(
+        str(alpha),
+        build.level,
+        tuple(cycle_string(g) for g in build.lifted),
+        tuple(tuple(text_of[c] for c in row) for row in build.counts),
+        decision.verdict,
+        decision.method,
+        decision.witness,
+        decision.witness_value,
+    )

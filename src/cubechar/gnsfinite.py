@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .characters import Alpha, char_eval, char_power
+from .characters import Alpha, char_power
 from .cube import NiceSet, check_level_cap, nice_intersect, nice_product
 from .dyadic import Dyadic
 from .errors import CapExceededError, PreconditionError
@@ -121,8 +121,9 @@ def stabilization_bases(
         if m <= base_level or m <= a_c.level:
             raise PreconditionError(f"coordinate {m} must exceed both levels")
     bases = []
+    g1_inverse = g1.inverse()
     for m in m_values:
-        left = embed_head(g1.inverse(), m)
+        left = embed_head(g1_inverse, m)
         right = embed_head(g2, m)
         element = left.compose(flip_perm(a_c, m).compose(right))
         bases.append(fixed_fraction(element))
@@ -157,33 +158,53 @@ class ProjectionIdentityReport:
         }
 
 
-def projection_identity_checks(
-    alpha: Alpha, a: NiceSet, b: NiceSet, c: NiceSet, d: NiceSet
-) -> ProjectionIdentityReport:
-    """Verify, exactly at the character level:
+def projection_bases(a: NiceSet, b: NiceSet, c: NiceSet, d: NiceSet) -> tuple:
+    """The exponent-free half of `projection_identity_checks`, as the tuple
+    (composite, meet, product, mu(C), mu(D), small, large) of dyadics:
 
-    (i)   chi(flip(A, m1) flip(B, m2)) = mu(A /\\ B)^alpha     (m1 > m2)
-    (ii)  chi(flip(CxDxX, m)) = mu(CxX)^alpha * mu(DxX)^alpha
-    (iii) mu(A) <= mu(B) implies value(A) <= value(B)
+      composite  mu(Fix(flip(A, m1) flip(B, m2))), from the composed table (m1 > m2);
+      meet       mu(A /\\ B);
+      product    mu(Fix(flip(CxDxX, m))), from the flip's table;
+      small, large  the smaller and the larger of mu(A) and mu(B).
     """
     a_c, b_c = a.canonical(), b.canonical()
     m2 = max(a_c.level, b_c.level) + 1
     m1 = m2 + 1
     # flip(A, m1) * flip(B, m2): the rightmost factor applies first
     composite = flip_perm(a_c, m1).compose(embed_head(flip_perm(b_c, m2), m1))
-    got = char_eval(alpha, composite)
-    expected = char_power(alpha, nice_intersect(a, b).measure())
-    intersection_ok = got == expected
-
     prod_set = nice_product(c, d)
     m = prod_set.canonical().level + 1
-    got_p = char_eval(alpha, flip_perm(prod_set, m))
-    expected_p = char_power(alpha, c.measure()) * char_power(alpha, d.measure())
-    product_ok = got_p == expected_p
+    small, large = sorted((a.measure(), b.measure()))
+    return (
+        fixed_fraction(composite),
+        nice_intersect(a, b).measure(),
+        fixed_fraction(flip_perm(prod_set, m)),
+        c.measure(),
+        d.measure(),
+        small,
+        large,
+    )
 
-    small, large = (a, b) if a.measure() <= b.measure() else (b, a)
-    va = char_power(alpha, small.measure())
-    vb = char_power(alpha, large.measure())
+
+def projection_identity_checks(alpha: Alpha, bases: tuple) -> ProjectionIdentityReport:
+    """Verify, exactly at the character level, on the `projection_bases`
+    of A, B, C, D:
+
+    (i)   chi(flip(A, m1) flip(B, m2)) = mu(A /\\ B)^alpha     (m1 > m2)
+    (ii)  chi(flip(CxDxX, m)) = mu(CxX)^alpha * mu(DxX)^alpha
+    (iii) mu(A) <= mu(B) implies value(A) <= value(B)
+
+    Only the exponent is applied here, so one set of bases serves every alpha.
+    """
+    composite, meet, product, c, d, small, large = bases
+    got = char_power(alpha, composite)
+    intersection_ok = got == char_power(alpha, meet)
+
+    got_p = char_power(alpha, product)
+    product_ok = got_p == char_power(alpha, c) * char_power(alpha, d)
+
+    va = char_power(alpha, small)
+    vb = char_power(alpha, large)
     if alpha.is_classified:
         monotone_ok = va.as_fraction() <= vb.as_fraction()
     else:

@@ -237,11 +237,15 @@ def all_permutations(level: int):
 
 
 def conjugate(s: CubePermutation, g: CubePermutation) -> CubePermutation:
-    """g s g^-1."""
+    """g s g^-1, which maps g(x) to g(s(x)): one pass over x fills the
+    table at g(x), with no inverse of g."""
     if s.level != g.level:
         raise LevelMismatchError(f"levels {s.level} and {g.level}; lift explicitly first")
-    ginv = invert_table(g.images)
-    return _trusted_permutation(s.level, tuple(g.images[s.images[ginv[i]]] for i in range(s.size)))
+    gi = g.images
+    out = [0] * s.size
+    for gx, sx in zip(gi, s.images):
+        out[gx] = gi[sx]
+    return _trusted_permutation(s.level, tuple(out))
 
 
 def fixed_fraction(p) -> Dyadic:

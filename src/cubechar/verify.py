@@ -20,7 +20,7 @@ from .characters import (
     Alpha,
     char_power,
     gram_build,
-    gram_report,
+    gram_verdict,
     multiplicativity_holds,
 )
 from .cube import NiceSet
@@ -160,7 +160,8 @@ _PROJECTION_CATALOG = (
 def criterion_projection_identities(seed: int) -> CriterionResult:
     """Stabilization scans constant on m in {4..8}; intersection and product
     identities exact on the fixed catalog for alpha in {1, 2, 3}.  The scan
-    elements of each catalog entry are built once for all three exponents.
+    elements and the projection flips of each catalog entry are built once
+    for all three exponents.
     g2 = g1 h for a seeded transposition h, so the scanned fixed set
     {x in Fix(h) : g1(x) in A} holds a point of every A of measure above
     1/4."""
@@ -172,13 +173,14 @@ def criterion_projection_identities(seed: int) -> CriterionResult:
     scans = [
         gnsfinite.stabilization_bases(g1, g2, a, range(4, 9)) for _, a, _ in _PROJECTION_CATALOG
     ]
+    projections = [gnsfinite.projection_bases(a, b, a, b) for _, a, b in _PROJECTION_CATALOG]
     for alpha_int in (1, 2, 3):
         alpha = Alpha(alpha_int)
-        for (name, a, b), bases in zip(_PROJECTION_CATALOG, scans):
+        for (name, _, _), bases, projection in zip(_PROJECTION_CATALOG, scans, projections):
             values = [char_power(alpha, base) for base in bases]
             if not gnsfinite.scan_is_constant(values):
                 failures.append(f"alpha={alpha} {name}: scan not constant: {values}")
-            report = gnsfinite.projection_identity_checks(alpha, a, b, a, b)
+            report = gnsfinite.projection_identity_checks(alpha, projection)
             if not report.ok:
                 failures.append(f"alpha={alpha} {name}: {report.to_json_dict()}")
     return _result(
@@ -313,14 +315,18 @@ def criterion_noninteger_negativity(seed: int) -> CriterionResult:
 def criterion_gram_psd(seed: int) -> CriterionResult:
     """Exact PSD for alpha in {0,1,2,3} on S(2^2) and on 20 seeded 20-element
     subsets of S(2^3); certified not-PSD via the sign vector at alpha = 3/2.
-    Each element list is built once (`gram_build`) for all its exponents."""
+    Each element list is built once (`gram_build`) for all its exponents,
+    and every matrix is decided by `gram_verdict`, never rendered.  A
+    classified matrix is PSD or raises InternalInconsistencyError, which is
+    recorded as that matrix's failure."""
     started = time.perf_counter()
     failures = []
     s22 = gram_build(all_permutations(2))
     for a in (0, 1, 2, 3):
-        report = gram_report(Alpha(a), s22)
-        if not report.is_psd or report.method != "exact":
-            failures.append(f"alpha={a} on S(2^2): verdict {report.verdict}")
+        try:
+            gram_verdict(Alpha(a), s22)
+        except InternalInconsistencyError as exc:
+            failures.append(f"alpha={a} on S(2^2): {exc}")
     rng = random.Random(seed + 10)
     for subset_index in range(20):
         chosen = {}
@@ -329,12 +335,13 @@ def criterion_gram_psd(seed: int) -> CriterionResult:
             chosen[p.images] = p
         subset = gram_build(chosen.values())
         for a in (0, 1, 2, 3):
-            report = gram_report(Alpha(a), subset)
-            if not report.is_psd or report.method != "exact":
-                failures.append(f"alpha={a} subset {subset_index}: {report.verdict}")
+            try:
+                gram_verdict(Alpha(a), subset)
+            except InternalInconsistencyError as exc:
+                failures.append(f"alpha={a} subset {subset_index}: {exc}")
     half = Fraction(3, 2)
     c_report = obstruction.c_alpha_real(half, 4)
-    gram = gram_report(Alpha(half), s22, witness_strategy="signs")
+    gram = gram_verdict(Alpha(half), s22, witness_strategy="signs")
     if c_report.sign == "negative":
         if gram.is_psd or gram.witness is None:
             failures.append(f"alpha=3/2: expected certified not-PSD, got {gram.verdict}")

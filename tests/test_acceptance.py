@@ -176,17 +176,44 @@ def test_gram_criterion_certifies_every_positive_definite_subset_matrix(monkeypa
         return decided[-1]
 
     exponents = []
-    report = verify.gram_report
+    verdict = verify.gram_verdict
 
     def recorded(alpha, build, *args, **kwargs):
         if alpha.is_classified:
             exponents.append((str(alpha), len(build.counts)))
-        return report(alpha, build, *args, **kwargs)
+        return verdict(alpha, build, *args, **kwargs)
 
     monkeypatch.setattr(characters, "_cholesky_certifies_pd", counted)
-    monkeypatch.setattr(verify, "gram_report", recorded)
+    monkeypatch.setattr(verify, "gram_verdict", recorded)
     assert verify.criterion_gram_psd(SEED).passed
     assert len(decided) == len(exponents) == 84
     subsets = [(alpha, ok) for (alpha, n), ok in zip(exponents, decided) if n == 20]
     assert len(subsets) == 80
     assert all(ok == (alpha != "0") for alpha, ok in subsets)
+
+
+def test_gram_criterion_records_a_failed_psd_check(monkeypatch):
+    """A classified matrix that fails the exact check is a failure detail
+    of criterion 10, not an error that stops the suite."""
+    monkeypatch.setattr(characters, "psd_check_exact", lambda mat: False)
+    result = verify.criterion_gram_psd(SEED)
+    assert not result.passed
+    assert result.details[0] == "alpha=0 on S(2^2): alpha=0: Gram matrix failed the PSD check"
+    assert "alpha=3 subset 19: alpha=3: Gram matrix failed the PSD check" in result.details
+    text = verify.render_text(verify.run_criteria(SEED))
+    assert [line.split()[1] for line in text.splitlines()[:-1] if not line.startswith(" ")] == [
+        str(n) for n in range(1, 12)
+    ]
+    assert "FAIL  10 gram-psd" in text
+
+
+def test_gram_criterion_renders_nothing(monkeypatch):
+    """Criterion 10 decides its matrices without naming an element or
+    building a report."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("criterion 10 rendered a Gram matrix")
+
+    monkeypatch.setattr(characters, "cycle_string", refuse)
+    monkeypatch.setattr(characters, "GramReport", refuse)
+    assert verify.criterion_gram_psd(SEED).passed

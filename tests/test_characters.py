@@ -39,6 +39,7 @@ from cubechar.characters import (
     GRAM_WORK_CAP_LOG2,
     gram_build,
     gram_report,
+    gram_verdict,
     multiplicativity_holds,
 )
 from conftest import traced_peak
@@ -500,7 +501,16 @@ def test_one_gram_build_serves_every_exponent(elements, alphas, strategies):
     assert all(type(row) is tuple for row in build.counts)
     for alpha in alphas:
         for strategy in strategies:
-            assert gram_report(alpha, build, strategy) == gram_matrix(alpha, elements, strategy)
+            report = gram_report(alpha, build, strategy)
+            assert report == gram_matrix(alpha, elements, strategy)
+            verdict = gram_verdict(alpha, build, strategy)
+            assert (verdict.verdict, verdict.method, verdict.witness, verdict.witness_value) == (
+                report.verdict,
+                report.method,
+                report.witness,
+                report.witness_value,
+            )
+            assert verdict.is_psd == report.is_psd
     assert build == gram_build(elements)
 
 

@@ -19,6 +19,7 @@ from cubechar import (
     identity,
     matrix_character,
     odometer,
+    projection_bases,
     projection_identity_checks,
     random_permutation,
     rep_matrix,
@@ -30,6 +31,7 @@ from cubechar import (
     xi_vector,
 )
 from cubechar.gnsfinite import TENSOR_DIM_CAP_BITS, _diagonal_form
+from cubechar.verify import _PROJECTION_CATALOG
 from conftest import traced_peak
 
 
@@ -213,14 +215,14 @@ def test_projection_identities_examples():
     half = NiceSet.from_indices(1, [0])
     other = NiceSet.from_indices(1, [1])
 
-    report = projection_identity_checks(Alpha(1), half, half, half, other)
+    report = projection_identity_checks(Alpha(1), projection_bases(half, half, half, other))
     assert report.ok  # idempotent intersection
 
-    report = projection_identity_checks(Alpha(1), half, other, half, other)
+    report = projection_identity_checks(Alpha(1), projection_bases(half, other, half, other))
     assert report.ok
     assert report.intersection_value == "0"  # disjoint halves
 
-    report = projection_identity_checks(Alpha(2), half, other, half, other)
+    report = projection_identity_checks(Alpha(2), projection_bases(half, other, half, other))
     assert report.ok
     assert report.product_value == "1/16"  # (1/4)^2
 
@@ -228,5 +230,16 @@ def test_projection_identities_examples():
 def test_projection_identities_real_alpha():
     a = NiceSet(2, 0b0111)
     b = NiceSet(2, 0b1010)
-    report = projection_identity_checks(Alpha(Fraction(3, 2)), a, b, a, b)
+    report = projection_identity_checks(Alpha(Fraction(3, 2)), projection_bases(a, b, a, b))
     assert report.ok
+
+
+@pytest.mark.parametrize("name, a, b", _PROJECTION_CATALOG, ids=[e[0] for e in _PROJECTION_CATALOG])
+def test_shared_projection_bases_serve_every_exponent(name, a, b):
+    """On each criterion-4 catalog entry, the reports from one shared
+    `projection_bases` equal reports built fresh for each exponent."""
+    shared = projection_bases(a, b, a, b)
+    for alpha in (Alpha(0), Alpha(1), Alpha(2), Alpha(3), Alpha.infinity(), Alpha(Fraction(3, 2))):
+        fresh = projection_identity_checks(alpha, projection_bases(a, b, a, b))
+        assert projection_identity_checks(alpha, shared) == fresh
+    assert shared == projection_bases(a, b, a, b)

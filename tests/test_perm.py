@@ -267,6 +267,12 @@ def test_conjugation_preserves_cycle_type(rng):
     assert conjugate(odometer(3), identity(3)) == odometer(3)
 
 
+@given(st.integers(0, 6).flatmap(lambda level: st.tuples(perms(level), perms(level))))
+def test_conjugate_matches_compose_with_inverse(pair):
+    s, g = pair
+    assert conjugate(s, g) == g.compose(s).compose(g.inverse())
+
+
 # -- product form ----------------------------------------------------------------
 
 
