@@ -14,8 +14,6 @@ Conventions: 0^0 = 1 (so chi_0 is identically 1), x^inf = 0 for x < 1 and
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -211,11 +209,13 @@ class GramVerdict:
 
 
 def psd_check_exact(mat) -> bool:
-    """Exact PSD decision for a symmetric matrix of ints.
+    """Exact PSD decision for a symmetric matrix of ints: an integer numpy
+    array, or nested lists of ints.
 
-    Reads the upper triangle only: row k holds its entries from the
-    diagonal on, each read through `operator.index`, so a Fraction or float
-    entry raises TypeError.  Two steps; the answers are the elimination's.
+    Every entry is read through `operator.index` unless the array already
+    has an integer dtype, so a Fraction or float entry raises TypeError.
+    Two steps, on one array (`_int_array`); the answers are the
+    elimination's.
 
       * A verified floating-point Cholesky certificate
         (`_cholesky_certifies_pd`): if Cholesky runs to completion on A
@@ -226,28 +226,49 @@ def psd_check_exact(mat) -> bool:
         Algorithms, 2nd ed., Thm 10.3).  It is a proof, not a float guess,
         and it never answers "not PSD".
       * Every matrix it does not certify -- singular, indefinite, or too
-        close to either -- is decided exactly by the integer Bareiss
-        elimination (`_bareiss_psd`).
+        close to either -- becomes Python-int rows, row k from the diagonal
+        on, and is decided exactly by the integer Bareiss elimination
+        (`_bareiss_psd`).
 
     A non-symmetric matrix is decided as the symmetric matrix of its upper
-    triangle; the lower triangle is never read.  Its oracle is
-    `psd_witness`, which only the tests call and which refuses a
+    triangle; no value of the lower triangle decides anything.  Its oracle
+    is `psd_witness`, which only the tests call and which refuses a
     non-symmetric matrix.
     """
-    rows = [list(map(operator.index, row[k:])) for k, row in enumerate(mat)]
-    return _cholesky_certifies_pd(rows) or _bareiss_psd(rows)
+    a = _int_array(mat)
+    return _cholesky_certifies_pd(a) or _bareiss_psd([row[k:] for k, row in enumerate(a.tolist())])
 
 
-def _cholesky_certifies_pd(rows) -> bool:
-    """True only if the symmetric matrix A whose upper triangle is `rows`
-    (row k from the diagonal on, ints) is proven positive definite.
+def _int_array(values):
+    """`values` as an array of exact ints: an integer array as it is;
+    anything else (nested lists, an object array) is read entry by entry
+    through `operator.index` and kept as int64 where every entry fits, as
+    Python ints in an object array where one does not.  numpy alone would
+    turn an int at or above 2^63 into a float."""
+    import numpy as np
+
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values
+    a = np.array(values, dtype=object)
+    a.flat = list(map(operator.index, a.flat))
+    try:
+        return a.astype(np.int64)
+    except OverflowError:
+        return a
+
+
+def _cholesky_certifies_pd(a) -> bool:
+    """True only if the symmetric matrix A whose upper triangle is that of
+    the array `a` (of exact ints, as `_int_array` makes it) is proven
+    positive definite.
 
     False sends A to the exact elimination.  It is returned for an empty
-    matrix, for an entry of absolute value above 2^53 (its float could be
-    inexact), for a diagonal entry <= 0, and whenever the check fails.
-    Otherwise A is exactly a float matrix.  With n its order, u = 2^-53 the
-    unit roundoff, eta = 2^-1074 the smallest subnormal and gamma =
-    gamma_{n+1} = (n+1)u / (1 - (n+1)u), take
+    matrix, for an object array (an entry beyond int64), for an entry of
+    absolute value above 2^53 (its float could be inexact), for a diagonal
+    entry <= 0, and whenever the check fails.  Otherwise A is exactly a
+    float matrix.  With n its order, u = 2^-53 the unit roundoff, eta =
+    2^-1074 the smallest subnormal and gamma = gamma_{n+1} = (n+1)u / (1 -
+    (n+1)u), take
 
         c >= gamma/(1 - gamma) tr(A) + 4 (2(n+1) + max_i a_ii) eta,
 
@@ -263,27 +284,21 @@ def _cholesky_certifies_pd(rows) -> bool:
     matrices; it never changes an answer.  Nothing overflows: every partial
     sum is at most n 2^53 in absolute value.
 
-    Only the upper triangle is read, as the elimination reads it: row k is
-    copied into column k of a float array, and `numpy.linalg.cholesky` reads
-    the lower triangle.
+    Only the upper triangle is factored, as the elimination reads it: the
+    float copy of `a.T` goes to `numpy.linalg.cholesky`, which reads the
+    lower triangle.  The 2^53 bound is checked on every entry, so a large
+    lower-triangle entry only declines.
     """
-    n = len(rows)
-    if not n:
-        return False
-    diag = [row[0] for row in rows]
-    if min(diag) <= 0:
-        return False
     import numpy as np
 
-    try:
-        upper = np.array(list(itertools.chain.from_iterable(rows)), dtype=np.int64)
-    except OverflowError:
+    n = len(a)
+    if not n or a.dtype == object:
         return False
-    if upper.max() > 1 << 53 or upper.min() < -(1 << 53):
+    diag = a.diagonal().tolist()
+    if min(diag) <= 0 or int(a.max()) > 1 << 53 or int(a.min()) < -(1 << 53):
         return False
     c = _cholesky_shift(n, sum(diag), max(diag))
-    m = np.zeros((n, n))
-    m.T[_upper_positions(n)] = upper
+    m = a.T.astype(np.float64)
     np.fill_diagonal(m, np.nextafter(m.diagonal() - c, -np.inf))
     try:
         np.linalg.cholesky(m)
@@ -301,18 +316,6 @@ def _cholesky_shift(n: int, trace: int, top: int) -> float:
     den = (1 << 53) - 2 * (n + 1)
     num = ((n + 1) * trace << 1074) + 4 * (2 * (n + 1) + top) * den
     return math.nextafter(num / (den << 1074), math.inf)
-
-
-@functools.lru_cache(maxsize=16)
-def _upper_positions(n: int) -> tuple:
-    """`numpy.triu_indices(n)`, read-only and kept: building it takes longer
-    than the Cholesky factorisation of a 20 x 20 matrix."""
-    import numpy as np
-
-    positions = np.triu_indices(n)
-    for index in positions:
-        index.flags.writeable = False
-    return positions
 
 
 def _bareiss_psd(a) -> bool:
@@ -445,22 +448,50 @@ def gram_matrix(
     return gram_report(alpha, gram_build(elements), witness_strategy, precision)
 
 
-@dataclass(frozen=True)
+#: Bound on the bytes one column block of `gram_build` compares at a time:
+#: n^2 per column for the comparison, 8n for the sliced tuple rows.
+_GRAM_BLOCK_BYTES = 1 << 19
+
+
+@dataclass(frozen=True, eq=False)
 class GramBuild:
     """The exponent-free half of a Gram matrix, shared by every exponent.
 
-    Its sequences are tuples, so no exponent can change what the next one reads.
+    `lifted` and `bases` are tuples and `counts` is a read-only array, so no
+    exponent can change what the next one reads.
     """
 
     level: int
     lifted: tuple  # the elements, lifted to `level`
-    counts: tuple  # counts[i][j]: points where lifted[i] and lifted[j] agree
-    bases: tuple  # (count, Dyadic(count, level)) for each distinct count
+    counts: object  # n x n unsigned int array: points where lifted[i] and lifted[j] agree
+    bases: tuple  # (count, Dyadic(count, level)) for each distinct count, ascending
+
+    def __eq__(self, other):
+        if not isinstance(other, GramBuild):
+            return NotImplemented
+        same = (self.level, self.lifted, self.bases) == (other.level, other.lifted, other.bases)
+        return same and bool((self.counts == other.counts).all())
+
+    def by_count(self, values):
+        """The n x n array whose (i, j) entry is values[k] for the k-th
+        distinct count, bases[k][0] == counts[i, j]: one lookup in a table
+        indexed by count."""
+        import numpy as np
+
+        lut = np.zeros((1 << self.level) + 1, values.dtype)
+        lut[[c for c, _ in self.bases]] = values
+        return lut[self.counts]
 
 
 def gram_build(elements) -> GramBuild:
     """Check the caps, lift the elements to a common level, and count the
-    agreements of every pair with their dyadic bases."""
+    agreements of every pair with their dyadic bases.
+
+    The counts are one broadcast comparison of the lifted tables per block
+    of columns, in the smallest unsigned dtype that holds a point; each
+    block is at most _GRAM_BLOCK_BYTES wide in the comparison, so the memory
+    beyond the tables does not grow with the level.
+    """
     elements = list(elements)
     if not elements:
         raise ValueError("empty element list")
@@ -471,19 +502,21 @@ def gram_build(elements) -> GramBuild:
             f"{n} elements at level {level} exceed the {GRAM_MAX_ELEMENTS}-element"
             f" or 2^{GRAM_WORK_CAP_LOG2} n^2 x 2^level cap"
         )
+    import numpy as np
+
     lifted = tuple(embed_head(g, level) if g.level < level else g for g in elements)
-    counts = [[1 << level] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            agree = sum(map(operator.eq, lifted[i].images, lifted[j].images))
-            counts[i][j] = counts[j][i] = agree
-    distinct = sorted(set(itertools.chain.from_iterable(counts)))
-    return GramBuild(
-        level,
-        lifted,
-        tuple(map(tuple, counts)),
-        tuple((c, Dyadic(c, level)) for c in distinct),
-    )
+    size = 1 << level
+    point = np.min_scalar_type(size - 1)
+    counts = np.zeros((n, n), np.min_scalar_type(size))
+    width = max(1, _GRAM_BLOCK_BYTES // (n * (n + 8)))
+    for start in range(0, size, width):
+        block = np.array([g.images[start : start + width] for g in lifted], point)
+        counts += (block[:, None] == block).sum(axis=2, dtype=counts.dtype)
+    counts.flags.writeable = False
+    seen = np.zeros(size + 1, bool)
+    seen[counts] = True
+    distinct = np.flatnonzero(seen).tolist()
+    return GramBuild(level, lifted, counts, tuple((c, Dyadic(c, level)) for c in distinct))
 
 
 def gram_verdict(
@@ -496,30 +529,32 @@ def gram_verdict(
     element rendered as text.
 
     A classified exponent is decided by `psd_check_exact` on the entries
-    scaled to ints; a failure raises InternalInconsistencyError.  Otherwise
-    the float check decides, and a witness candidate v is certified by the
-    sign of v^T M v = sum over the agreement counts c of
-    w_c * (c/2^level)^alpha.  Each weight w_c is summed in ints: v is scaled
-    by the lcm D of its denominators, the products n_i n_j of the nonzero
-    scaled entries are added under their count, and w_c is that total over
-    D^2.  The counts come in the order of their first nonzero product, row
-    by row; a count whose total is 0 is kept (`power_sum_iv` skips it).
+    scaled to ints: each distinct base is raised to alpha once, and the
+    n x n int array is one lookup by count (`GramBuild.by_count`); a
+    failure raises InternalInconsistencyError.  Otherwise the float check
+    decides, on the midpoint floats looked up the same way, and a witness
+    candidate v is certified by the sign of v^T M v = sum over the
+    agreement counts c of w_c * (c/2^level)^alpha.  Each weight w_c is
+    summed in ints: v is scaled by the lcm D of its denominators, the
+    products n_i n_j of the nonzero scaled entries are added under their
+    count, and w_c is that total over D^2.  The counts come in the order of
+    their first nonzero product, row by row; a count whose total is 0 is
+    kept (`power_sum_iv` skips it).
     """
-    counts = build.counts
-
     if alpha.is_classified:
-        value_of = [(c, char_power(alpha, b)) for c, b in build.bases]
-        qmax = max(v.q for _, v in value_of)
-        int_of = {c: v.p << (qmax - v.q) for c, v in value_of}
-        if not psd_check_exact([[int_of[c] for c in row] for row in counts]):
+        values = [char_power(alpha, b) for _, b in build.bases]
+        qmax = max(v.q for v in values)
+        if not psd_check_exact(build.by_count(_int_array([v.p << (qmax - v.q) for v in values]))):
             raise InternalInconsistencyError(f"alpha={alpha}: Gram matrix failed the PSD check")
         return GramVerdict("PSD", "exact")
 
     # non-integer channel
+    import numpy as np
+
     exponent = alpha.fraction
-    mid_of = {c: BasePower(b, exponent).midpoint_float() for c, b in build.bases}
+    mids = np.array([BasePower(b, exponent).midpoint_float() for _, b in build.bases])
     method = f"float(tol=2^-{FLOAT_TOLERANCE_BITS})"
-    float_ok, w = psd_check_float([[mid_of[c] for c in row] for row in counts])
+    float_ok, w = psd_check_float(build.by_count(mids))
     if witness_strategy == "signs":
         candidate = [Fraction(g.sign()) for g in build.lifted]
     elif float_ok:
@@ -530,7 +565,7 @@ def gram_verdict(
     scale = math.lcm(*(x.denominator for x in candidate))
     nums = [x.numerator * (scale // x.denominator) for x in candidate]
     totals: dict = {}
-    for ni, row in zip(nums, counts):
+    for ni, row in zip(nums, build.counts.tolist()):
         if ni:
             for nj, c in zip(nums, row):
                 if nj:
@@ -576,7 +611,7 @@ def gram_report(
         str(alpha),
         build.level,
         tuple(cycle_string(g) for g in build.lifted),
-        tuple(tuple(text_of[c] for c in row) for row in build.counts),
+        tuple(tuple(text_of[c] for c in row) for row in build.counts.tolist()),
         decision.verdict,
         decision.method,
         decision.witness,

@@ -188,9 +188,9 @@ class CubePermutation:
 def _trusted_permutation(level: int, images: tuple) -> CubePermutation:
     """A CubePermutation from a tuple that is a bijection of X_level by
     construction (a composite, inverse or block product of permutations, the
-    identity, a row of itertools.permutations, a flip), so the constructor's
-    cap and bijectivity checks are skipped; a caller that makes a new level
-    checks the cap itself."""
+    identity, a row of itertools.permutations, a flip, a shuffled range), so
+    the constructor's cap and bijectivity checks are skipped; a caller that
+    makes a new level checks the cap itself."""
     p = object.__new__(CubePermutation)
     object.__setattr__(p, "level", level)
     object.__setattr__(p, "images", images)
@@ -226,7 +226,7 @@ def random_permutation(level: int, rng) -> CubePermutation:
     check_level_cap(level)
     images = list(range(1 << level))
     rng.shuffle(images)
-    return CubePermutation(level, images)
+    return _trusted_permutation(level, tuple(images))
 
 
 def all_permutations(level: int):

@@ -246,17 +246,24 @@ def criterion_derangement_sums(seed: int) -> CriterionResult:
 
 def criterion_stirling_obstruction(seed: int) -> CriterionResult:
     """Direct alternating sum equals m!(S(n,m) + S(n,m-1)), all values
-    non-negative, for n, m <= 15."""
+    non-negative, for n, m <= 15.  Each S(n, m) is computed once and read
+    again as the next m's S(n, m-1)."""
     started = time.perf_counter()
     failures = []
     for n in range(16):
+        below = None  # S(n, m-1), when the previous m computed it
         for m in range(1, 16):
             try:
                 value = obstruction.c_alpha_integer(n, m)
-                stirling = math.factorial(m) * (obstruction.stirling2(n, m) + obstruction.stirling2(n, m - 1))
+                here = obstruction.stirling2(n, m)
+                if below is None:
+                    below = obstruction.stirling2(n, m - 1)
+                stirling = math.factorial(m) * (here + below)
             except (FalsificationError, InternalInconsistencyError) as exc:
                 failures.append(f"C_{n}({m}): {exc}")
+                below = None
                 continue
+            below = here
             if value != stirling:
                 failures.append(f"C_{n}({m}): direct sum {value} != Stirling route {stirling}")
     return _result(7, "stirling-obstruction", 1.0, started, failures, ["n, m <= 15"])

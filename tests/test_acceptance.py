@@ -57,6 +57,21 @@ def test_stirling_criterion_reports_a_route_mismatch(monkeypatch):
     assert result.details[0] == "C_0(1): direct sum 2 != Stirling route 1"
 
 
+def test_stirling_criterion_computes_each_stirling_number_once(monkeypatch):
+    """S(n, m) for n <= 15 and m <= 15 is 256 distinct values, each computed
+    once: the previous m's S(n, m) is this m's S(n, m-1)."""
+    calls = []
+    stirling2 = verify.obstruction.stirling2
+
+    def counted(n, m):
+        calls.append((n, m))
+        return stirling2(n, m)
+
+    monkeypatch.setattr(verify.obstruction, "stirling2", counted)
+    assert verify.criterion_stirling_obstruction(SEED).passed
+    assert sorted(calls) == [(n, m) for n in range(16) for m in range(16)]
+
+
 def test_tensor_criterion_reports_a_wrong_tensor(monkeypatch):
     monkeypatch.setattr(verify.gnsfinite, "tensor_character", lambda s, k: Dyadic(1))
     result = verify.criterion_tensor_powers(SEED)
@@ -167,13 +182,21 @@ def test_gram_criterion_reports_an_uncertified_sign_witness(monkeypatch):
 def test_gram_criterion_certifies_every_positive_definite_subset_matrix(monkeypatch):
     """The Cholesky certificate, not the elimination, decides every alpha in
     {1, 2, 3} matrix of the 20 seeded subsets; every alpha = 0 matrix (all
-    ones, rank 1) goes on to the elimination."""
+    ones, rank 1) goes on to the elimination.  On S(2^2) the elimination
+    decides alpha = 0, 1 and 2, so it runs exactly 23 times per pass: a
+    change in which matrices reach it fails here."""
     decided = []
     certify = characters._cholesky_certifies_pd
+    eliminated = []
+    bareiss = characters._bareiss_psd
 
-    def counted(rows):
-        decided.append(certify(rows))
+    def counted(a):
+        decided.append(certify(a))
         return decided[-1]
+
+    def counted_bareiss(rows):
+        eliminated.append(len(rows))
+        return bareiss(rows)
 
     exponents = []
     verdict = verify.gram_verdict
@@ -184,12 +207,16 @@ def test_gram_criterion_certifies_every_positive_definite_subset_matrix(monkeypa
         return verdict(alpha, build, *args, **kwargs)
 
     monkeypatch.setattr(characters, "_cholesky_certifies_pd", counted)
+    monkeypatch.setattr(characters, "_bareiss_psd", counted_bareiss)
     monkeypatch.setattr(verify, "gram_verdict", recorded)
     assert verify.criterion_gram_psd(SEED).passed
     assert len(decided) == len(exponents) == 84
     subsets = [(alpha, ok) for (alpha, n), ok in zip(exponents, decided) if n == 20]
     assert len(subsets) == 80
     assert all(ok == (alpha != "0") for alpha, ok in subsets)
+    assert len(eliminated) == 23
+    s22 = [alpha for (alpha, n), ok in zip(exponents, decided) if n == 24 and not ok]
+    assert s22 == ["0", "1", "2"]
 
 
 def test_gram_criterion_records_a_failed_psd_check(monkeypatch):

@@ -3,6 +3,7 @@ import operator
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -212,9 +213,10 @@ def test_fixproj_precondition():
 
 
 def _upper_rows(mat) -> list:
-    """Row k of an int matrix from the diagonal on: what `psd_check_exact`
-    hands to the certificate and then to the elimination."""
-    return [list(map(operator.index, row[k:])) for k, row in enumerate(mat)]
+    """Row k of an int matrix from the diagonal on, as Python ints: what
+    `psd_check_exact` hands to the elimination when the certificate
+    declines its array."""
+    return [row[k:] for k, row in enumerate(characters._int_array(mat).tolist())]
 
 
 def _bareiss(mat) -> bool:
@@ -223,7 +225,8 @@ def _bareiss(mat) -> bool:
 
 
 def _certifies(mat) -> bool:
-    return characters._cholesky_certifies_pd(_upper_rows(mat))
+    """The certificate alone, on the array `psd_check_exact` hands it."""
+    return characters._cholesky_certifies_pd(characters._int_array(mat))
 
 
 def test_psd_small_matrices():
@@ -412,6 +415,97 @@ def test_psd_witness_refuses_a_non_symmetric_matrix():
         psd_witness([[Fraction(1), Fraction(1, 2)], [Fraction(1, 3), Fraction(1)]])
 
 
+def _as_array(mat, dtype):
+    """The int matrix in `dtype`, or as Python ints in an object array where
+    an entry does not fit it."""
+    if dtype is not object:
+        info = np.iinfo(dtype)
+        if all(info.min <= x <= info.max for row in mat for x in row):
+            return np.array(mat, dtype)
+    return np.array(mat, dtype=object)
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_matrices(), st.sampled_from([np.int64, np.int32, object]))
+def test_psd_check_on_an_int_array_matches_the_nested_lists(case, dtype):
+    """An integer array is decided as its nested lists are, and as the
+    oracle decides the matrix."""
+    mat, _ = case
+    scaled = _lcm_scaled(mat)
+    ok = psd_witness(mat)[0]
+    assert psd_check_exact(_as_array(scaled, dtype)) == psd_check_exact(scaled) == ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_matrices(), st.data())
+def test_psd_check_decides_an_array_by_its_upper_triangle(case, data):
+    """Any lower triangle, in an array or in nested lists, leaves the answer
+    the oracle's on the symmetric matrix of the upper triangle."""
+    mat, _ = case
+    symmetric = _lcm_scaled(mat)
+    n = len(symmetric)
+    skewed = [row[:] for row in symmetric]
+    for i in range(n):
+        for j in range(i):
+            skewed[i][j] = data.draw(st.integers(-(1 << 60), 1 << 60))
+    ok = psd_witness(symmetric)[0]
+    assert psd_check_exact(_as_array(skewed, np.int64)) == psd_check_exact(skewed) == ok
+
+
+LARGE_ENTRIES = {
+    # name: (matrix, PSD); each is past what a double holds exactly
+    "int64-above-2^53": (np.array([[(1 << 53) + 1, 0], [0, 1]], np.int64), True),
+    "int64-below-minus-2^53": (
+        np.array([[1 << 54, -(1 << 53) - 1], [-(1 << 53) - 1, 1 << 54]], np.int64),
+        True,
+    ),
+    "uint64-above-2^63": (np.array([[1 << 63, 1 << 62], [1 << 62, 1 << 63]], np.uint64), True),
+    "nested-above-2^63": ([[1 << 63, (1 << 63) + 1], [(1 << 63) + 1, 1 << 63]], False),
+    "object-above-int64": (np.array([[1 << 70, 1], [1, 1 << 70]], dtype=object), True),
+    "nested-above-int64": ([[1 << 70, 1 << 70], [1 << 70, 1 << 70]], True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_ENTRIES))
+def test_large_entries_go_to_the_elimination(name, monkeypatch):
+    """Entries above 2^53 or beyond int64 are declined by the certificate
+    and decided by the elimination on exact Python ints."""
+    mat, ok = LARGE_ENTRIES[name]
+    rows = []
+    bareiss = characters._bareiss_psd
+
+    def recorded(a):
+        rows.append([row[:] for row in a])
+        return bareiss(a)
+
+    monkeypatch.setattr(characters, "_bareiss_psd", recorded)
+    assert psd_check_exact(mat) == ok
+    assert psd_witness([[int(x) for x in row] for row in mat])[0] == ok
+    assert len(rows) == 1
+    assert all(type(x) is int for row in rows[0] for x in row)
+    assert rows[0] == [[int(x) for x in row[k:]] for k, row in enumerate(mat)]
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        np.array([[1.0]]),
+        np.array([[4.0, 1.0], [1.0, 4.0]]),
+        np.array([[Fraction(1, 2)]], dtype=object),
+        np.array([[4, Fraction(2)], [Fraction(2), 4]], dtype=object),
+        np.array([[4, 1.0], [1.0, 4]], dtype=object),
+    ],
+    ids=["float", "float-2x2", "fraction-object", "integral-fraction-object", "float-object"],
+)
+def test_psd_check_refuses_non_integer_arrays(mat):
+    """A float array, or an object array holding a Fraction or a float, is
+    refused as the same nested lists are."""
+    with pytest.raises(TypeError):
+        psd_check_exact(mat)
+    with pytest.raises(TypeError):
+        psd_check_exact(mat.tolist())
+
+
 def _fraction_shift(n, trace, top):
     """The certificate's shift as two Fractions, rounded up to a float."""
     shift = Fraction((n + 1) * trace, (1 << 53) - 2 * (n + 1))
@@ -498,7 +592,7 @@ def test_one_gram_build_serves_every_exponent(elements, alphas, strategies):
     strategies, equal fresh gram_matrix reports: no exponent changes what the
     next one reads."""
     build = gram_build(elements)
-    assert all(type(row) is tuple for row in build.counts)
+    assert not build.counts.flags.writeable
     for alpha in alphas:
         for strategy in strategies:
             report = gram_report(alpha, build, strategy)
@@ -512,6 +606,51 @@ def test_one_gram_build_serves_every_exponent(elements, alphas, strategies):
             )
             assert verdict.is_psd == report.is_psd
     assert build == gram_build(elements)
+
+
+mixed_perms = st.integers(0, 4).flatmap(
+    lambda level: st.permutations(range(1 << level)).map(lambda t: CubePermutation(level, t))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(mixed_perms, min_size=1, max_size=8).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=32)
+    ),
+    st.sampled_from([1, 40, characters._GRAM_BLOCK_BYTES]),
+)
+def test_gram_build_counts_match_the_pairwise_count(elements, block_bytes):
+    """The agreement counts equal the pairwise count on the lifted tables,
+    for mixed levels, repeated elements and column blocks from one column
+    wide to the whole table; the array is read-only and symmetric with
+    2^level on its diagonal, and the bases are its distinct counts."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(characters, "_GRAM_BLOCK_BYTES", block_bytes)
+        build = gram_build(elements)
+    level = max(g.level for g in elements)
+    lifted = [embed_head(g, level) for g in elements]
+    expected = [[sum(map(operator.eq, a.images, b.images)) for b in lifted] for a in lifted]
+    counts = build.counts
+    assert counts.tolist() == expected
+    assert counts.dtype.kind == "u" and counts.shape == (len(elements),) * 2
+    assert not counts.flags.writeable
+    assert (counts == counts.T).all()
+    assert (counts.diagonal() == 1 << level).all()
+    distinct = sorted({c for row in expected for c in row})
+    assert build.bases == tuple((c, Dyadic(c, level)) for c in distinct)
+
+
+def test_gram_build_at_the_level_20_work_edge():
+    """Eight level-20 tables, n^2 x 2^level = 2^GRAM_WORK_CAP_LOG2: the counts
+    take column blocks, so the build stays in the bound of the level-14
+    edge."""
+    elements = [identity(20), transposition(20, 0, 1)] * 4
+    assert len(elements) ** 2 << 20 == 1 << GRAM_WORK_CAP_LOG2
+    build, peak = traced_peak(lambda: gram_build(elements))
+    assert peak < 1 << 22
+    assert build.counts[0, 1] == (1 << 20) - 2 and build.counts[1, 3] == 1 << 20
+    assert [c for c, _ in build.bases] == [(1 << 20) - 2, 1 << 20]
 
 
 def test_gram_single_identity():

@@ -107,6 +107,7 @@ TRUSTED_CALLERS = {
     "identity",
     "all_permutations",
     "flip_perm",
+    "random_permutation",
 }
 
 

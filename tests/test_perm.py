@@ -210,6 +210,20 @@ def test_level_cap_is_checked_before_allocation(make):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("seed", [0, 1, 20240817])
+def test_random_permutation_matches_the_checked_constructor(seed):
+    """The trusted shuffle gives, draw for draw, the table of the checked
+    constructor on the same shuffle: same seeded sequence, same tables."""
+    trusted, checked = random.Random(seed), random.Random(seed)
+    for level in range(5):
+        for _ in range(4):
+            s = random_permutation(level, trusted)
+            images = list(range(1 << level))
+            checked.shuffle(images)
+            assert s == CubePermutation(level, images)
+            assert type(s.images) is tuple and s.level == level
+
+
 # -- flips ---------------------------------------------------------------------
 
 
