@@ -113,9 +113,18 @@ def fraction_to_decimal(f: Fraction, round_up: bool) -> str:
     return f"{sign}{text[:-DECIMAL_DIGITS]}.{text[-DECIMAL_DIGITS:]}"
 
 
+def _ratio_iv(ctx, num: int, den: int):
+    """num/den at ctx.prec.  An integer (den == 1) enters as ctx.mpf(num)
+    alone: ctx.mpf(num) is already rounded outward to ctx.prec, so dividing it
+    by the exact ctx.mpf(1) at the same precision would return each endpoint
+    unchanged."""
+    return ctx.mpf(num) if den == 1 else ctx.mpf(num) / ctx.mpf(den)
+
+
 def fraction_iv(ctx, f: Fraction):
-    """Enclosure of an arbitrary rational in the given context."""
-    return ctx.mpf(f.numerator) / ctx.mpf(f.denominator)
+    """Enclosure of an arbitrary rational in the given context; an integer
+    enters undivided, which is exact (see `_ratio_iv`)."""
+    return _ratio_iv(ctx, f.numerator, f.denominator)
 
 
 def pow_iv(ctx, base_num: int, base_den: int, exponent: Fraction):
@@ -127,9 +136,20 @@ def pow_iv(ctx, base_num: int, base_den: int, exponent: Fraction):
     wider by the factor |exponent * log(base)|, below (floor(exponent) + 1)
     times the bit length of base_num or base_den.  log and exp run with the
     bit length of that bound plus 2 more bits, and the power is rounded
-    outward to ctx.prec, within a few units in its last place.  ctx.prec is
-    restored on every exit, an exception included: the context may be the
-    one `make_context` shares."""
+    outward to ctx.prec, within a few units in its last place.  An integer
+    base (base_den == 1) enters as ctx.mpf(base_num) with no division by 1,
+    which is exact (see `_ratio_iv`).  ctx.prec is restored on every exit,
+    an exception included: the context may be the one `make_context` shares."""
+    return _pow_step(ctx, base_num, base_den, exponent, {})
+
+
+def _pow_step(ctx, base_num: int, base_den: int, exponent: Fraction, alphas: dict):
+    """`pow_iv`, with `alphas` mapping each working precision (ctx.prec plus
+    the guard) to the enclosure of exponent at that precision.  The caller
+    owns the map for one call with one exponent and one ctx.prec; the step
+    fills it on first use of a working precision.  The enclosure depends on
+    nothing but the exponent and that precision, so a reused one has the
+    endpoints a new one would have."""
     if base_num < 0 or base_den <= 0:
         raise ValueError("base must be non-negative")
     if exponent <= 0:
@@ -138,12 +158,15 @@ def pow_iv(ctx, base_num: int, base_den: int, exponent: Fraction):
         return ctx.mpf(0)
     if exponent.denominator == 1:
         e = int(exponent)
-        return ctx.mpf(base_num**e) / ctx.mpf(base_den**e)
+        return _ratio_iv(ctx, base_num**e, base_den**e)
     bits = max(base_num.bit_length(), base_den.bit_length())
     guard = ((exponent.numerator // exponent.denominator + 1) * bits).bit_length() + 2
     ctx.prec += guard
     try:
-        power = ctx.exp(fraction_iv(ctx, exponent) * ctx.log(ctx.mpf(base_num) / ctx.mpf(base_den)))
+        alpha = alphas.get(ctx.prec)
+        if alpha is None:
+            alpha = alphas[ctx.prec] = fraction_iv(ctx, exponent)
+        power = ctx.exp(alpha * ctx.log(_ratio_iv(ctx, base_num, base_den)))
     finally:
         ctx.prec -= guard
     return +power
@@ -152,12 +175,19 @@ def pow_iv(ctx, base_num: int, base_den: int, exponent: Fraction):
 def power_sum_iv(ctx, terms, exponent: Fraction):
     """sum c * (num/den) ** exponent over the (c, num, den) terms, each as
     `pow_iv` takes it; terms with c = 0 or num = 0 add nothing.  An int c
-    enters exactly as ctx.mpf(c), a Fraction c as `fraction_iv`."""
+    enters exactly as ctx.mpf(c), a Fraction c as `fraction_iv`.
+
+    The terms are added in the order given, each rounded outward as `pow_iv`
+    rounds it.  The enclosure of exponent is built once per working
+    precision and shared by the terms of this call only (a sum of
+    C_alpha(m) meets 3 or 4 working precisions); an integer base enters
+    undivided.  Both leave every endpoint as a term-by-term `pow_iv` would."""
+    alphas = {}
     total = ctx.mpf(0)
     for c, num, den in terms:
         if c and num:
             coeff = fraction_iv(ctx, c) if isinstance(c, Fraction) else ctx.mpf(c)
-            total += coeff * pow_iv(ctx, num, den, exponent)
+            total += coeff * _pow_step(ctx, num, den, exponent, alphas)
     return total
 
 

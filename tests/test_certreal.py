@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import libmp
 
+from cubechar import certreal
 from cubechar.certreal import (
     DEFAULT_PRECISION,
     DEFAULT_PRECISION_CAP,
@@ -17,6 +18,7 @@ from cubechar.certreal import (
     power_sum_iv,
 )
 from cubechar.errors import CapExceededError
+from cubechar.obstruction import _c_alpha_terms
 
 
 def _recording(tried, decide_at=None):
@@ -187,6 +189,121 @@ def test_pow_iv_restores_the_shared_precision_when_exp_raises(monkeypatch):
     assert make_context(320) is ctx and ctx.prec == 320
     expected = pow_iv(_fresh_context(320), 3, 7, Fraction(5, 2))
     assert _endpoints(pow_iv(ctx, 3, 7, Fraction(5, 2))) == _endpoints(expected)
+
+    # a power sum whose third term fails: the precision comes back, and the
+    # next sum on the shared context is the one a fresh context gives
+    real_exp, calls = ctx.exp, []
+
+    def exp_failing_on_the_third_term(x):
+        calls.append(ctx.prec)
+        if len(calls) == 3:
+            raise ZeroDivisionError("injected")
+        return real_exp(x)
+
+    terms = [(2, 9, 1), (-5, 3, 4), (Fraction(1, 3), 1 << 30, 1), (7, 11, 2)]
+    monkeypatch.setattr(ctx, "exp", exp_failing_on_the_third_term)
+    with pytest.raises(ZeroDivisionError, match="injected"):
+        power_sum_iv(ctx, terms, Fraction(7, 3))
+    assert len(calls) == 3 and min(calls) > 320
+    assert ctx.prec == 320
+    monkeypatch.undo()
+    expected = power_sum_iv(_fresh_context(320), terms, Fraction(7, 3))
+    assert _endpoints(power_sum_iv(ctx, terms, Fraction(7, 3))) == _endpoints(expected)
+    assert ctx.prec == 320
+
+
+def _reference_pow_iv(ctx, base_num, base_den, exponent):
+    """`pow_iv` as it evaluated each power on its own: the exponent enclosed
+    anew for every power, and every base divided by its denominator, 1
+    included."""
+    if base_num == 0:
+        return ctx.mpf(0)
+    if exponent.denominator == 1:
+        e = int(exponent)
+        return ctx.mpf(base_num**e) / ctx.mpf(base_den**e)
+    bits = max(base_num.bit_length(), base_den.bit_length())
+    guard = ((exponent.numerator // exponent.denominator + 1) * bits).bit_length() + 2
+    ctx.prec += guard
+    try:
+        alpha = ctx.mpf(exponent.numerator) / ctx.mpf(exponent.denominator)
+        power = ctx.exp(alpha * ctx.log(ctx.mpf(base_num) / ctx.mpf(base_den)))
+    finally:
+        ctx.prec -= guard
+    return +power
+
+
+def _reference_power_sum_iv(ctx, terms, exponent):
+    total = ctx.mpf(0)
+    for c, num, den in terms:
+        if c and num:
+            c = Fraction(c)
+            coeff = ctx.mpf(c.numerator) / ctx.mpf(c.denominator)
+            total += coeff * _reference_pow_iv(ctx, num, den, exponent)
+    return total
+
+
+def _of_bits(bits: int):
+    """An integer strategy of exactly `bits` bits."""
+    return st.integers(1 << (bits - 1), (1 << bits) - 1)
+
+
+# bases of 1 to 40 bits meet several guards in one sum; den = 1 is drawn
+# often, as are num = 0 and num = den
+wide_ints = st.integers(1, 40).flatmap(_of_bits)
+wide_bases = st.one_of(
+    st.tuples(wide_ints, st.just(1)),
+    st.tuples(st.one_of(st.just(0), wide_ints), wide_ints),
+    wide_ints.map(lambda n: (n, n)),
+)
+# int coefficients enter as ctx.mpf(c), Fractions through fraction_iv, a
+# Fraction with denominator 1 among them
+mixed_coefficients = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.integers(-50, 50).map(Fraction),
+    st.fractions(Fraction(-50), Fraction(50), max_denominator=1 << 20),
+)
+mixed_exponents = st.one_of(
+    st.integers(1, 30).map(Fraction),
+    st.fractions(Fraction(1, 64), Fraction(120), max_denominator=64),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(mixed_coefficients, wide_bases), min_size=1, max_size=12),
+    mixed_exponents,
+    st.integers(64, 1024),
+)
+def test_power_sums_match_the_per_term_reference_bit_for_bit(terms, exponent, prec):
+    """power_sum_iv and pow_iv give the endpoints of the term-by-term
+    evaluation, with the exponent enclosed once per working precision and
+    integer bases entering undivided."""
+    ctx = make_context(prec)
+    terms = [(c, num, den) for c, (num, den) in terms]
+    assert _endpoints(power_sum_iv(ctx, terms, exponent)) == _endpoints(
+        _reference_power_sum_iv(ctx, terms, exponent)
+    )
+    for _, num, den in terms:
+        assert _endpoints(pow_iv(ctx, num, den, exponent)) == _endpoints(
+            _reference_pow_iv(ctx, num, den, exponent)
+        )
+    assert ctx.prec == prec
+
+
+def test_a_power_sum_encloses_its_exponent_once_per_working_precision(monkeypatch):
+    """C_alpha(70) at 128 bits has 69 powers of bases 1 to 70, which meet
+    three guards: the exponent 25/3 is enclosed once at each of 134, 135
+    and 136 bits (its coefficients are ints, so fraction_iv builds nothing
+    else)."""
+    built, real_fraction_iv = [], certreal.fraction_iv
+
+    def counting_fraction_iv(ctx, f):
+        built.append((f, ctx.prec))
+        return real_fraction_iv(ctx, f)
+
+    monkeypatch.setattr(certreal, "fraction_iv", counting_fraction_iv)
+    power_sum_iv(make_context(128), _c_alpha_terms(70), Fraction(25, 3))
+    assert sorted(built) == [(Fraction(25, 3), 134), (Fraction(25, 3), 135), (Fraction(25, 3), 136)]
 
 
 def _mp(f) -> mpmath.mpf:

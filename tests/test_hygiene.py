@@ -215,6 +215,38 @@ def test_interval_contexts_come_from_make_context():
     assert reads == []
 
 
+def _decorator_name(node) -> str:
+    target = node.func if isinstance(node, ast.Call) else node
+    return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+
+
+def test_certreal_keeps_no_state_beyond_the_context_cache():
+    """certreal's module-level names are int or str constants, and
+    make_context is its only cache: a per-call map (such as the exponent
+    enclosures of one power sum) must not become a process-wide cache that
+    grows with each exponent seen."""
+    tree = ast.parse(next(p for p in MODULES if p.stem == "certreal").read_text())
+    assigned = [
+        node.value
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and node.value is not None
+    ]
+    assert assigned
+    assert [
+        ast.unparse(value)
+        for value in assigned
+        if not (isinstance(value, ast.Constant) and type(value.value) in (int, str))
+    ] == []
+    cached = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for decorator in node.decorator_list
+        if _decorator_name(decorator) in {"lru_cache", "cache"}
+    ]
+    assert cached == ["make_context"]
+
+
 #: Who in the package may call each brute-force oracle.  The oracles sit
 #: beside their fast paths and are compared with them in tests; a criterion
 #: that compares them names itself here, and no fast path calls one.
