@@ -41,7 +41,6 @@ from .gnsfinite import (
     projection_identity_checks,
     rep_matrix,
     scan_is_constant,
-    stabilization_scan,
     tensor_character,
     weighted_inner,
     xi_vector,

@@ -1,9 +1,10 @@
 """Certified real evaluation: interval arithmetic with escalating precision.
 
-All non-exact real quantities in this package are computed as rigorous
-enclosures [lo, hi] via mpmath's interval context; the endpoints are then
-extracted as exact rationals, so downstream sign decisions and comparisons
-never depend on a rounding mode or global precision state.
+All non-exact real quantities in this package are sums sum c * (num/den)^alpha,
+computed by `power_sum` as rigorous enclosures [lo, hi] via mpmath's interval
+context; the endpoints are then extracted as exact rationals, so downstream
+sign decisions and comparisons never depend on a rounding mode or global
+precision state.  No other module touches an interval context.
 """
 
 from __future__ import annotations
@@ -23,6 +24,14 @@ DEFAULT_PRECISION_CAP = 16384
 PRECISION_CAP_ENV = "CUBECHAR_PRECISION_CAP"
 #: Fractional decimal places of a printed enclosure endpoint.
 DECIMAL_DIGITS = 25
+
+#: Python's default limit on the digits of an int converted to str: a value
+#: with more integer digits is refused, exact or enclosed.
+EXACT_VALUE_CAP_DIGITS = 4300
+
+#: Bound on the bits of an enclosure endpoint, numerator and denominator
+#: together (2^20).  The witness at alpha = 2046, m = 2048 needs about 2.3e4.
+ENDPOINT_CAP_BITS = 1048576
 
 
 def precision_cap() -> int:
@@ -46,11 +55,11 @@ def check_precision(prec: int) -> None:
 
 
 @functools.lru_cache(maxsize=64)
-def make_context(prec: int):
+def _make_context(prec: int):
     """The interval context at `prec`: one private context per precision,
-    built on first use and shared by every later caller, so mpmath's global
-    `mp` and `iv` are never touched.  A caller that changes `ctx.prec` must
-    restore it before it returns, also when it raises, as `pow_iv` does.
+    built on first use and shared by every later `power_sum`, so mpmath's
+    global `mp` and `iv` are never touched.  A step that changes `ctx.prec`
+    restores it before it returns, also when it raises, as `_power` does.
 
     A context holds about 30 KB and a caller may ask for any precision up
     to the cap, so only the 64 precisions used last are kept."""
@@ -60,6 +69,15 @@ def make_context(prec: int):
 
 
 def _endpoint(raw) -> Fraction:
+    """The exact value man * 2^exp of an mpf endpoint.  Its numerator and
+    denominator take about bc + |exp| bits, so past ENDPOINT_CAP_BITS it is
+    refused before any of them is allocated."""
+    _, _, exp, bc = raw
+    if abs(exp) + bc > ENDPOINT_CAP_BITS:
+        raise CapExceededError(
+            f"an interval endpoint of scale 2^{exp} needs {abs(exp) + bc} bits,"
+            f" over the {ENDPOINT_CAP_BITS}-bit cap"
+        )
     p, q = libmp.to_rational(raw)
     return Fraction(int(p), int(q))
 
@@ -71,11 +89,6 @@ class Enclosure:
     lo: Fraction
     hi: Fraction
     prec: int
-
-    @classmethod
-    def from_iv(cls, x, prec: int) -> "Enclosure":
-        lo_raw, hi_raw = x._mpi_
-        return cls(_endpoint(lo_raw), _endpoint(hi_raw), prec)
 
     def sign(self):
         """'positive', 'negative', 'zero', or None when the sign is undecided."""
@@ -102,15 +115,20 @@ class Enclosure:
 
 
 def fraction_to_decimal(f: Fraction, round_up: bool) -> str:
-    """Decimal string with DECIMAL_DIGITS fractional places, rounded outward."""
+    """Decimal string with DECIMAL_DIGITS fractional places, rounded outward;
+    a value of more than EXACT_VALUE_CAP_DIGITS integer digits is refused."""
     sign = "-" if f < 0 else ""
     num, den = abs(f.numerator), f.denominator
     scaled = num * 10**DECIMAL_DIGITS
     quo, rem = divmod(scaled, den)
     if rem and (round_up != (f < 0)):
         quo += 1
-    text = str(quo).rjust(DECIMAL_DIGITS + 1, "0")
-    return f"{sign}{text[:-DECIMAL_DIGITS]}.{text[-DECIMAL_DIGITS:]}"
+    whole, frac = divmod(quo, 10**DECIMAL_DIGITS)
+    if whole >= 10**EXACT_VALUE_CAP_DIGITS:
+        raise CapExceededError(
+            f"a value has more than {EXACT_VALUE_CAP_DIGITS} integer digits, over the cap"
+        )
+    return f"{sign}{whole}.{frac:0{DECIMAL_DIGITS}d}"
 
 
 def _ratio_iv(ctx, num: int, den: int):
@@ -121,13 +139,13 @@ def _ratio_iv(ctx, num: int, den: int):
     return ctx.mpf(num) if den == 1 else ctx.mpf(num) / ctx.mpf(den)
 
 
-def fraction_iv(ctx, f: Fraction):
+def _fraction_iv(ctx, f: Fraction):
     """Enclosure of an arbitrary rational in the given context; an integer
     enters undivided, which is exact (see `_ratio_iv`)."""
     return _ratio_iv(ctx, f.numerator, f.denominator)
 
 
-def pow_iv(ctx, base_num: int, base_den: int, exponent: Fraction):
+def _power(ctx, base_num: int, base_den: int, exponent: Fraction, alphas: dict):
     """(base_num/base_den) ** exponent for base >= 0, exponent > 0, as an
     interval at ctx.prec.
 
@@ -136,20 +154,13 @@ def pow_iv(ctx, base_num: int, base_den: int, exponent: Fraction):
     wider by the factor |exponent * log(base)|, below (floor(exponent) + 1)
     times the bit length of base_num or base_den.  log and exp run with the
     bit length of that bound plus 2 more bits, and the power is rounded
-    outward to ctx.prec, within a few units in its last place.  An integer
-    base (base_den == 1) enters as ctx.mpf(base_num) with no division by 1,
-    which is exact (see `_ratio_iv`).  ctx.prec is restored on every exit,
-    an exception included: the context may be the one `make_context` shares."""
-    return _pow_step(ctx, base_num, base_den, exponent, {})
+    outward to ctx.prec, within a few units in its last place.  ctx.prec is
+    restored on every exit, an exception included: the context is shared.
 
-
-def _pow_step(ctx, base_num: int, base_den: int, exponent: Fraction, alphas: dict):
-    """`pow_iv`, with `alphas` mapping each working precision (ctx.prec plus
-    the guard) to the enclosure of exponent at that precision.  The caller
-    owns the map for one call with one exponent and one ctx.prec; the step
-    fills it on first use of a working precision.  The enclosure depends on
-    nothing but the exponent and that precision, so a reused one has the
-    endpoints a new one would have."""
+    `alphas` maps each working precision (ctx.prec plus the guard) to the
+    enclosure of exponent at that precision, filled on first use.  The
+    enclosure depends on nothing but the exponent and that precision, so a
+    reused one has the endpoints a new one would have."""
     if base_num < 0 or base_den <= 0:
         raise ValueError("base must be non-negative")
     if exponent <= 0:
@@ -165,30 +176,43 @@ def _pow_step(ctx, base_num: int, base_den: int, exponent: Fraction, alphas: dic
     try:
         alpha = alphas.get(ctx.prec)
         if alpha is None:
-            alpha = alphas[ctx.prec] = fraction_iv(ctx, exponent)
+            alpha = alphas[ctx.prec] = _fraction_iv(ctx, exponent)
         power = ctx.exp(alpha * ctx.log(_ratio_iv(ctx, base_num, base_den)))
     finally:
         ctx.prec -= guard
     return +power
 
 
-def power_sum_iv(ctx, terms, exponent: Fraction):
-    """sum c * (num/den) ** exponent over the (c, num, den) terms, each as
-    `pow_iv` takes it; terms with c = 0 or num = 0 add nothing.  An int c
-    enters exactly as ctx.mpf(c), a Fraction c as `fraction_iv`.
+def _term(ctx, c, num: int, den: int, exponent: Fraction, alphas: dict):
+    """c * (num/den) ** exponent: an int c enters exactly as ctx.mpf(c), a
+    Fraction c as `_fraction_iv`."""
+    coeff = _fraction_iv(ctx, c) if isinstance(c, Fraction) else ctx.mpf(c)
+    return coeff * _power(ctx, num, den, exponent, alphas)
 
-    The terms are added in the order given, each rounded outward as `pow_iv`
+
+def power_sum(terms, exponent: Fraction, prec: int, divisor=None) -> Enclosure:
+    """Enclosure at `prec` of sum c * (num/den) ** exponent over the
+    (c, num, den) terms, each base non-negative and exponent > 0; terms with
+    c = 0 or num = 0 add nothing.  A single power is the one term (1, num, den).
+    With `divisor` = (c, num, den), a nonzero term, the sum is divided by
+    c * (num/den) ** exponent.
+
+    The terms are added in the order given, each rounded outward as `_power`
     rounds it.  The enclosure of exponent is built once per working
-    precision and shared by the terms of this call only (a sum of
-    C_alpha(m) meets 3 or 4 working precisions); an integer base enters
-    undivided.  Both leave every endpoint as a term-by-term `pow_iv` would."""
+    precision and shared by the terms and the divisor of this call only (a
+    sum of C_alpha(m) meets 3 or 4 working precisions); an integer base
+    enters undivided.  Both leave every endpoint as a term-by-term
+    evaluation would."""
+    ctx = _make_context(prec)
     alphas = {}
     total = ctx.mpf(0)
     for c, num, den in terms:
         if c and num:
-            coeff = fraction_iv(ctx, c) if isinstance(c, Fraction) else ctx.mpf(c)
-            total += coeff * _pow_step(ctx, num, den, exponent, alphas)
-    return total
+            total += _term(ctx, c, num, den, exponent, alphas)
+    if divisor is not None:
+        total /= _term(ctx, *divisor, exponent, alphas)
+    lo, hi = total._mpi_
+    return Enclosure(_endpoint(lo), _endpoint(hi), prec)
 
 
 def certify_sign(evaluate, start_prec: int = DEFAULT_PRECISION):

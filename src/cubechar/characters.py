@@ -18,8 +18,9 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .certreal import DEFAULT_PRECISION, Enclosure, certify_sign, make_context, pow_iv, power_sum_iv
+from .certreal import DEFAULT_PRECISION, Enclosure, certify_sign, power_sum
 from .dyadic import Dyadic
 from .errors import CapExceededError, InternalInconsistencyError
 from .perm import cycle_string, embed_head, fixed_fraction
@@ -117,9 +118,7 @@ class BasePower:
         return BasePower(self.base * other.base, self.exponent)
 
     def enclosure(self, prec: int = DEFAULT_PRECISION) -> Enclosure:
-        ctx = make_context(prec)
-        iv = pow_iv(ctx, self.base.p, 1 << self.base.q, self.exponent)
-        return Enclosure.from_iv(iv, prec)
+        return power_sum([(1, self.base.p, 1 << self.base.q)], self.exponent, prec)
 
     def midpoint_float(self) -> float:
         if self.base.p == 0:
@@ -539,7 +538,7 @@ def gram_verdict(
     products n_i n_j of the nonzero scaled entries are added under their
     count, and w_c is that total over D^2.  The counts come in the order of
     their first nonzero product, row by row; a count whose total is 0 is
-    kept (`power_sum_iv` skips it).
+    kept (`power_sum` skips it).
     """
     if alpha.is_classified:
         values = [char_power(alpha, b) for _, b in build.bases]
@@ -573,10 +572,7 @@ def gram_verdict(
     square = scale * scale
     base_of = dict(build.bases)
     terms = [(Fraction(t, square), base_of[c].p, 1 << base_of[c].q) for c, t in totals.items()]
-    enc, sign = certify_sign(
-        lambda p: Enclosure.from_iv(power_sum_iv(make_context(p), terms, exponent), p),
-        start_prec=precision,
-    )
+    enc, sign = certify_sign(partial(power_sum, terms, exponent), start_prec=precision)
     if sign == "negative":
         return GramVerdict(
             "not PSD",

@@ -150,9 +150,11 @@ def cmd_obstruction(args) -> int:
     if args.format == "json":
         _print_json([r.to_json_dict() for r in reports])
     elif args.format == "text":
+        lines = []  # all rendered before the first is printed, so a refused value prints none
         for r in reports:
             shown = str(r.exact_value) if r.method == "exact" else str(r.enclosure)
-            print(f"C_{r.alpha}({r.m}) = {shown} [{r.sign}]")
+            lines.append(f"C_{r.alpha}({r.m}) = {shown} [{r.sign}]")
+        print("\n".join(lines))
     else:
         _print_obstruction_csv(reports)
     if any(r.sign == "undetermined" for r in reports):
@@ -219,8 +221,9 @@ def cmd_gns_check(args) -> int:
     if gnsfinite.weighted_inner(xi, xi, level) != Dyadic(1):
         failures.append("xi is not a unit vector")
     a = NiceSet.from_text(args.nice_set) if args.nice_set else NiceSet(1, 0b01)
-    scan = gnsfinite.stabilization_scan(
-        Alpha(1), s, t, a, range(max(level, a.canonical().level) + 1, max(level, a.canonical().level) + 5)
+    # at alpha = 1 each character value is its base
+    scan = gnsfinite.stabilization_bases(
+        s, t, a, range(max(level, a.canonical().level) + 1, max(level, a.canonical().level) + 5)
     )
     if not gnsfinite.scan_is_constant(scan):
         failures.append(f"stabilization scan not constant: {[str(v) for v in scan]}")

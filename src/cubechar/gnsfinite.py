@@ -86,30 +86,18 @@ def tensor_character(s: CubePermutation, k: int) -> Dyadic:
     return _diagonal_form(block_product(*[rep_matrix(s)] * k), xi_k)
 
 
-def stabilization_scan(
-    alpha: Alpha,
-    g1: CubePermutation,
-    g2: CubePermutation,
-    a: NiceSet,
-    m_values,
-) -> list:
-    """chi_alpha(g1^-1 * flip(A, m) * g2) for each m; all values must agree.
-
-    The finite-level witness that the flip images converge weakly: the
-    conjugacy class of the product is already independent of m here.
-    The composition of `stabilization_bases` and `char_power`.
-    """
-    return [char_power(alpha, base) for base in stabilization_bases(g1, g2, a, m_values)]
-
-
 def stabilization_bases(
     g1: CubePermutation,
     g2: CubePermutation,
     a: NiceSet,
     m_values,
 ) -> list:
-    """The exponent-free half of `stabilization_scan`: mu(Fix(g1^-1 *
-    flip(A, m) * g2)) for each m, each from its own composed table."""
+    """mu(Fix(g1^-1 * flip(A, m) * g2)) for each m, each from its own
+    composed table: chi_alpha of these elements is char_power(alpha, base),
+    and all values must agree.
+
+    The finite-level witness that the flip images converge weakly: the
+    conjugacy class of the product is already independent of m here."""
     if g1.level != g2.level:
         raise PreconditionError("g1 and g2 must share a level")
     base_level = g1.level

@@ -15,15 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .certreal import (
     DEFAULT_PRECISION,
+    EXACT_VALUE_CAP_DIGITS,
     Enclosure,
     certify_sign,
     check_precision,
-    make_context,
-    pow_iv,
-    power_sum_iv,
+    power_sum,
     precision_cap,
 )
 from .errors import CapExceededError, FalsificationError, InternalInconsistencyError
@@ -33,9 +33,7 @@ ALT_TRACE_MAX_M = 8
 #: noninteger_witness rejects alpha this close to an integer.
 INTEGER_DISTANCE_THRESHOLD = Fraction(1, 1 << 20)
 
-#: Python's default limit on the digits of an int converted to str: every
-#: exact C_n(m) under it prints, and c_alpha_integer refuses the rest.
-EXACT_VALUE_CAP_DIGITS = 4300
+# Every exact C_n(m) under the digit cap prints; c_alpha_integer refuses the rest.
 _EXACT_VALUE_BOUND = 10**EXACT_VALUE_CAP_DIGITS
 # A lower bound of more bits than log2(10^4300) means too many digits; the
 # extra bit absorbs float rounding in that bound.
@@ -276,10 +274,7 @@ def c_alpha_real(alpha: Fraction, m: int, precision: int = DEFAULT_PRECISION) ->
         value = c_alpha_integer(int(alpha), m)
         sign = "zero" if value == 0 else ("positive" if value > 0 else "negative")
         return ObstructionReport(alpha, m, sign, "exact", exact_value=value)
-    enc, sign = certify_sign(
-        lambda p: Enclosure.from_iv(power_sum_iv(make_context(p), _c_alpha_terms(m), alpha), p),
-        start_prec=precision,
-    )
+    enc, sign = certify_sign(partial(power_sum, list(_c_alpha_terms(m)), alpha), start_prec=precision)
     return ObstructionReport(alpha, m, sign, "interval", enclosure=enc)
 
 
@@ -320,10 +315,8 @@ def alt_trace_from_distribution(alpha: Fraction, dist: list):
         _check_exact_caps(a, m)  # num is C_a(m)
         num = sum(coeff * f**a for f, coeff in enumerate(dist) if coeff)
         return Fraction(num, fact * m**a)
-    ctx = make_context(DEFAULT_PRECISION)
-    total = power_sum_iv(ctx, [(coeff, f, 1) for f, coeff in enumerate(dist)], alpha)
-    total /= ctx.mpf(fact) * pow_iv(ctx, m, 1, alpha)
-    return Enclosure.from_iv(total, DEFAULT_PRECISION)
+    terms = [(coeff, f, 1) for f, coeff in enumerate(dist)]
+    return power_sum(terms, alpha, DEFAULT_PRECISION, divisor=(fact, m, 1))
 
 
 def alt_trace_closed_form(alpha: Fraction, m: int):
@@ -332,9 +325,7 @@ def alt_trace_closed_form(alpha: Fraction, m: int):
     fact = math.factorial(m)
     if alpha.denominator == 1:
         return Fraction(c_alpha_integer(int(alpha), m), fact * m ** int(alpha))
-    ctx = make_context(DEFAULT_PRECISION)
-    total = power_sum_iv(ctx, _c_alpha_terms(m), alpha) / (ctx.mpf(fact) * pow_iv(ctx, m, 1, alpha))
-    return Enclosure.from_iv(total, DEFAULT_PRECISION)
+    return power_sum(_c_alpha_terms(m), alpha, DEFAULT_PRECISION, divisor=(fact, m, 1))
 
 
 def _check_noninteger(alpha: Fraction) -> Fraction:

@@ -1,5 +1,10 @@
+import os
 import random
+import resource
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -41,3 +46,35 @@ def traced_peak(call):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+#: Limits of the child that `run_cli_capped` starts: address space, CPU and wall time.
+CHILD_MEMORY_BYTES = 1 << 30
+CHILD_CPU_SECONDS = 30
+CHILD_TIMEOUT_SECONDS = 60
+
+
+def run_cli_capped(argv):
+    """Run `cubechar argv` in a child process whose address space and CPU
+    time are limited (RLIMIT_AS and RLIMIT_CPU, set in the child only), with
+    a wall-clock timeout: an input that allocates or spins without bound then
+    fails the test instead of taking the test runner down.  Returns the
+    CompletedProcess, with stdout and stderr as text."""
+
+    def limit():
+        for kind, value in ((resource.RLIMIT_AS, CHILD_MEMORY_BYTES), (resource.RLIMIT_CPU, CHILD_CPU_SECONDS)):
+            hard = resource.getrlimit(kind)[1]
+            value = value if hard == resource.RLIM_INFINITY else min(value, hard)
+            resource.setrlimit(kind, (value, hard))
+
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run(
+        [sys.executable, "-m", "cubechar.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=limit,
+        timeout=CHILD_TIMEOUT_SECONDS,
+    )

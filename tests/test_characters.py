@@ -761,19 +761,19 @@ def witness_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(witness_cases())
 def test_gram_witness_terms_match_the_fraction_sums(case):
-    """The terms `gram_report` hands to `power_sum_iv` for a float-path
+    """The terms `gram_report` hands to `power_sum` for a float-path
     candidate have the oracle's keys, order and values, a zero total too."""
     elements, candidate, cancels = case
     build = gram_build(elements)
     captured = []
 
-    def capture(ctx, terms, exponent):
+    def capture(terms, exponent, prec):
         captured.append(list(terms))
         raise _Captured
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(characters, "psd_check_float", lambda mat: (False, candidate))
-        mp.setattr(characters, "power_sum_iv", capture)
+        mp.setattr(characters, "power_sum", capture)
         with pytest.raises(_Captured):
             gram_report(Alpha(Fraction(3, 2)), build, "auto")
     expected = _witness_terms_by_fractions(candidate, build)

@@ -9,7 +9,7 @@ import pytest
 
 from cubechar import cli, gnsfinite, obstruction
 from cubechar.cli import main
-from conftest import traced_peak
+from conftest import run_cli_capped, traced_peak
 
 EXPECTED = Path(__file__).resolve().parent / "expected"
 
@@ -406,6 +406,27 @@ def test_exact_power_past_cap_exits_3(capsys):
         assert "cap exceeded" in capsys.readouterr().err
     code, _ = run_cli(["gram", "--alpha", "10000", "--elements", "e;level=3: (0 1 2 3 4)"])
     assert code == 3
+
+
+def test_huge_exponents_exit_3_under_the_endpoint_cap():
+    """A power whose enclosure endpoint has a binary exponent near 8e10 is
+    refused before its exact value is built."""
+    for argv in (
+        ["obstruction", "--alpha", "100000000001/2", "--m", "3"],
+        ["char-eval", "--alpha", "100000000001/2", "--perm", "level=2: (0 1)"],
+    ):
+        done = run_cli_capped(argv)
+        assert (done.returncode, done.stdout) == (3, "")
+        assert "cap exceeded" in done.stderr and "1048576-bit cap" in done.stderr
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_values_past_the_digit_cap_exit_3_and_print_nothing(fmt):
+    """C_{20001/2}(3) has about 4771 integer digits: refused in every
+    format, with nothing printed for the value of 3/2 before it."""
+    done = run_cli_capped(["obstruction", "--alpha", "3/2,20001/2", "--m", "3", "--format", fmt])
+    assert (done.returncode, done.stdout) == (3, "")
+    assert "cap exceeded" in done.stderr and "more than 4300 integer digits" in done.stderr
 
 
 def test_verify_all_json_smoke():

@@ -13,6 +13,7 @@ from cubechar import (
     NiceSet,
     PreconditionError,
     block_product,
+    char_power,
     embed_head,
     fixed_fraction,
     gnsfinite,
@@ -24,7 +25,6 @@ from cubechar import (
     random_permutation,
     rep_matrix,
     scan_is_constant,
-    stabilization_scan,
     tensor_character,
     transposition,
     weighted_inner,
@@ -179,13 +179,13 @@ def test_tensor_cache_matches_power_and_stays_under_the_cap(s22, rng):
 def test_stabilization_examples():
     e = identity(1)
     half = NiceSet.from_indices(1, [0])
-    values = stabilization_scan(Alpha(2), e, e, half, [2, 3, 4, 5])
+    values = [char_power(Alpha(2), b) for b in gnsfinite.stabilization_bases(e, e, half, [2, 3, 4, 5])]
     assert scan_is_constant(values)
     assert values[0] == Dyadic(1, 1) ** 2
 
     full = NiceSet.full(1)
     g = odometer(2)
-    values = stabilization_scan(Alpha(1), g, g, full, [3, 4, 5])
+    values = [char_power(Alpha(1), b) for b in gnsfinite.stabilization_bases(g, g, full, [3, 4, 5])]
     assert scan_is_constant(values)
     assert values[0] == Dyadic(1)  # flip is the identity, g^-1 g = e
 
@@ -196,16 +196,16 @@ def test_stabilization_random(rng):
         for _ in range(10):
             g1 = random_permutation(2, rng)
             g2 = random_permutation(2, rng)
-            values = stabilization_scan(alpha, g1, g2, a, range(3, 7))
+            values = [char_power(alpha, b) for b in gnsfinite.stabilization_bases(g1, g2, a, range(3, 7))]
             assert scan_is_constant(values)
 
 
 def test_stabilization_preconditions():
     e = identity(2)
     with pytest.raises(PreconditionError):
-        stabilization_scan(Alpha(1), e, e, NiceSet.full(1), [2])  # m not above level
+        gnsfinite.stabilization_bases(e, e, NiceSet.full(1), [2])  # m not above level
     with pytest.raises(PreconditionError):
-        stabilization_scan(Alpha(1), e, e, NiceSet.full(1), [])
+        gnsfinite.stabilization_bases(e, e, NiceSet.full(1), [])
 
 
 # -- projection identities -------------------------------------------------------------

@@ -166,52 +166,33 @@ def test_permutation_operations_are_methods_only():
     assert set(reads) <= {"self.head.images"}
 
 
-#: The callers of `pow_iv` outside certreal: a single power, and the two
-#: alt-trace divisors m! * m^alpha.  Every sum of powers goes through
-#: `power_sum_iv`, so a new caller needs the same argument.
-POW_IV_CALLERS = {"enclosure", "alt_trace_from_distribution", "alt_trace_closed_form"}
-
-
-def test_interval_powers_outside_certreal_come_from_allowlisted_callers():
-    callers = [
-        (path.stem, owner)
-        for path in MODULES
-        if path.stem != "certreal"
-        for owner in _callers_of(ast.parse(path.read_text()), "pow_iv")
-    ]
-    assert callers
-    assert [c for c in callers if c[1] not in POW_IV_CALLERS] == []
-
-
 #: mpmath's global contexts and the global mpf type: state shared with any
 #: other mpmath user in the process.
 MPMATH_GLOBALS = {"mp", "iv", "mpf"}
 
 
-def test_interval_contexts_come_from_make_context():
-    """certreal.make_context builds every MPIntervalContext, one per
-    precision, and no package module reads mpmath's globals, by attribute
+def test_only_certreal_imports_mpmath():
+    """certreal is the package's one interval layer: no other module imports
+    mpmath, and certreal reads none of mpmath's globals, by attribute
     (`mpmath.mp`) or by import (`from mpmath import iv`)."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in MODULES}
-    builders = [
-        (stem, owner) for stem, tree in trees.items() for owner in _callers_of(tree, "MPIntervalContext")
-    ]
-    assert builders == [("certreal", "make_context")]
-    reads = []
-    for stem, tree in trees.items():
-        aliases = {
-            alias.asname or alias.name
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Import)
-            for alias in node.names
-            if alias.name == "mpmath"
-        }
+    importers, reads = set(), []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "mpmath":
+                        importers.add(path.stem)
+                        aliases.add(alias.asname or alias.name)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath":
+                importers.add(path.stem)
+                reads += [(path.stem, alias.name) for alias in node.names if alias.name in MPMATH_GLOBALS | {"*"}]
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 if node.value.id in aliases and node.attr in MPMATH_GLOBALS:
-                    reads.append((stem, ast.unparse(node)))
-            elif isinstance(node, ast.ImportFrom) and node.module == "mpmath":
-                reads += [(stem, alias.name) for alias in node.names if alias.name in MPMATH_GLOBALS | {"*"}]
+                    reads.append((path.stem, ast.unparse(node)))
+    assert importers == {"certreal"}
     assert reads == []
 
 
@@ -222,7 +203,7 @@ def _decorator_name(node) -> str:
 
 def test_certreal_keeps_no_state_beyond_the_context_cache():
     """certreal's module-level names are int or str constants, and
-    make_context is its only cache: a per-call map (such as the exponent
+    _make_context is its only cache: a per-call map (such as the exponent
     enclosures of one power sum) must not become a process-wide cache that
     grows with each exponent seen."""
     tree = ast.parse(next(p for p in MODULES if p.stem == "certreal").read_text())
@@ -244,7 +225,7 @@ def test_certreal_keeps_no_state_beyond_the_context_cache():
         for decorator in node.decorator_list
         if _decorator_name(decorator) in {"lru_cache", "cache"}
     ]
-    assert cached == ["make_context"]
+    assert cached == ["_make_context"]
 
 
 #: Who in the package may call each brute-force oracle.  The oracles sit
