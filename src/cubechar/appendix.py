@@ -31,6 +31,11 @@ from .perm import (
 VERIFY_SI_ENTRY_CAP_LOG2 = 22
 
 
+def _odd_quotient_cycles(g1, g2) -> list:
+    """The odd cycle lengths other than 1 of g1 g2^-1, for image tables."""
+    return [c for c in table_cycle_lengths(compose_tables(g1, invert_table(g2))) if c != 1 and c % 2]
+
+
 @dataclass(frozen=True)
 class CyclePair:
     """Two degree-l permutations, each with cycles of length k or 1 only,
@@ -42,17 +47,13 @@ class CyclePair:
     g2: tuple
 
     def __post_init__(self):
-        quotient = self.quotient()
+        odd = _odd_quotient_cycles(self.g1, self.g2)
         for g, name in ((self.g1, "g1"), (self.g2, "g2")):
             bad = [c for c in table_cycle_lengths(g) if c not in (1, self.k)]
             if bad:
                 raise FalsificationError(f"{name} has cycle lengths {bad}, not {{1, {self.k}}}")
-        bad = [c for c in table_cycle_lengths(quotient) if c != 1 and c % 2]
-        if bad:
-            raise FalsificationError(f"quotient has odd cycle lengths {bad}")
-
-    def quotient(self) -> tuple:
-        return compose_tables(self.g1, invert_table(self.g2))
+        if odd:
+            raise FalsificationError(f"quotient has odd cycle lengths {odd}")
 
 
 def lemma_g1(k: int, degree: int) -> CyclePair:
@@ -93,8 +94,7 @@ class MkGenerators:
             bad = [c for c in table_cycle_lengths(g.images) if self.k % c]
             if bad:
                 raise FalsificationError(f"{name} has cycle lengths {bad} not dividing {self.k}")
-        quotient = compose_tables(self.g1.images, invert_table(self.g2.images))
-        bad = [c for c in table_cycle_lengths(quotient) if c != 1 and c % 2]
+        bad = _odd_quotient_cycles(self.g1.images, self.g2.images)
         if bad:
             raise FalsificationError(f"g1 g2^-1 has odd cycle lengths {bad}")
 

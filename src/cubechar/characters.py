@@ -20,20 +20,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .certreal import DEFAULT_PRECISION, Enclosure, certify_sign, power_sum
+from .certreal import DEFAULT_PRECISION, EXACT_VALUE_CAP_DIGITS, Enclosure, certify_sign, power_sum
 from .dyadic import Dyadic
-from .errors import CapExceededError, InternalInconsistencyError
+from .errors import CapExceededError
 from .perm import cycle_string, embed_head, fixed_fraction
 
 FLOAT_TOLERANCE_BITS = 40
 
 #: Bound on alpha * max(bits of the numerator, q) for an exact power of a
-#: dyadic base p/2^q.  2^14284 is the largest power of two whose decimal form
-#: fits Python's default 4300-digit limit on int-to-str conversion, so on
-#: bases in (0, 1) every value under the bound prints and none above it does.
-EXACT_POWER_CAP_BITS = 14284
+#: dyadic base p/2^q: the largest B with 2^B of at most EXACT_VALUE_CAP_DIGITS
+#: decimal digits (14284), so on bases in (0, 1) every value under the bound
+#: prints and none above it does.
+EXACT_POWER_CAP_BITS = (10**EXACT_VALUE_CAP_DIGITS).bit_length() - 1
 
-#: Caps on gram_matrix: its elimination grows as n^3, its agreement counts as n^2 x 2^level.
+#: Caps on gram_matrix: its float eigen-decomposition grows as n^3, its agreement counts as n^2 x 2^level.
 GRAM_MAX_ELEMENTS = 128
 GRAM_WORK_CAP_LOG2 = 26
 
@@ -164,11 +164,9 @@ def multiplicativity_holds(alpha: Alpha, bases: tuple) -> bool:
 
 
 @dataclass(frozen=True)
-class GramReport:
-    alpha: str
-    level: int
-    elements: tuple
-    matrix: tuple  # entries as strings
+class GramVerdict:
+    """The PSD decision of a Gram matrix, without its entries or names."""
+
     verdict: str  # "PSD" | "not PSD"
     method: str
     witness: tuple | None = None
@@ -177,6 +175,17 @@ class GramReport:
     @property
     def is_psd(self) -> bool:
         return self.verdict == "PSD"
+
+
+@dataclass(frozen=True, kw_only=True)
+class GramReport(GramVerdict):
+    """A `GramVerdict` with the matrix it decides: its exponent, level,
+    element names and entry strings."""
+
+    alpha: str
+    level: int
+    elements: tuple
+    matrix: tuple  # entries as strings
 
     def to_json_dict(self) -> dict:
         out = {
@@ -191,20 +200,6 @@ class GramReport:
             out["witness"] = list(self.witness)
             out["witness_value"] = self.witness_value
         return out
-
-
-@dataclass(frozen=True)
-class GramVerdict:
-    """The PSD decision of a Gram matrix, without its entries or names."""
-
-    verdict: str  # "PSD" | "not PSD"
-    method: str
-    witness: tuple | None = None
-    witness_value: str | None = None
-
-    @property
-    def is_psd(self) -> bool:
-        return self.verdict == "PSD"
 
 
 def psd_check_exact(mat) -> bool:
@@ -424,27 +419,29 @@ def gram_matrix(
     """The matrix chi_alpha(g_i g_j^-1) with a PSD certificate.
 
     Its base mu(Fix(g_i g_j^-1)) is the share of points where g_i and g_j
-    agree; each distinct share is raised to alpha once for the verdict and
-    once more for its text.  Integer and
-    infinite exponents give PSD matrices: with B[i, (x, z)] = [g_i(x) = z] on
-    level L the agreement counts are B B^T, so for integer alpha the matrix
-    is the Hadamard power (B B^T)^oalpha / 2^(L alpha), PSD by the Schur
-    product theorem (alpha = 0 gives all ones), and alpha = inf gives the
-    all-ones blocks of "g_i = g_j".  `psd_check_exact` certifies this on the
-    entries scaled to integers; a failure raises InternalInconsistencyError.
-    For non-integer exponents the verdict uses floating eigenvalues at
-    relative tolerance 2^-40; a "not PSD" verdict is then backed by a witness
-    whose quadratic form is re-certified negative by interval arithmetic.
-    witness_strategy "signs" forces the permutation-sign vector as the
-    witness candidate (the alternating-projection test vector).
+    agree.  `gram_build` does everything that does not depend on alpha (one
+    build serves any number of exponents) and `gram_verdict` decides the
+    matrix without rendering it.  The report adds the rendering: each
+    distinct agreement count is rendered once and every entry with that
+    count shares its string, the exact value for a classified exponent, the
+    repr of the midpoint float the verdict's float check read otherwise.
+    Each lifted element is named by its cycle string.
     More than GRAM_MAX_ELEMENTS elements, or n^2 x 2^level past
     2^GRAM_WORK_CAP_LOG2, raise CapExceededError first.
-
-    The composition of `gram_build` (everything that does not depend on
-    alpha) and `gram_report`; one build serves any number of exponents, and
-    `gram_verdict` decides one without rendering it.
     """
-    return gram_report(alpha, gram_build(elements), witness_strategy, precision)
+    build = gram_build(elements)
+    decision = gram_verdict(alpha, build, witness_strategy, precision)
+    if alpha.is_classified:
+        text_of = {c: str(char_power(alpha, b)) for c, b in build.bases}
+    else:
+        text_of = {c: repr(BasePower(b, alpha.fraction).midpoint_float()) for c, b in build.bases}
+    return GramReport(
+        **vars(decision),
+        alpha=str(alpha),
+        level=build.level,
+        elements=tuple(cycle_string(g) for g in build.lifted),
+        matrix=tuple(tuple(text_of[c] for c in row) for row in build.counts.tolist()),
+    )
 
 
 #: Bound on the bytes one column block of `gram_build` compares at a time:
@@ -464,12 +461,6 @@ class GramBuild:
     lifted: tuple  # the elements, lifted to `level`
     counts: object  # n x n unsigned int array: points where lifted[i] and lifted[j] agree
     bases: tuple  # (count, Dyadic(count, level)) for each distinct count, ascending
-
-    def __eq__(self, other):
-        if not isinstance(other, GramBuild):
-            return NotImplemented
-        same = (self.level, self.lifted, self.bases) == (other.level, other.lifted, other.bases)
-        return same and bool((self.counts == other.counts).all())
 
     def by_count(self, values):
         """The n x n array whose (i, j) entry is values[k] for the k-th
@@ -527,24 +518,27 @@ def gram_verdict(
     """The PSD decision of one build's matrix at alpha, with no entry or
     element rendered as text.
 
-    A classified exponent is decided by `psd_check_exact` on the entries
-    scaled to ints: each distinct base is raised to alpha once, and the
-    n x n int array is one lookup by count (`GramBuild.by_count`); a
-    failure raises InternalInconsistencyError.  Otherwise the float check
-    decides, on the midpoint floats looked up the same way, and a witness
-    candidate v is certified by the sign of v^T M v = sum over the
-    agreement counts c of w_c * (c/2^level)^alpha.  Each weight w_c is
-    summed in ints: v is scaled by the lcm D of its denominators, the
-    products n_i n_j of the nonzero scaled entries are added under their
-    count, and w_c is that total over D^2.  The counts come in the order of
-    their first nonzero product, row by row; a count whose total is 0 is
-    kept (`power_sum` skips it).
+    A classified exponent gives a PSD matrix, decided by theorem with no
+    arithmetic: with B[i, (x, z)] = [g_i(x) = z] on level L the agreement
+    counts are B B^T, so for integer alpha the matrix is the Hadamard power
+    (B B^T)^oalpha / 2^(L alpha), PSD by the Schur product theorem (alpha = 0
+    gives all ones), and alpha = inf gives the all-ones blocks of
+    "g_i = g_j".  Criterion 10 checks the theorem on its matrices with
+    `psd_check_exact` (`gram_ints`).
+
+    Otherwise the float check decides, at relative tolerance
+    2^-FLOAT_TOLERANCE_BITS on the midpoint floats looked up by count
+    (`GramBuild.by_count`), and a witness candidate v is certified by the
+    sign of v^T M v = sum over the agreement counts c of
+    w_c * (c/2^level)^alpha.  witness_strategy "signs" forces the
+    permutation-sign vector as the candidate (the alternating-projection
+    test vector).  Each weight w_c is summed in ints: v is scaled by the lcm
+    D of its denominators, the products n_i n_j of the nonzero scaled
+    entries are added under their count, and w_c is that total over D^2.
+    The counts come in the order of their first nonzero product, row by
+    row; a count whose total is 0 is kept (`power_sum` skips it).
     """
     if alpha.is_classified:
-        values = [char_power(alpha, b) for _, b in build.bases]
-        qmax = max(v.q for v in values)
-        if not psd_check_exact(build.by_count(_int_array([v.p << (qmax - v.q) for v in values]))):
-            raise InternalInconsistencyError(f"alpha={alpha}: Gram matrix failed the PSD check")
         return GramVerdict("PSD", "exact")
 
     # non-integer channel
@@ -584,32 +578,10 @@ def gram_verdict(
     return GramVerdict("PSD" if float_ok else "not PSD", method)
 
 
-def gram_report(
-    alpha: Alpha,
-    build: GramBuild,
-    witness_strategy: str = "auto",
-    precision: int = DEFAULT_PRECISION,
-) -> GramReport:
-    """The exponent half of `gram_matrix`: `gram_verdict` for one build at
-    alpha, rendered with its matrix and element names.
-
-    Each distinct agreement count is rendered once and every entry with that
-    count shares its string: the exact value for a classified exponent, the
-    repr of the midpoint float the verdict's float check read otherwise.
-    Each lifted element is named by its cycle string.
-    """
-    decision = gram_verdict(alpha, build, witness_strategy, precision)
-    if alpha.is_classified:
-        text_of = {c: str(char_power(alpha, b)) for c, b in build.bases}
-    else:
-        text_of = {c: repr(BasePower(b, alpha.fraction).midpoint_float()) for c, b in build.bases}
-    return GramReport(
-        str(alpha),
-        build.level,
-        tuple(cycle_string(g) for g in build.lifted),
-        tuple(tuple(text_of[c] for c in row) for row in build.counts.tolist()),
-        decision.verdict,
-        decision.method,
-        decision.witness,
-        decision.witness_value,
-    )
+def gram_ints(alpha: Alpha, build: GramBuild):
+    """The n x n int array of one build's matrix at a classified alpha,
+    scaled by the largest denominator: each distinct base is raised to alpha
+    once, and the array is one lookup by count (`GramBuild.by_count`)."""
+    values = [char_power(alpha, b) for _, b in build.bases]
+    qmax = max(v.q for v in values)
+    return build.by_count(_int_array([v.p << (qmax - v.q) for v in values]))

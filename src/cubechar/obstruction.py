@@ -51,6 +51,12 @@ EXACT_SUM_WORK_CAP_LOG2 = 25
 #: last place it needed at most 8 of them (alpha from 0.01 to 201).
 WITNESS_GUARD_BITS = 16
 
+#: Bits by which the witness's predicted log2|C_alpha(m)| may pass
+#: _EXACT_VALUE_CAP_BITS before noninteger_witness refuses it unsummed;
+#: nearer the cap the exact digit check of the printed value decides (the
+#: prediction is within 0.3 bits for m >= 8).
+WITNESS_DIGIT_MARGIN_BITS = 4
+
 #: Largest m at which c_alpha_real encloses C_alpha(m) for non-integer alpha.
 #: The sum cancels up to about 2.5 m bits, so each of its m terms escalates
 #: to a precision of that order; up to this bound a sign takes at most about
@@ -366,8 +372,13 @@ def noninteger_witness(alpha: Fraction, precision: int = DEFAULT_PRECISION) -> t
     alpha = _check_noninteger(alpha)
     m = math.ceil(alpha) + 2
     check_m_range(alpha, m, m, precision)
-    start = min(_witness_precision(alpha, m, precision), precision_cap())
-    report = c_alpha_real(alpha, m, precision=start)
+    start, log2_value = _witness_precision(alpha, m, precision)
+    if log2_value > _EXACT_VALUE_CAP_BITS + WITNESS_DIGIT_MARGIN_BITS:
+        raise CapExceededError(
+            f"C_alpha({m}) for alpha={alpha} has about {log2_value:.0f} bits,"
+            f" over the {EXACT_VALUE_CAP_DIGITS}-digit cap"
+        )
+    report = c_alpha_real(alpha, m, precision=min(start, precision_cap()))
     if report.sign != "negative":
         raise FalsificationError(
             f"C_alpha({m}) for alpha={alpha} is {report.sign}, not certified negative",
@@ -376,10 +387,11 @@ def noninteger_witness(alpha: Fraction, precision: int = DEFAULT_PRECISION) -> t
     return m, report
 
 
-def _witness_precision(alpha: Fraction, m: int, precision: int) -> int:
-    """The first of precision * 2^k that covers the bits the sum for the
-    witness C_alpha(m), m = ceil(alpha) + 2, cancels, plus WITNESS_GUARD_BITS:
-    the one evaluation it takes there certifies the sign.
+def _witness_precision(alpha: Fraction, m: int, precision: int) -> tuple:
+    """(the first of precision * 2^k that covers the bits the sum for the
+    witness C_alpha(m), m = ceil(alpha) + 2, cancels, plus WITNESS_GUARD_BITS,
+    and the predicted log2|C_alpha(m)|): the one evaluation it takes at that
+    precision certifies the sign.
 
     The sum cancels log2(sum of |terms|) - log2|C_alpha(m)| bits.  By the
     Peano-kernel form in `noninteger_witness`, C_alpha(m) is g^(m) averaged
@@ -399,7 +411,7 @@ def _witness_precision(alpha: Fraction, m: int, precision: int) -> int:
     needed = log2_sum - log2_value + WITNESS_GUARD_BITS
     while precision < needed:
         precision *= 2
-    return precision
+    return precision, log2_value
 
 
 def noninteger_witness_scan(alpha: Fraction, precision: int = DEFAULT_PRECISION) -> tuple:

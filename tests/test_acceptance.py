@@ -180,7 +180,8 @@ def test_gram_criterion_reports_an_uncertified_sign_witness(monkeypatch):
 
 
 def test_gram_criterion_certifies_every_positive_definite_subset_matrix(monkeypatch):
-    """The Cholesky certificate, not the elimination, decides every alpha in
+    """Criterion 10 checks all 84 of its classified matrices exactly.  The
+    Cholesky certificate, not the elimination, decides every alpha in
     {1, 2, 3} matrix of the 20 seeded subsets; every alpha = 0 matrix (all
     ones, rank 1) goes on to the elimination.  On S(2^2) the elimination
     decides alpha = 0, 1 and 2, so it runs exactly 23 times per pass: a
@@ -199,16 +200,15 @@ def test_gram_criterion_certifies_every_positive_definite_subset_matrix(monkeypa
         return bareiss(rows)
 
     exponents = []
-    verdict = verify.gram_verdict
+    gram_ints = verify.gram_ints
 
-    def recorded(alpha, build, *args, **kwargs):
-        if alpha.is_classified:
-            exponents.append((str(alpha), len(build.counts)))
-        return verdict(alpha, build, *args, **kwargs)
+    def recorded(alpha, build):
+        exponents.append((str(alpha), len(build.counts)))
+        return gram_ints(alpha, build)
 
     monkeypatch.setattr(characters, "_cholesky_certifies_pd", counted)
     monkeypatch.setattr(characters, "_bareiss_psd", counted_bareiss)
-    monkeypatch.setattr(verify, "gram_verdict", recorded)
+    monkeypatch.setattr(verify, "gram_ints", recorded)
     assert verify.criterion_gram_psd(SEED).passed
     assert len(decided) == len(exponents) == 84
     subsets = [(alpha, ok) for (alpha, n), ok in zip(exponents, decided) if n == 20]

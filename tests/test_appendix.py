@@ -16,29 +16,34 @@ from cubechar import (
     transposition,
     verify_si_properties,
 )
-from cubechar.perm import table_cycle_lengths
+from cubechar.perm import compose_tables, invert_table, table_cycle_lengths
 from conftest import traced_peak
 
 
 # -- lemma pairs -------------------------------------------------------------
 
 
+def _quotient_lengths(pair) -> list:
+    """The sorted cycle lengths of the quotient g1 g2^-1."""
+    return sorted(table_cycle_lengths(compose_tables(pair.g1, invert_table(pair.g2))))
+
+
 def test_lemma_g1_k5():
     pair = lemma_g1(5, 8)
     assert sorted(table_cycle_lengths(pair.g1)) == [1, 1, 1, 5]
     assert sorted(table_cycle_lengths(pair.g2)) == [1, 1, 1, 5]
-    assert sorted(table_cycle_lengths(pair.quotient())) == [4, 4]
+    assert _quotient_lengths(pair) == [4, 4]
 
     pair = lemma_g1(5, 6)
-    assert sorted(table_cycle_lengths(pair.quotient())) == [1, 1, 2, 2]
+    assert _quotient_lengths(pair) == [1, 1, 2, 2]
 
 
 def test_lemma_g1_k7_and_k9():
     for k in (7, 9):
         big = lemma_g1(k, 2 * k - 2)
-        assert sorted(table_cycle_lengths(big.quotient())) == [k - 1, k - 1]
+        assert _quotient_lengths(big) == [k - 1, k - 1]
         small = lemma_g1(k, 2 * k - 4)
-        assert sorted(table_cycle_lengths(small.quotient())) == [1, 1, k - 3, k - 3]
+        assert _quotient_lengths(small) == [1, 1, k - 3, k - 3]
 
 
 def test_lemma_g1_validation():

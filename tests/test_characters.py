@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,6 @@ from cubechar import (
     CapExceededError,
     CubePermutation,
     Dyadic,
-    InternalInconsistencyError,
     NiceSet,
     PreconditionError,
     block_product,
@@ -39,7 +39,6 @@ from cubechar.characters import (
     GRAM_MAX_ELEMENTS,
     GRAM_WORK_CAP_LOG2,
     gram_build,
-    gram_report,
     gram_verdict,
     multiplicativity_holds,
 )
@@ -110,6 +109,13 @@ def test_exact_power_cap_edge(base):
     assert str(value) == f"{base.p**edge}/{1 << base.q * edge}"
     with pytest.raises(CapExceededError):
         char_power(Alpha(edge + 1), base)
+
+
+def test_exact_power_cap_is_the_digit_limit_in_bits():
+    """2^B is the largest power of two of at most 4300 decimal digits (2^(B+1)
+    is compared with 10^4300, since Python refuses to print it)."""
+    assert len(str(2**EXACT_POWER_CAP_BITS)) <= 4300
+    assert 2 ** (EXACT_POWER_CAP_BITS + 1) >= 10**4300
 
 
 def test_exact_power_cap_spares_zero_and_one():
@@ -588,16 +594,15 @@ def test_gram_entries_match_compose_oracle(elements, alpha):
     st.permutations(["auto", "signs"]),
 )
 def test_one_gram_build_serves_every_exponent(elements, alphas, strategies):
-    """Reports from one shared build, in any order of exponents and witness
-    strategies, equal fresh gram_matrix reports: no exponent changes what the
-    next one reads."""
+    """Verdicts from one shared build, in any order of exponents and witness
+    strategies, equal the verdicts of fresh gram_matrix reports: no exponent
+    changes what the next one reads."""
     build = gram_build(elements)
     assert not build.counts.flags.writeable
     for alpha in alphas:
         for strategy in strategies:
-            report = gram_report(alpha, build, strategy)
-            assert report == gram_matrix(alpha, elements, strategy)
             verdict = gram_verdict(alpha, build, strategy)
+            report = gram_matrix(alpha, elements, strategy)
             assert (verdict.verdict, verdict.method, verdict.witness, verdict.witness_value) == (
                 report.verdict,
                 report.method,
@@ -605,7 +610,9 @@ def test_one_gram_build_serves_every_exponent(elements, alphas, strategies):
                 report.witness_value,
             )
             assert verdict.is_psd == report.is_psd
-    assert build == gram_build(elements)
+    fresh = gram_build(elements)
+    assert (build.level, build.lifted, build.bases) == (fresh.level, fresh.lifted, fresh.bases)
+    assert (build.counts == fresh.counts).all()
 
 
 mixed_perms = st.integers(0, 4).flatmap(
@@ -692,11 +699,34 @@ def test_gram_exact_psd_on_s22(s22):
 
 
 @pytest.mark.parametrize("alpha", [Alpha(0), Alpha(2), Alpha.infinity()], ids=str)
-def test_gram_psd_failure_at_classified_alpha_is_an_internal_error(monkeypatch, s22, alpha):
-    """Schur's theorem makes these matrices PSD, so a failed check is a bug."""
-    monkeypatch.setattr(characters, "psd_check_exact", lambda mat: False)
-    with pytest.raises(InternalInconsistencyError):
-        gram_matrix(alpha, s22)
+def test_gram_classified_alpha_is_psd_by_theorem(monkeypatch, s22, alpha):
+    """Schur's theorem makes these matrices PSD, so no exact check runs, and
+    the verdict raises no base to alpha (only the rendering does)."""
+
+    def refuse(*args):
+        raise AssertionError("a classified Gram matrix was computed")
+
+    monkeypatch.setattr(characters, "psd_check_exact", refuse)
+    monkeypatch.setattr(characters, "_bareiss_psd", refuse)
+    report = gram_matrix(alpha, s22)
+    assert (report.verdict, report.method) == ("PSD", "exact")
+    monkeypatch.setattr(characters, "char_power", refuse)
+    verdict = gram_verdict(alpha, gram_build(s22))
+    assert (verdict.verdict, verdict.method, verdict.witness) == ("PSD", "exact", None)
+
+
+def test_gram_classified_verdict_has_no_unbounded_cost():
+    """128 distinct level-4 elements at alpha = 100: entries past int64,
+    which the exact elimination took minutes to decide."""
+    rng = random.Random(4)
+    chosen = {}
+    while len(chosen) < 128:
+        p = random_permutation(4, rng)
+        chosen[p.images] = p
+    started = time.perf_counter()
+    report = gram_matrix(Alpha(100), list(chosen.values()))
+    assert time.perf_counter() - started < 10
+    assert (report.verdict, report.method) == ("PSD", "exact")
 
 
 def test_gram_sign_witness_matches_obstruction(s22):
@@ -718,7 +748,7 @@ def test_gram_sign_witness_matches_obstruction(s22):
 def _witness_terms_by_fractions(candidate, build):
     """The weights of v^T M v as Fraction sums keyed by the Dyadic base, in
     row-major order of their first nonzero product: the oracle for the int
-    sums of `gram_report`."""
+    sums of `gram_verdict`."""
     base_of = dict(build.bases)
     n = len(build.counts)
     coeffs: dict = {}
@@ -761,7 +791,7 @@ def witness_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(witness_cases())
 def test_gram_witness_terms_match_the_fraction_sums(case):
-    """The terms `gram_report` hands to `power_sum` for a float-path
+    """The terms `gram_verdict` hands to `power_sum` for a float-path
     candidate have the oracle's keys, order and values, a zero total too."""
     elements, candidate, cancels = case
     build = gram_build(elements)
@@ -775,7 +805,7 @@ def test_gram_witness_terms_match_the_fraction_sums(case):
         mp.setattr(characters, "psd_check_float", lambda mat: (False, candidate))
         mp.setattr(characters, "power_sum", capture)
         with pytest.raises(_Captured):
-            gram_report(Alpha(Fraction(3, 2)), build, "auto")
+            gram_verdict(Alpha(Fraction(3, 2)), build, "auto")
     expected = _witness_terms_by_fractions(candidate, build)
     assert captured == [expected]
     assert all(type(c) is Fraction for c, _, _ in captured[0])

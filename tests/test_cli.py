@@ -429,6 +429,16 @@ def test_values_past_the_digit_cap_exit_3_and_print_nothing(fmt):
     assert "cap exceeded" in done.stderr and "more than 4300 integer digits" in done.stderr
 
 
+def test_witness_past_the_digit_cap_exits_3_before_its_sum(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the witness sum ran")
+
+    monkeypatch.setattr(obstruction, "power_sum", refuse)
+    code, out = run_cli(["obstruction", "--witness", "--alpha", "3501/2"])
+    assert (code, out) == (3, "")
+    assert "over the 4300-digit cap" in capsys.readouterr().err
+
+
 def test_verify_all_json_smoke():
     code, out = run_cli(["verify-all", "--seed", "42", "--format", "json"])
     assert code == 0

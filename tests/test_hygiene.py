@@ -233,6 +233,7 @@ def test_certreal_keeps_no_state_beyond_the_context_cache():
 #: that compares them names itself here, and no fast path calls one.
 ORACLE_CALLERS = {
     "alt_trace_bruteforce": set(),
+    "psd_check_exact": {"criterion_gram_psd"},
     "psd_witness": set(),
     "quadratic_form": set(),
     "noninteger_witness_scan": set(),

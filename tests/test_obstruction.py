@@ -429,6 +429,28 @@ def test_witness_certifies_one_sum(monkeypatch):
     assert (m, report.m) == (503, 503)
 
 
+def test_witness_past_the_digit_cap_is_refused_before_its_sum(monkeypatch):
+    """The predicted log2|C_alpha(m*)| is 2.4 bits under log2(10^4300) at
+    alpha = 3117/2 and 8.2 bits over it at 3119/2: the first goes on to its
+    one sum, the second is refused before any term."""
+    calls = []
+
+    def counted(alpha, m, precision):
+        calls.append((alpha, m))
+        return ObstructionReport(alpha, m, "negative", "interval")
+
+    monkeypatch.setattr(obstruction, "c_alpha_real", counted)
+    cap_bits = EXACT_VALUE_CAP_DIGITS * math.log2(10)
+    for alpha, m, over in ((Fraction(3117, 2), 1561, -2.4), (Fraction(3119, 2), 1562, 8.2)):
+        _, log2_value = obstruction._witness_precision(alpha, m, 64)
+        assert abs(log2_value - cap_bits - over) < 0.1
+    with pytest.raises(CapExceededError, match="4300-digit cap"):
+        noninteger_witness(Fraction(3119, 2))
+    assert calls == []
+    assert noninteger_witness(Fraction(3117, 2))[0] == 1561
+    assert calls == [(Fraction(3117, 2), 1561)]
+
+
 @pytest.mark.parametrize("text", ["3/10", "5/2", "43/2", "277/8", "557/10", "201/2", "401/2"])
 def test_witness_is_certified_in_one_evaluation(text, monkeypatch):
     """The witness sum starts at the precision its cancellation needs: one
