@@ -26,7 +26,6 @@ from .characters import (
 )
 from .certreal import Enclosure, certify_sign
 from .cube import DEFAULT_LEVEL_CAP, NiceSet, nice_intersect, nice_product
-from .dyadic import Dyadic
 from .errors import (
     CapExceededError,
     FalsificationError,

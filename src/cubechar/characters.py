@@ -20,17 +20,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .certreal import DEFAULT_PRECISION, EXACT_VALUE_CAP_DIGITS, Enclosure, certify_sign, power_sum
-from .dyadic import Dyadic
+from .certreal import (
+    DEFAULT_PRECISION,
+    EXACT_VALUE_CAP_DIGITS,
+    Enclosure,
+    certify_sign,
+    check_precision,
+    power_sum,
+)
 from .errors import CapExceededError
 from .perm import cycle_string, embed_head, fixed_fraction
 
 FLOAT_TOLERANCE_BITS = 40
 
-#: Bound on alpha * max(bits of the numerator, q) for an exact power of a
-#: dyadic base p/2^q: the largest B with 2^B of at most EXACT_VALUE_CAP_DIGITS
-#: decimal digits (14284), so on bases in (0, 1) every value under the bound
-#: prints and none above it does.
+#: Bound on alpha * max(bits of the numerator, log2 of the denominator) for
+#: an exact power of a dyadic base in lowest terms: the largest B with 2^B of
+#: at most EXACT_VALUE_CAP_DIGITS decimal digits (14284), so on bases in
+#: (0, 1) every value under the bound prints and none above it does.
 EXACT_POWER_CAP_BITS = (10**EXACT_VALUE_CAP_DIGITS).bit_length() - 1
 
 #: Caps on gram_matrix: its float eigen-decomposition grows as n^3, its agreement counts as n^2 x 2^level.
@@ -109,7 +115,7 @@ class Alpha:
 class BasePower:
     """The exact symbolic value base**exponent for a dyadic base in [0, 1]."""
 
-    base: Dyadic
+    base: Fraction
     exponent: Fraction
 
     def __mul__(self, other):
@@ -118,29 +124,29 @@ class BasePower:
         return BasePower(self.base * other.base, self.exponent)
 
     def enclosure(self, prec: int = DEFAULT_PRECISION) -> Enclosure:
-        return power_sum([(1, self.base.p, 1 << self.base.q)], self.exponent, prec)
+        return power_sum([(1, self.base.numerator, self.base.denominator)], self.exponent, prec)
 
     def midpoint_float(self) -> float:
-        if self.base.p == 0:
+        if not self.base:
             return 0.0
-        return math.exp(float(self.exponent) * math.log(float(self.base.as_fraction())))
+        return math.exp(float(self.exponent) * math.log(float(self.base)))
 
     def __str__(self):
         return f"({self.base})^({self.exponent})"
 
 
-def char_power(alpha: Alpha, base: Dyadic):
+def char_power(alpha: Alpha, base: Fraction):
     """base**alpha in the channel the exponent selects."""
     n = alpha._integer
     if n is not None:
-        bits = n * max(base.p.bit_length(), base.q)
+        bits = n * max(base.numerator.bit_length(), base.denominator.bit_length() - 1)
         if bits > EXACT_POWER_CAP_BITS and base != 1:
             raise CapExceededError(
                 f"({base})^{alpha} needs {bits} bits, exact-power cap {EXACT_POWER_CAP_BITS}"
             )
         return base**n
     if alpha.is_infinity:
-        return Dyadic(1) if base == 1 else Dyadic(0)
+        return Fraction(1) if base == 1 else Fraction(0)
     return BasePower(base, alpha.fraction)
 
 
@@ -460,7 +466,7 @@ class GramBuild:
     level: int
     lifted: tuple  # the elements, lifted to `level`
     counts: object  # n x n unsigned int array: points where lifted[i] and lifted[j] agree
-    bases: tuple  # (count, Dyadic(count, level)) for each distinct count, ascending
+    bases: tuple  # (count, Fraction(count, 2^level)) for each distinct count, ascending
 
     def by_count(self, values):
         """The n x n array whose (i, j) entry is values[k] for the k-th
@@ -506,7 +512,7 @@ def gram_build(elements) -> GramBuild:
     seen = np.zeros(size + 1, bool)
     seen[counts] = True
     distinct = np.flatnonzero(seen).tolist()
-    return GramBuild(level, lifted, counts, tuple((c, Dyadic(c, level)) for c in distinct))
+    return GramBuild(level, lifted, counts, tuple((c, Fraction(c, size)) for c in distinct))
 
 
 def gram_verdict(
@@ -537,7 +543,11 @@ def gram_verdict(
     entries are added under their count, and w_c is that total over D^2.
     The counts come in the order of their first nonzero product, row by
     row; a count whose total is 0 is kept (`power_sum` skips it).
+
+    A precision below DEFAULT_PRECISION or above `precision_cap()` is
+    refused first, at every exponent (`check_precision`).
     """
+    check_precision(precision)
     if alpha.is_classified:
         return GramVerdict("PSD", "exact")
 
@@ -565,7 +575,7 @@ def gram_verdict(
                     totals[c] = totals.get(c, 0) + ni * nj
     square = scale * scale
     base_of = dict(build.bases)
-    terms = [(Fraction(t, square), base_of[c].p, 1 << base_of[c].q) for c, t in totals.items()]
+    terms = [(Fraction(t, square), base_of[c].numerator, base_of[c].denominator) for c, t in totals.items()]
     enc, sign = certify_sign(partial(power_sum, terms, exponent), start_prec=precision)
     if sign == "negative":
         return GramVerdict(
@@ -583,5 +593,5 @@ def gram_ints(alpha: Alpha, build: GramBuild):
     scaled by the largest denominator: each distinct base is raised to alpha
     once, and the array is one lookup by count (`GramBuild.by_count`)."""
     values = [char_power(alpha, b) for _, b in build.bases]
-    qmax = max(v.q for v in values)
-    return build.by_count(_int_array([v.p << (qmax - v.q) for v in values]))
+    scale = max(v.denominator for v in values)
+    return build.by_count(_int_array([v.numerator * (scale // v.denominator) for v in values]))

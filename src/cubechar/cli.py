@@ -19,7 +19,6 @@ from . import appendix, gnsfinite, obstruction, verify
 from .certreal import check_precision
 from .characters import Alpha, BasePower, char_eval, gram_matrix
 from .cube import NiceSet, check_level_cap
-from .dyadic import Dyadic
 from .errors import CapExceededError, FalsificationError
 from .perm import (
     all_permutations,
@@ -218,7 +217,7 @@ def cmd_gns_check(args) -> int:
     if explicit_tensor and gnsfinite.tensor_character(s, 2) != gnsfinite.matrix_character(s) ** 2:
         failures.append("tensor self-check failed")
     xi = gnsfinite.xi_vector(level)
-    if gnsfinite.weighted_inner(xi, xi, level) != Dyadic(1):
+    if gnsfinite.weighted_inner(xi, xi, level) != 1:
         failures.append("xi is not a unit vector")
     a = NiceSet.from_text(args.nice_set) if args.nice_set else NiceSet(1, 0b01)
     # at alpha = 1 each character value is its base

@@ -8,7 +8,8 @@ convention the odometer is "add one with carry to the right".
 
 from __future__ import annotations
 
-from .dyadic import Dyadic
+from fractions import Fraction
+
 from .errors import CapExceededError
 
 #: Default bound on the level of any dense 2**n table.
@@ -108,8 +109,8 @@ class NiceSet:
             level, mask = level - 1, low
         return NiceSet(level, mask)
 
-    def measure(self) -> Dyadic:
-        return Dyadic(self.size(), self.level)
+    def measure(self) -> Fraction:
+        return Fraction(self.size(), 1 << self.level)
 
     # equality is denotational: the same subset of X, at whatever level
     def __eq__(self, other):

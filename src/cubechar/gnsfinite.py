@@ -9,11 +9,11 @@ x | (y << n).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import compress
 
 from .characters import Alpha, char_power
 from .cube import NiceSet, check_level_cap, nice_intersect, nice_product
-from .dyadic import Dyadic
 from .errors import CapExceededError, PreconditionError
 from .perm import CubePermutation, block_product, embed_head, fixed_fraction, flip_perm, identity
 
@@ -40,27 +40,27 @@ def xi_vector(level: int):
     return vec
 
 
-def weighted_inner(u, v, level: int) -> Dyadic:
+def weighted_inner(u, v, level: int) -> Fraction:
     """Inner product with every point weighted 2^-level (integer vectors)."""
-    return Dyadic(sum(a * b for a, b in zip(u, v)), level)
+    return Fraction(sum(a * b for a, b in zip(u, v)), 1 << level)
 
 
-def matrix_character(s: CubePermutation) -> Dyadic:
+def matrix_character(s: CubePermutation) -> Fraction:
     """<pi(s) xi, xi> computed from the explicit matrix; equals mu(Fix(s))."""
     return _diagonal_form(rep_matrix(s), xi_vector(s.level))
 
 
-def _diagonal_form(rep: CubePermutation, xi) -> Dyadic:
+def _diagonal_form(rep: CubePermutation, xi) -> Fraction:
     """<rep xi, xi> = sum_i xi[i] xi[rep(i)] for a table on X_m x X_m,
     every point weighted 2^-m.
 
     xi must be a 0/1 vector (xi_vector or a tensor power of it): the sum
     then runs over its support only, as the sum of xi[rep(i)] for xi[i] = 1.
     """
-    return Dyadic(sum(xi[w] for w in compress(rep.images, xi)), rep.level // 2)
+    return Fraction(sum(xi[w] for w in compress(rep.images, xi)), 1 << rep.level // 2)
 
 
-def tensor_character(s: CubePermutation, k: int) -> Dyadic:
+def tensor_character(s: CubePermutation, k: int) -> Fraction:
     """<pi^(x)k(s) xi^(x)k, xi^(x)k>, which equals matrix_character(s)^k.
 
     Built from the explicit k-fold tensor, whose dimension 4^(n k) must fit
@@ -148,7 +148,7 @@ class ProjectionIdentityReport:
 
 def projection_bases(a: NiceSet, b: NiceSet, c: NiceSet, d: NiceSet) -> tuple:
     """The exponent-free half of `projection_identity_checks`, as the tuple
-    (composite, meet, product, mu(C), mu(D), small, large) of dyadics:
+    (composite, meet, product, mu(C), mu(D), small, large) of dyadic rationals:
 
       composite  mu(Fix(flip(A, m1) flip(B, m2))), from the composed table (m1 > m2);
       meet       mu(A /\\ B);
@@ -194,7 +194,7 @@ def projection_identity_checks(alpha: Alpha, bases: tuple) -> ProjectionIdentity
     va = char_power(alpha, small)
     vb = char_power(alpha, large)
     if alpha.is_classified:
-        monotone_ok = va.as_fraction() <= vb.as_fraction()
+        monotone_ok = va <= vb
     else:
         monotone_ok = va.base <= vb.base  # x^alpha is monotone for alpha > 0
     return ProjectionIdentityReport(

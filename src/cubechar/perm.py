@@ -14,9 +14,9 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .cube import NiceSet, check_level_cap
-from .dyadic import Dyadic
 from .errors import LevelMismatchError, PreconditionError
 
 # ---------------------------------------------------------------------------
@@ -248,9 +248,9 @@ def conjugate(s: CubePermutation, g: CubePermutation) -> CubePermutation:
     return _trusted_permutation(s.level, tuple(out))
 
 
-def fixed_fraction(p) -> Dyadic:
+def fixed_fraction(p) -> Fraction:
     """mu(Fix(p)) for a CubePermutation or a ProductFormPermutation."""
-    return Dyadic(p.fixed_point_count(), p.level)
+    return Fraction(p.fixed_point_count(), 1 << p.level)
 
 
 def block_product(*perms: CubePermutation) -> CubePermutation:

@@ -25,7 +25,6 @@ from .characters import (
     multiplicativity_holds,
 )
 from .cube import NiceSet
-from .dyadic import Dyadic
 from .errors import FalsificationError, InternalInconsistencyError
 from .perm import (
     all_permutations,
@@ -98,7 +97,7 @@ def criterion_tensor_powers(seed: int) -> CriterionResult:
     started = time.perf_counter()
     failures = []
     explicit16 = gnsfinite.tensor_character(transposition(1, 0, 1), 2)
-    if explicit16 != Dyadic(0):
+    if explicit16 != 0:
         failures.append(f"16-dim tensor of the level-1 transposition gave {explicit16}")
     for s in all_permutations(2):
         base = gnsfinite.matrix_character(s)
@@ -114,26 +113,28 @@ def criterion_tensor_powers(seed: int) -> CriterionResult:
 
 def criterion_multiplicativity(seed: int) -> CriterionResult:
     """chi(s1 tail(s2)) = chi(s1) chi(s2) for all pairs from S(2^2) and
-    alpha in {0, 1, 2, 3, inf}.  The fixed fraction of each element is read
-    once; each pair builds its own block product and reads its base from
-    that table.  The exponent law depends on nothing but the three bases, so
+    alpha in {0, 1, 2, 3, inf}.  The fixed-point count of each element is
+    read once; each pair builds its own block product and reads its count
+    from that table.  The exponent law depends on nothing but the three bases, so
     it is checked once per distinct triple and the exponents it fails at
     are reported for every pair with that triple, pair by pair and exponent
-    by exponent.  Triples are keyed by the bases' (p, q) fields: Dyadic
-    values are canonical, and hashing a Dyadic builds a Fraction."""
+    by exponent.  A base is a fixed-point count over 2^level, and the levels
+    are fixed (2 for each element, 4 for each product), so a triple is keyed
+    by its three counts, and its Fractions are built only when the key is
+    new."""
     started = time.perf_counter()
     failures = []
     alphas = [Alpha(0), Alpha(1), Alpha(2), Alpha(3), Alpha.infinity()]
     elements = list(all_permutations(2))
-    fractions = [fixed_fraction(s) for s in elements]
-    failing = {}  # (p, q) of the three bases -> the alphas the law fails at
-    for s1, first in zip(elements, fractions):
-        for s2, second in zip(elements, fractions):
-            product = fixed_fraction(block_product(s1, s2))
-            key = (product.p, product.q, first.p, first.q, second.p, second.q)
+    counts = [s.fixed_point_count() for s in elements]
+    failing = {}  # counts of s1 x s2, s1 and s2 -> the alphas the law fails at
+    for s1, first in zip(elements, counts):
+        for s2, second in zip(elements, counts):
+            product = block_product(s1, s2)
+            key = (product.fixed_point_count(), first, second)
             failed = failing.get(key)
             if failed is None:
-                bases = (product, first, second)
+                bases = (fixed_fraction(product), fixed_fraction(s1), fixed_fraction(s2))
                 failed = failing[key] = [a for a in alphas if not multiplicativity_holds(a, bases)]
             for alpha in failed:
                 failures.append(f"alpha={alpha}: failed at {s1!r}, {s2!r}")
@@ -180,7 +181,8 @@ def criterion_projection_identities(seed: int) -> CriterionResult:
         for (name, _, _), bases, projection in zip(_PROJECTION_CATALOG, scans, projections):
             values = [char_power(alpha, base) for base in bases]
             if not gnsfinite.scan_is_constant(values):
-                failures.append(f"alpha={alpha} {name}: scan not constant: {values}")
+                shown = [str(v) for v in values]
+                failures.append(f"alpha={alpha} {name}: scan not constant: {shown}")
             report = gnsfinite.projection_identity_checks(alpha, projection)
             if not report.ok:
                 failures.append(f"alpha={alpha} {name}: {report.to_json_dict()}")

@@ -4,13 +4,13 @@ Run `pytest tests/test_acceptance.py -v` for the matrix; each test prints its
 own PASS/FAIL line with the measured runtime against the stated budget.
 """
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from cubechar import (
     Alpha,
-    Dyadic,
     NiceSet,
     all_permutations,
     characters,
@@ -73,7 +73,7 @@ def test_stirling_criterion_computes_each_stirling_number_once(monkeypatch):
 
 
 def test_tensor_criterion_reports_a_wrong_tensor(monkeypatch):
-    monkeypatch.setattr(verify.gnsfinite, "tensor_character", lambda s, k: Dyadic(1))
+    monkeypatch.setattr(verify.gnsfinite, "tensor_character", lambda s, k: Fraction(1))
     result = verify.criterion_tensor_powers(SEED)
     assert not result.passed
     assert result.details[0] == "16-dim tensor of the level-1 transposition gave 1"
@@ -128,8 +128,7 @@ def test_projection_criterion_reports_a_scan_that_moves(monkeypatch):
     result = verify.criterion_projection_identities(SEED)
     assert not result.passed
     assert result.details[0] == (
-        "alpha=1 full-vs-empty: scan not constant:"
-        " [Dyadic(3, 2), Dyadic(3, 2), Dyadic(3, 2), Dyadic(3, 2), Dyadic(0, 0)]"
+        "alpha=1 full-vs-empty: scan not constant: ['3/4', '3/4', '3/4', '3/4', '0']"
     )
 
 

@@ -14,7 +14,6 @@ from cubechar import (
     BasePower,
     CapExceededError,
     CubePermutation,
-    Dyadic,
     NiceSet,
     PreconditionError,
     block_product,
@@ -34,6 +33,7 @@ from cubechar import (
     transposition,
 )
 from cubechar import characters
+from cubechar.certreal import DEFAULT_PRECISION, DEFAULT_PRECISION_CAP
 from cubechar.characters import (
     EXACT_POWER_CAP_BITS,
     GRAM_MAX_ELEMENTS,
@@ -59,6 +59,9 @@ def test_alpha_parse_and_channels():
     assert str(Alpha.parse("3/2")) == "3/2"
     with pytest.raises(ValueError):
         Alpha.parse("-1")
+    # a printed measure reads back as the same exponent
+    for x in (Fraction(0), Fraction(5), Fraction(1, 2), Fraction(3, 4), Fraction(5, 8)):
+        assert Alpha.parse(str(x)).fraction == x
 
 
 # -- char_eval -----------------------------------------------------------------
@@ -68,16 +71,16 @@ def test_char_eval_identity_is_one_for_every_alpha():
     for alpha in ALPHAS:
         value = char_eval(alpha, identity(3))
         if isinstance(value, BasePower):
-            assert value.base == Dyadic(1)
+            assert value.base == Fraction(1)
         else:
-            assert value == Dyadic(1)
+            assert value == Fraction(1)
 
 
 def test_char_eval_examples():
-    assert char_eval(Alpha(0), odometer(3)) == Dyadic(1)  # 0^0 = 1
-    assert char_eval(Alpha(2), transposition(2, 0, 1)) == Dyadic(1, 1) ** 2  # (1/2)^2
-    assert char_eval(Alpha.infinity(), odometer(2)) == Dyadic(0)
-    assert char_eval(Alpha.infinity(), transposition(3, 0, 1)) == Dyadic(0)
+    assert char_eval(Alpha(0), odometer(3)) == Fraction(1)  # 0^0 = 1
+    assert char_eval(Alpha(2), transposition(2, 0, 1)) == Fraction(1, 2) ** 2  # (1/2)^2
+    assert char_eval(Alpha.infinity(), odometer(2)) == Fraction(0)
+    assert char_eval(Alpha.infinity(), transposition(3, 0, 1)) == Fraction(0)
 
 
 @pytest.mark.parametrize(
@@ -97,16 +100,16 @@ def test_alpha_integer_is_stored_at_construction(alpha, integer):
     assert alpha.is_classified == (integer is not None or alpha.is_infinity)
     if integer is not None:
         # the exact channel raises to the stored int power
-        assert char_power(alpha, Dyadic(1, 1)) == Dyadic(1, integer)
+        assert char_power(alpha, Fraction(1, 2)) == Fraction(1, 1 << integer)
 
 
-@pytest.mark.parametrize("base", [Dyadic(1, 1), Dyadic(3, 3), Dyadic(5, 3)])
+@pytest.mark.parametrize("base", [Fraction(1, 2), Fraction(3, 8), Fraction(5, 8)])
 def test_exact_power_cap_edge(base):
     """Powers up to the cap print in full; one step past it raises before the power."""
-    bits_per_unit = max(base.p.bit_length(), base.q)
+    bits_per_unit = max(base.numerator.bit_length(), base.denominator.bit_length() - 1)
     edge = EXACT_POWER_CAP_BITS // bits_per_unit
     value = char_power(Alpha(edge), base)
-    assert str(value) == f"{base.p**edge}/{1 << base.q * edge}"
+    assert str(value) == f"{base.numerator**edge}/{base.denominator**edge}"
     with pytest.raises(CapExceededError):
         char_power(Alpha(edge + 1), base)
 
@@ -120,10 +123,10 @@ def test_exact_power_cap_is_the_digit_limit_in_bits():
 
 def test_exact_power_cap_spares_zero_and_one():
     huge = Alpha(10**11)
-    assert char_power(huge, Dyadic(0)) == Dyadic(0)
-    assert char_power(huge, Dyadic(1)) == Dyadic(1)
+    assert char_power(huge, Fraction(0)) == Fraction(0)
+    assert char_power(huge, Fraction(1)) == Fraction(1)
     with pytest.raises(CapExceededError):
-        char_power(huge, Dyadic(1, 1))
+        char_power(huge, Fraction(1, 2))
 
 
 def test_real_channel_enclosure():
@@ -199,18 +202,18 @@ def test_fixproj_examples():
         assert char_eval(alpha, embed_head(identity(2), 3).compose(flip)) == char_power(alpha, half.measure())
     # empty set: everything is flipped, chi_1 = 0
     everything = embed_head(odometer(2), 3).compose(flip_perm(NiceSet.empty(0), 3))
-    assert char_eval(Alpha(1), everything) == Dyadic(0)
+    assert char_eval(Alpha(1), everything) == Fraction(0)
     # s transposes the two points with x1 = 1 (indices 1 and 3 at level 2)
     s = transposition(2, 1, 3)
-    assert char_eval(Alpha(1), embed_head(s, 3).compose(flip)) == Dyadic(1, 1)
+    assert char_eval(Alpha(1), embed_head(s, 3).compose(flip)) == Fraction(1, 2)
 
 
 def test_fixproj_precondition():
     """The identity needs A inside Fix(s), and flip(A, m) needs m above A's level."""
     half = NiceSet.from_indices(1, [0])
     s = transposition(2, 0, 1)  # moves the point 0 of the set
-    assert char_eval(Alpha(1), embed_head(s, 3).compose(flip_perm(half, 3))) == Dyadic(1, 2)
-    assert half.measure() == Dyadic(1, 1)
+    assert char_eval(Alpha(1), embed_head(s, 3).compose(flip_perm(half, 3))) == Fraction(1, 4)
+    assert half.measure() == Fraction(1, 2)
     with pytest.raises(PreconditionError):
         flip_perm(half, 1)
 
@@ -645,7 +648,7 @@ def test_gram_build_counts_match_the_pairwise_count(elements, block_bytes):
     assert (counts == counts.T).all()
     assert (counts.diagonal() == 1 << level).all()
     distinct = sorted({c for row in expected for c in row})
-    assert build.bases == tuple((c, Dyadic(c, level)) for c in distinct)
+    assert build.bases == tuple((c, Fraction(c, 1 << level)) for c in distinct)
 
 
 def test_gram_build_at_the_level_20_work_edge():
@@ -745,8 +748,27 @@ def test_gram_sign_witness_matches_obstruction(s22):
     assert quad_lo <= hi and lo <= quad_hi  # the two enclosures overlap
 
 
+@pytest.mark.parametrize("alpha", [Alpha(Fraction(3, 2)), Alpha(2), Alpha.infinity()])
+def test_gram_precision_outside_the_bounds_is_refused(monkeypatch, s22, alpha):
+    """A precision below 64 bits or above the cap is refused before any
+    evaluation, at every exponent, as c_alpha_real refuses it."""
+    monkeypatch.setattr(characters, "certify_sign", lambda *a, **k: pytest.fail("evaluated"))
+    build = gram_build(s22)
+    for low in (8, DEFAULT_PRECISION - 1):
+        with pytest.raises(ValueError, match="precision must be at least"):
+            gram_matrix(alpha, s22, witness_strategy="signs", precision=low)
+        with pytest.raises(ValueError):
+            gram_verdict(alpha, build, "signs", low)
+    for high in (10**6, DEFAULT_PRECISION_CAP + 1):
+        with pytest.raises(CapExceededError, match="precision"):
+            gram_matrix(alpha, s22, witness_strategy="signs", precision=high)
+    monkeypatch.setenv("CUBECHAR_PRECISION_CAP", "128")
+    with pytest.raises(CapExceededError):
+        gram_verdict(alpha, build, "signs", 129)
+
+
 def _witness_terms_by_fractions(candidate, build):
-    """The weights of v^T M v as Fraction sums keyed by the Dyadic base, in
+    """The weights of v^T M v as Fraction sums keyed by the dyadic base, in
     row-major order of their first nonzero product: the oracle for the int
     sums of `gram_verdict`."""
     base_of = dict(build.bases)
@@ -758,7 +780,7 @@ def _witness_terms_by_fractions(candidate, build):
             if c:
                 base = base_of[build.counts[i][j]]
                 coeffs[base] = coeffs.get(base, Fraction(0)) + c
-    return [(c, base.p, 1 << base.q) for base, c in coeffs.items()]
+    return [(c, base.numerator, base.denominator) for base, c in coeffs.items()]
 
 
 class _Captured(Exception):

@@ -383,7 +383,22 @@ GOLDEN = [
     ("gram_signs_level2.json", ["gram", "--alpha", "3/2", "--all-level", "2", "--witness", "signs"], 1),
     ("gram_alpha3_level2.json", ["gram", "--alpha", "3", "--all-level", "2", "--format", "json"], 0),
     ("gram_alpha1_2_level2.json", ["gram", "--alpha", "1/2", "--all-level", "2", "--format", "json"], 1),
+    (
+        "gram_alpha0_three_elements.json",
+        ["gram", "--alpha", "0", "--elements", "e;level=2: (0 1);odometer(2)", "--format", "json"],
+        0,
+    ),
+    (
+        "gram_alphainf_three_elements.json",
+        ["gram", "--alpha", "inf", "--elements", "e;level=2: (0 1);odometer(2)", "--format", "json"],
+        0,
+    ),
     ("char_eval_odometer3.txt", ["char-eval", "--alpha", "7/3", "--perm", "odometer(3)"], 0),
+    (
+        "char_eval_alpha2_level3.json",
+        ["char-eval", "--alpha", "2", "--perm", "level=3: (0 1)(2 3)", "--format", "json"],
+        0,
+    ),
     ("verify_all_seed7.json", ["verify-all", "--seed", "7", "--format", "json"], 0),
 ]
 

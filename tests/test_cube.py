@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cubechar import Dyadic, NiceSet, flip_perm, nice_intersect, nice_product, odometer
+from cubechar import NiceSet, flip_perm, nice_intersect, nice_product, odometer
 
 levels = st.integers(0, 6)
 nice_sets = levels.flatmap(
@@ -38,9 +38,9 @@ def test_word_convention_little_endian():
 
 
 def test_measure_examples():
-    assert NiceSet.full(3).measure() == Dyadic(1)
-    assert NiceSet.empty(2).measure() == Dyadic(0)
-    assert NiceSet.from_indices(1, [0]).measure() == Dyadic(1, 1)
+    assert NiceSet.full(3).measure() == Fraction(1)
+    assert NiceSet.empty(2).measure() == Fraction(0)
+    assert NiceSet.from_indices(1, [0]).measure() == Fraction(1, 2)
 
 
 @given(nice_sets, st.integers(0, 3))
@@ -85,7 +85,7 @@ def test_intersect_examples():
     # enumerate the four level-2 words by hand: need x1=0 and x2=0
     expected = {i for i in range(4) if i & 1 == 0 and i >> 1 & 1 == 0}
     assert set(both.members()) == expected
-    assert both.measure() == Dyadic(1, 2)
+    assert both.measure() == Fraction(1, 4)
 
 
 @given(nice_sets, nice_sets)
@@ -101,7 +101,7 @@ def test_product_examples():
     p = nice_product(c, d)
     assert p.level == 2
     assert set(p.members()) == {2}  # word 01: x1=0, x2=1
-    assert p.measure() == Dyadic(1, 2)
+    assert p.measure() == Fraction(1, 4)
 
     assert nice_product(NiceSet.full(1), d).measure() == d.measure()
 
@@ -110,15 +110,13 @@ def test_product_examples():
     # oracle: enumerate level-3 words with x1=0 and (x2,x3) in {00,11}
     expected = {i for i in range(8) if i & 1 == 0 and (i >> 1) in (0, 3)}
     assert set(p2.members()) == expected
-    assert p2.measure() == Dyadic(1, 1) * Dyadic(1, 1)  # 1/2 * 1/2
+    assert p2.measure() == Fraction(1, 2) * Fraction(1, 2)  # 1/2 * 1/2
 
 
 @given(nice_sets, nice_sets)
 def test_product_measure_multiplies(c, d):
     if c.level + d.level <= 12:
-        assert nice_product(c, d).measure().as_fraction() == (
-            c.measure().as_fraction() * d.measure().as_fraction()
-        )
+        assert nice_product(c, d).measure() == c.measure() * d.measure()
 
 
 def test_text_round_trip():
@@ -130,4 +128,4 @@ def test_text_round_trip():
 
 
 def test_measure_is_fraction_compatible():
-    assert NiceSet(3, 0b10110100).measure().as_fraction() == Fraction(4, 8)
+    assert NiceSet(3, 0b10110100).measure() == Fraction(4, 8)

@@ -9,7 +9,6 @@ from cubechar import (
     CapExceededError,
     CubePermutation,
     CycleType,
-    Dyadic,
     NiceSet,
     PreconditionError,
     block_product,
@@ -77,12 +76,12 @@ def test_rep_cap_is_checked_before_allocation(make):
 def test_xi_is_a_unit_vector():
     for n in range(1, 5):
         xi = xi_vector(n)
-        assert weighted_inner(xi, xi, n) == Dyadic(1)
+        assert weighted_inner(xi, xi, n) == Fraction(1)
 
 
 def test_matrix_character_examples(s22):
-    assert matrix_character(identity(3)) == Dyadic(1)
-    assert matrix_character(odometer(3)) == Dyadic(0)
+    assert matrix_character(identity(3)) == Fraction(1)
+    assert matrix_character(odometer(3)) == Fraction(0)
     for s in s22:
         assert matrix_character(s) == fixed_fraction(s)
 
@@ -106,14 +105,14 @@ def test_level_inclusion_consistency(rng):
 def test_tensor_examples():
     t1 = transposition(1, 0, 1)
     assert tensor_character(t1, 1) == matrix_character(t1)
-    assert tensor_character(t1, 2) == Dyadic(0)
+    assert tensor_character(t1, 2) == Fraction(0)
     s = transposition(2, 1, 3)  # fixed fraction 1/2
-    assert tensor_character(s, 3) == Dyadic(1, 3)  # explicit at dimension 4096
+    assert tensor_character(s, 3) == Fraction(1, 8)  # explicit at dimension 4096
 
 
 def _diagonal_form_oracle(rep, xi):
     """The full sum over all 4^n basis points, zero terms included."""
-    return Dyadic(sum(v * xi[w] for v, w in zip(xi, rep.images)), rep.level // 2)
+    return Fraction(sum(v * xi[w] for v, w in zip(xi, rep.images)), 1 << rep.level // 2)
 
 
 @given(
@@ -135,7 +134,7 @@ def test_diagonal_form_matches_full_sum(s, k):
 def test_tensor_cap():
     """Past the explicit-build cap the tensor power is refused, not replaced
     by the product formula it is checked against."""
-    assert tensor_character(odometer(3), 2) == Dyadic(0)  # 4^6 = 2^12 basis points
+    assert tensor_character(odometer(3), 2) == Fraction(0)  # 4^6 = 2^12 basis points
     for level, k in ((4, 2), (2, 4), (8, 1)):
         with pytest.raises(CapExceededError, match="cap"):
             tensor_character(odometer(level), k)
@@ -181,13 +180,13 @@ def test_stabilization_examples():
     half = NiceSet.from_indices(1, [0])
     values = [char_power(Alpha(2), b) for b in gnsfinite.stabilization_bases(e, e, half, [2, 3, 4, 5])]
     assert scan_is_constant(values)
-    assert values[0] == Dyadic(1, 1) ** 2
+    assert values[0] == Fraction(1, 2) ** 2
 
     full = NiceSet.full(1)
     g = odometer(2)
     values = [char_power(Alpha(1), b) for b in gnsfinite.stabilization_bases(g, g, full, [3, 4, 5])]
     assert scan_is_constant(values)
-    assert values[0] == Dyadic(1)  # flip is the identity, g^-1 g = e
+    assert values[0] == Fraction(1)  # flip is the identity, g^-1 g = e
 
 
 def test_stabilization_random(rng):
