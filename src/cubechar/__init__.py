@@ -34,7 +34,6 @@ from .errors import (
     PreconditionError,
 )
 from .gnsfinite import (
-    ProjectionIdentityReport,
     matrix_character,
     projection_bases,
     projection_identity_checks,

@@ -10,7 +10,6 @@ precision state.  No other module touches an interval context.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,8 +19,9 @@ from mpmath import libmp
 from .errors import CapExceededError
 
 DEFAULT_PRECISION = 64
-DEFAULT_PRECISION_CAP = 16384
-PRECISION_CAP_ENV = "CUBECHAR_PRECISION_CAP"
+#: The highest working precision (bits): `check_precision` refuses a start
+#: above it, and `certify_sign` stops doubling at it.
+PRECISION_CAP = 16384
 #: Fractional decimal places of a printed enclosure endpoint.
 DECIMAL_DIGITS = 25
 
@@ -34,24 +34,27 @@ EXACT_VALUE_CAP_DIGITS = 4300
 ENDPOINT_CAP_BITS = 1048576
 
 
-def precision_cap() -> int:
-    raw = os.environ.get(PRECISION_CAP_ENV)
-    if raw is None:
-        return DEFAULT_PRECISION_CAP
-    cap = int(raw)
-    if cap < DEFAULT_PRECISION:
-        raise ValueError(f"precision cap {cap} below minimum {DEFAULT_PRECISION}")
-    return cap
-
-
 def check_precision(prec: int) -> None:
     """Refuse a working precision below DEFAULT_PRECISION (ValueError) or
-    above `precision_cap()` (CapExceededError) before any evaluation."""
+    above PRECISION_CAP (CapExceededError) before any evaluation."""
     if prec < DEFAULT_PRECISION:
         raise ValueError(f"precision must be at least {DEFAULT_PRECISION}")
-    cap = precision_cap()
-    if prec > cap:
-        raise CapExceededError(f"precision {prec} over the {cap}-bit cap ({PRECISION_CAP_ENV})")
+    if prec > PRECISION_CAP:
+        raise CapExceededError(f"precision {prec} over the {PRECISION_CAP}-bit cap")
+
+
+def check_exponent_digits(alpha: Fraction) -> None:
+    """Refuse (CapExceededError) an exponent whose numerator or denominator
+    has more than EXACT_VALUE_CAP_DIGITS digits, before anything prints it:
+    str() of such an int raises.  An int of at most 3 * EXACT_VALUE_CAP_DIGITS
+    bits is below 8^EXACT_VALUE_CAP_DIGITS, so only a longer one is compared
+    with 10^EXACT_VALUE_CAP_DIGITS, which takes tens of microseconds to form."""
+    big = max(abs(alpha.numerator), alpha.denominator)
+    if big.bit_length() > 3 * EXACT_VALUE_CAP_DIGITS and big >= 10**EXACT_VALUE_CAP_DIGITS:
+        raise CapExceededError(
+            f"alpha has more than {EXACT_VALUE_CAP_DIGITS} digits in its numerator"
+            " or denominator, over the cap"
+        )
 
 
 @functools.lru_cache(maxsize=64)
@@ -217,9 +220,9 @@ def power_sum(terms, exponent: Fraction, prec: int, divisor=None) -> Enclosure:
 
 def certify_sign(evaluate, start_prec: int = DEFAULT_PRECISION):
     """Call evaluate(prec) -> Enclosure, doubling prec until the sign is
-    certified or the cap from `precision_cap()` is reached.  Returns
-    (enclosure, sign_string)."""
-    cap = precision_cap()
+    certified or PRECISION_CAP is reached; a start above the cap is clamped
+    to it.  Returns (enclosure, sign_string)."""
+    cap = PRECISION_CAP
     prec = min(max(start_prec, 8), cap)
     while True:
         enc = evaluate(prec)

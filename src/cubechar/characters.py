@@ -25,6 +25,7 @@ from .certreal import (
     EXACT_VALUE_CAP_DIGITS,
     Enclosure,
     certify_sign,
+    check_exponent_digits,
     check_precision,
     power_sum,
 )
@@ -49,6 +50,8 @@ class Alpha:
 
     Integer and infinity exponents are the classified characters; non-integer
     rationals are candidates kept only to exhibit their positivity failure.
+    An exponent of more than EXACT_VALUE_CAP_DIGITS digits, above or below
+    its fraction bar, is refused (`check_exponent_digits`).
     """
 
     __slots__ = ("_value", "_integer")
@@ -57,6 +60,7 @@ class Alpha:
         integer = None
         if value is not None:
             value = Fraction(value)
+            check_exponent_digits(value)
             if value < 0:
                 raise ValueError("alpha must be non-negative")
             if value.denominator == 1:
@@ -544,7 +548,7 @@ def gram_verdict(
     The counts come in the order of their first nonzero product, row by
     row; a count whose total is 0 is kept (`power_sum` skips it).
 
-    A precision below DEFAULT_PRECISION or above `precision_cap()` is
+    A precision below DEFAULT_PRECISION or above PRECISION_CAP is
     refused first, at every exponent (`check_precision`).
     """
     check_precision(precision)

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import appendix, gnsfinite, obstruction, verify
-from .certreal import check_precision
+from .certreal import DEFAULT_PRECISION, check_precision
 from .characters import Alpha, BasePower, char_eval, gram_matrix
 from .cube import NiceSet, check_level_cap
 from .errors import CapExceededError, FalsificationError
@@ -220,10 +220,9 @@ def cmd_gns_check(args) -> int:
     if gnsfinite.weighted_inner(xi, xi, level) != 1:
         failures.append("xi is not a unit vector")
     a = NiceSet.from_text(args.nice_set) if args.nice_set else NiceSet(1, 0b01)
+    first = max(level, a.canonical().level) + 1
     # at alpha = 1 each character value is its base
-    scan = gnsfinite.stabilization_bases(
-        s, t, a, range(max(level, a.canonical().level) + 1, max(level, a.canonical().level) + 5)
-    )
+    scan = gnsfinite.stabilization_bases(s, t, a, range(first, first + 4))
     if not gnsfinite.scan_is_constant(scan):
         failures.append(f"stabilization scan not constant: {[str(v) for v in scan]}")
     payload = {
@@ -263,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("char-eval", help="evaluate chi_alpha on one permutation")
     p.add_argument("--alpha", required=True, help="non-negative rational or 'inf'")
     p.add_argument("--perm", required=True, help="'level=n: ...' table or cycles, identity(n), odometer(n)")
-    p.add_argument("--precision", type=int, default=64)
+    p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_char_eval)
 
@@ -272,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--elements", help="semicolon-separated permutation literals")
     p.add_argument("--all-level", type=int, help="use all of S(2^n), n <= 2")
     p.add_argument("--witness", choices=("auto", "signs"), default="auto")
-    p.add_argument("--precision", type=int, default=64)
+    p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_gram)
 
@@ -281,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     which = p.add_mutually_exclusive_group()
     which.add_argument("--m", default="1..8", help="single m or range 'a..b'")
     which.add_argument("--witness", action="store_true", help="search for a certified negative value")
-    p.add_argument("--precision", type=int, default=64)
+    p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     p.add_argument("--format", choices=("csv", "json", "text"), default="csv")
     p.set_defaults(func=cmd_obstruction)
 

@@ -8,7 +8,6 @@ x | (y << n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 
@@ -122,30 +121,6 @@ def scan_is_constant(values) -> bool:
     return all(v == values[0] for v in values)
 
 
-@dataclass(frozen=True)
-class ProjectionIdentityReport:
-    """Exact character-level checks of the projection calculus."""
-
-    alpha: str
-    intersection_ok: bool
-    intersection_value: str
-    product_ok: bool
-    product_value: str
-    monotone_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.intersection_ok and self.product_ok and self.monotone_ok
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "intersection": {"ok": self.intersection_ok, "value": self.intersection_value},
-            "product": {"ok": self.product_ok, "value": self.product_value},
-            "monotone": {"ok": self.monotone_ok},
-        }
-
-
 def projection_bases(a: NiceSet, b: NiceSet, c: NiceSet, d: NiceSet) -> tuple:
     """The exponent-free half of `projection_identity_checks`, as the tuple
     (composite, meet, product, mu(C), mu(D), small, large) of dyadic rationals:
@@ -174,7 +149,7 @@ def projection_bases(a: NiceSet, b: NiceSet, c: NiceSet, d: NiceSet) -> tuple:
     )
 
 
-def projection_identity_checks(alpha: Alpha, bases: tuple) -> ProjectionIdentityReport:
+def projection_identity_checks(alpha: Alpha, bases: tuple) -> tuple:
     """Verify, exactly at the character level, on the `projection_bases`
     of A, B, C, D:
 
@@ -182,26 +157,22 @@ def projection_identity_checks(alpha: Alpha, bases: tuple) -> ProjectionIdentity
     (ii)  chi(flip(CxDxX, m)) = mu(CxX)^alpha * mu(DxX)^alpha
     (iii) mu(A) <= mu(B) implies value(A) <= value(B)
 
-    Only the exponent is applied here, so one set of bases serves every alpha.
+    Returns the identities that fail, each named with the two values it
+    compared (empty when all hold).  (iii) is checked for classified alpha
+    only: otherwise the values are powers of the two sorted bases, and
+    x^alpha is monotone for alpha > 0.  Only the exponent is applied here,
+    so one set of bases serves every alpha.
     """
     composite, meet, product, c, d, small, large = bases
-    got = char_power(alpha, composite)
-    intersection_ok = got == char_power(alpha, meet)
-
-    got_p = char_power(alpha, product)
-    product_ok = got_p == char_power(alpha, c) * char_power(alpha, d)
-
-    va = char_power(alpha, small)
-    vb = char_power(alpha, large)
+    failures = []
+    got, want = char_power(alpha, composite), char_power(alpha, meet)
+    if got != want:
+        failures.append(f"intersection: {got} != {want}")
+    got, want = char_power(alpha, product), char_power(alpha, c) * char_power(alpha, d)
+    if got != want:
+        failures.append(f"product: {got} != {want}")
     if alpha.is_classified:
-        monotone_ok = va <= vb
-    else:
-        monotone_ok = va.base <= vb.base  # x^alpha is monotone for alpha > 0
-    return ProjectionIdentityReport(
-        str(alpha),
-        intersection_ok,
-        str(got),
-        product_ok,
-        str(got_p),
-        monotone_ok,
-    )
+        got, want = char_power(alpha, small), char_power(alpha, large)
+        if got > want:
+            failures.append(f"monotone: {got} > {want}")
+    return tuple(failures)

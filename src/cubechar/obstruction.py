@@ -22,9 +22,9 @@ from .certreal import (
     EXACT_VALUE_CAP_DIGITS,
     Enclosure,
     certify_sign,
+    check_exponent_digits,
     check_precision,
     power_sum,
-    precision_cap,
 )
 from .errors import CapExceededError, FalsificationError, InternalInconsistencyError
 
@@ -253,6 +253,7 @@ def check_m_range(alpha: Fraction, lo: int, hi: int, precision: int = DEFAULT_PR
     for some lo <= m <= hi: ValueError for its arguments, or CapExceededError.
     Each cap checked before a sum rises with m, so m = hi decides them all."""
     alpha = Fraction(alpha)
+    check_exponent_digits(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     check_precision(precision)
@@ -294,6 +295,7 @@ def signed_fixcount_distribution(m: int) -> list:
 
 def _check_nonnegative(alpha: Fraction) -> Fraction:
     alpha = Fraction(alpha)
+    check_exponent_digits(alpha)
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
     return alpha
@@ -336,6 +338,7 @@ def alt_trace_closed_form(alpha: Fraction, m: int):
 
 def _check_noninteger(alpha: Fraction) -> Fraction:
     alpha = Fraction(alpha)
+    check_exponent_digits(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     nearest = round(alpha)
@@ -378,10 +381,11 @@ def noninteger_witness(alpha: Fraction, precision: int = DEFAULT_PRECISION) -> t
             f"C_alpha({m}) for alpha={alpha} has about {log2_value:.0f} bits,"
             f" over the {EXACT_VALUE_CAP_DIGITS}-digit cap"
         )
-    report = c_alpha_real(alpha, m, precision=min(start, precision_cap()))
-    if report.sign != "negative":
+    enc, sign = certify_sign(partial(power_sum, list(_c_alpha_terms(m)), alpha), start_prec=start)
+    report = ObstructionReport(alpha, m, sign, "interval", enclosure=enc)
+    if sign != "negative":
         raise FalsificationError(
-            f"C_alpha({m}) for alpha={alpha} is {report.sign}, not certified negative",
+            f"C_alpha({m}) for alpha={alpha} is {sign}, not certified negative",
             report=[report],
         )
     return m, report

@@ -20,8 +20,8 @@ from .cube import NiceSet, check_level_cap
 from .errors import LevelMismatchError, PreconditionError
 
 # ---------------------------------------------------------------------------
-# plain image-table helpers, shared with the small non-cube permutations used
-# by the obstruction and appendix modules
+# plain image-table helpers, shared with the small non-cube permutations of
+# the appendix module
 
 
 def is_permutation_table(images) -> bool:

@@ -4,6 +4,8 @@ Run `pytest tests/test_acceptance.py -v` for the matrix; each test prints its
 own PASS/FAIL line with the measured runtime against the stated budget.
 """
 
+import itertools
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,12 +15,15 @@ from cubechar import (
     Alpha,
     NiceSet,
     all_permutations,
+    appendix,
     characters,
     fixed_fraction,
     gnsfinite,
     identity,
+    transposition,
     verify,
 )
+from cubechar.perm import table_from_cycles
 
 SEED = 42
 #: The `cubechar verify-all --seed 42` report, recorded once; read only.
@@ -47,6 +52,15 @@ def test_acceptance(criterion, capsys):
         assert result.elapsed_seconds < result.limit_seconds, (
             f"runtime {result.elapsed_seconds:.3f}s over budget {result.limit_seconds}s"
         )
+
+
+def test_gns_criterion_reports_a_rep_that_moves_an_extra_point(monkeypatch):
+    rep = gnsfinite.rep_matrix
+    # also swaps the points 0 = (0, 0), on the diagonal, and 1 = (1, 0), off it
+    monkeypatch.setattr(gnsfinite, "rep_matrix", lambda s: rep(s).compose(transposition(2 * s.level, 0, 1)))
+    result = verify.criterion_gns_identity(SEED)
+    assert not result.passed
+    assert result.details[0] == "level 2 mismatch at CubePermutation(level=2, e)"
 
 
 def test_stirling_criterion_reports_a_route_mismatch(monkeypatch):
@@ -153,10 +167,22 @@ def test_projection_criterion_reports_a_wrong_intersection(monkeypatch):
     monkeypatch.setattr(gnsfinite, "nice_intersect", lambda a, b: NiceSet.full(1))
     result = verify.criterion_projection_identities(SEED)
     assert not result.passed
-    assert result.details[0] == (
-        "alpha=1 full-vs-empty: {'alpha': '1', 'intersection': {'ok': False, 'value': '0'},"
-        " 'product': {'ok': True, 'value': '0'}, 'monotone': {'ok': True}}"
-    )
+    assert result.details[0] == "alpha=1 full-vs-empty: intersection: 0 != 1"
+
+
+def test_conjugation_criterion_reports_a_conjugate_that_returns_s(monkeypatch):
+    monkeypatch.setattr(verify, "conjugate", lambda s, g: s)
+    result = verify.criterion_conjugation_law(SEED)
+    assert not result.passed
+    assert result.details[0] == "g=CubePermutation(level=2, (2 3)) mask=0100 m=3"
+
+
+def test_derangement_criterion_reports_an_off_by_one(monkeypatch):
+    # (-1)^(k-1) k in place of (-1)^(k-1) (k-1)
+    monkeypatch.setattr(verify.obstruction, "signed_derangement_sum", lambda k: k if k % 2 else -k)
+    result = verify.criterion_derangement_sums(SEED)
+    assert not result.passed
+    assert result.details[0] == "k=1: brute 0 != closed 1"
 
 
 def test_alt_trace_criterion_reports_a_wrong_enumeration(monkeypatch):
@@ -169,6 +195,20 @@ def test_alt_trace_criterion_reports_a_wrong_enumeration(monkeypatch):
     result = verify.criterion_alt_trace_oracle(SEED)
     assert not result.passed
     assert result.details[0] == "alpha=0 m=2: 1/2 != 0"
+
+
+def test_negativity_criterion_reports_a_witness_one_too_early(monkeypatch):
+    witness = verify.obstruction.noninteger_witness
+    c_alpha_real = verify.obstruction.c_alpha_real
+
+    def early(alpha):
+        m, _ = witness(alpha)
+        return m - 1, c_alpha_real(alpha, m - 1)
+
+    monkeypatch.setattr(verify.obstruction, "noninteger_witness", early)
+    result = verify.criterion_noninteger_negativity(SEED)
+    assert not result.passed
+    assert result.details[0] == "alpha=0.3: m=2 sign=positive"
 
 
 def test_gram_criterion_reports_an_uncertified_sign_witness(monkeypatch):
@@ -243,3 +283,27 @@ def test_gram_criterion_renders_nothing(monkeypatch):
     monkeypatch.setattr(characters, "cycle_string", refuse)
     monkeypatch.setattr(characters, "GramReport", refuse)
     assert verify.criterion_gram_psd(SEED).passed
+
+
+def test_appendix_criterion_reports_a_generator_with_an_odd_quotient(monkeypatch):
+    def odd_pair(k, degree):
+        g1 = table_from_cycles(degree, [tuple(range(k))])
+        g2 = table_from_cycles(degree, [tuple(range(1, k + 1))])  # g1's cycle moved up one point
+        return appendix.CyclePair(k, degree, g1, g2)
+
+    monkeypatch.setattr(appendix, "lemma_g1", odd_pair)
+    result = verify.criterion_appendix_constructions(SEED)
+    assert not result.passed
+    assert result.details[0] == "lemma k=5 degree=8: quotient has odd cycle lengths [3]"
+
+
+def test_determinism_criterion_reports_a_note_that_counts(monkeypatch):
+    calls = itertools.count()
+
+    def counting(seed):
+        return verify._result(1, "counter", None, time.perf_counter(), [], [f"run {next(calls)}"])
+
+    monkeypatch.setattr(verify, "_CRITERIA", (counting,))
+    result = verify.run_all(SEED)[-1]
+    assert result.name == "determinism" and not result.passed
+    assert result.details == ("reports differ between runs",)

@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import libmp
 
-from cubechar import certreal
+from cubechar import Alpha, certreal
 from cubechar.certreal import (
     DEFAULT_PRECISION,
-    DEFAULT_PRECISION_CAP,
     ENDPOINT_CAP_BITS,
     EXACT_VALUE_CAP_DIGITS,
     Enclosure,
     certify_sign,
+    check_exponent_digits,
     check_precision,
     fraction_to_decimal,
     power_sum,
@@ -34,8 +34,8 @@ def _recording(tried, decide_at=None):
     return evaluate
 
 
-def test_certify_sign_doubles_up_to_the_environment_cap(monkeypatch):
-    monkeypatch.setenv("CUBECHAR_PRECISION_CAP", "256")
+def test_certify_sign_doubles_up_to_the_cap(monkeypatch):
+    monkeypatch.setattr(certreal, "PRECISION_CAP", 256)
     tried = []
     enc, sign = certify_sign(_recording(tried))
     assert tried == [64, 128, 256]
@@ -43,7 +43,7 @@ def test_certify_sign_doubles_up_to_the_environment_cap(monkeypatch):
 
 
 def test_certify_sign_stops_at_the_first_decided_precision(monkeypatch):
-    monkeypatch.setenv("CUBECHAR_PRECISION_CAP", "256")
+    monkeypatch.setattr(certreal, "PRECISION_CAP", 256)
     tried = []
     enc, sign = certify_sign(_recording(tried, decide_at=128))
     assert tried == [64, 128]
@@ -51,24 +51,24 @@ def test_certify_sign_stops_at_the_first_decided_precision(monkeypatch):
 
 
 def test_certify_sign_clamps_to_a_cap_between_doublings(monkeypatch):
-    monkeypatch.setenv("CUBECHAR_PRECISION_CAP", "200")
+    monkeypatch.setattr(certreal, "PRECISION_CAP", 200)
     tried = []
     certify_sign(_recording(tried), start_prec=64)
     assert tried == [64, 128, 200]
-    monkeypatch.setenv("CUBECHAR_PRECISION_CAP", "64")
+    monkeypatch.setattr(certreal, "PRECISION_CAP", 64)
     tried.clear()
     certify_sign(_recording(tried), start_prec=128)
     assert tried == [64]
 
 
 def test_check_precision_edges(monkeypatch):
-    for prec in (DEFAULT_PRECISION, DEFAULT_PRECISION_CAP):
+    for prec in (DEFAULT_PRECISION, certreal.PRECISION_CAP):
         check_precision(prec)
     with pytest.raises(ValueError, match="precision must be at least 64"):
         check_precision(DEFAULT_PRECISION - 1)
     with pytest.raises(CapExceededError):
-        check_precision(DEFAULT_PRECISION_CAP + 1)
-    monkeypatch.setenv("CUBECHAR_PRECISION_CAP", "100")
+        check_precision(certreal.PRECISION_CAP + 1)
+    monkeypatch.setattr(certreal, "PRECISION_CAP", 100)
     check_precision(100)
     with pytest.raises(CapExceededError, match="precision 101 over the 100-bit cap"):
         check_precision(101)
@@ -357,6 +357,22 @@ def test_decimals_past_the_digit_cap_are_refused():
             fraction_to_decimal(f, round_up=True)
     assert fraction_to_decimal(Fraction(-1, 3), round_up=True) == "-0." + "3" * 25
     assert fraction_to_decimal(Fraction(2, 3), round_up=True) == "0." + "6" * 24 + "7"
+
+
+def test_exponent_digits_cap_edge():
+    """An exponent prints with EXACT_VALUE_CAP_DIGITS digits above or below
+    its fraction bar; one more digit is refused, by Alpha too, before
+    anything prints it."""
+    top = 10**EXACT_VALUE_CAP_DIGITS
+    for alpha in (Fraction(top - 1), Fraction(1, top - 1), Fraction(1 - top, 7)):
+        check_exponent_digits(alpha)
+        str(alpha)  # str raises past the digit limit
+    assert str(Alpha(top - 1)) == str(top - 1)
+    for alpha in (Fraction(top), Fraction(1, top), Fraction(-top, 7)):
+        with pytest.raises(CapExceededError, match="more than 4300 digits"):
+            check_exponent_digits(alpha)
+    with pytest.raises(CapExceededError):
+        Alpha(Fraction(3, top))
 
 
 def _mp(f) -> mpmath.mpf:

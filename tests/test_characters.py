@@ -32,8 +32,8 @@ from cubechar import (
     random_permutation,
     transposition,
 )
-from cubechar import characters
-from cubechar.certreal import DEFAULT_PRECISION, DEFAULT_PRECISION_CAP
+from cubechar import certreal, characters
+from cubechar.certreal import DEFAULT_PRECISION, PRECISION_CAP
 from cubechar.characters import (
     EXACT_POWER_CAP_BITS,
     GRAM_MAX_ELEMENTS,
@@ -756,10 +756,10 @@ def test_gram_precision_outside_the_bounds_is_refused(monkeypatch, s22, alpha):
             gram_matrix(alpha, s22, witness_strategy="signs", precision=low)
         with pytest.raises(ValueError):
             gram_verdict(alpha, build, "signs", low)
-    for high in (10**6, DEFAULT_PRECISION_CAP + 1):
+    for high in (10**6, PRECISION_CAP + 1):
         with pytest.raises(CapExceededError, match="precision"):
             gram_matrix(alpha, s22, witness_strategy="signs", precision=high)
-    monkeypatch.setenv("CUBECHAR_PRECISION_CAP", "128")
+    monkeypatch.setattr(certreal, "PRECISION_CAP", 128)
     with pytest.raises(CapExceededError):
         gram_verdict(alpha, build, "signs", 129)
 

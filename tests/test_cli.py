@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cubechar import cli, gnsfinite, obstruction
+from cubechar import certreal, cli, gnsfinite, obstruction
 from cubechar.cli import main
 from conftest import run_cli_capped, traced_peak
 
@@ -87,7 +87,7 @@ PRECISION_COMMANDS = {
 @pytest.mark.parametrize("command", sorted(PRECISION_COMMANDS))
 def test_precision_is_refused_outside_64_to_the_cap(command, monkeypatch, capsys):
     argv, in_range = PRECISION_COMMANDS[command]
-    monkeypatch.setenv("CUBECHAR_PRECISION_CAP", "128")
+    monkeypatch.setattr(certreal, "PRECISION_CAP", 128)
     for precision, code, message in (
         (63, 2, "error: precision must be at least 64"),
         (64, in_range, ""),
@@ -211,7 +211,7 @@ def test_obstruction_witness_rejects_integers():
 
 
 def test_obstruction_undetermined_at_precision_cap(monkeypatch, capsys):
-    monkeypatch.setenv("CUBECHAR_PRECISION_CAP", "64")
+    monkeypatch.setattr(certreal, "PRECISION_CAP", 64)
     code, out = run_cli(["obstruction", "--alpha", "201/2", "--m", "103", "--format", "text"])
     assert code == 4
     assert out.startswith("C_201/2(103) = [") and out.endswith(" [undetermined]\n")
@@ -255,6 +255,23 @@ def test_obstruction_unbounded_integers(capsys):
     assert code == 0 and out == f"C_{huge}(1) = 1 [positive]\n"
 
 
+HUGE_EXPONENT_COMMANDS = {
+    "char-eval": ["char-eval", "--alpha", "1e5000", "--perm", "level=2: 1 0 2 3"],
+    "gram": ["gram", "--alpha", "1e5000", "--elements", "identity(1)"],
+    "obstruction-witness": ["obstruction", "--alpha", "1e5000", "--witness"],
+    "obstruction-m": ["obstruction", "--alpha", "1e-5000", "--m", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(HUGE_EXPONENT_COMMANDS))
+def test_exponent_past_the_digit_cap_exits_3(command, capsys):
+    """An exponent whose numerator or denominator has more than 4300 digits
+    is refused before anything prints it."""
+    code, out = run_cli(HUGE_EXPONENT_COMMANDS[command])
+    assert code == 3 and out == ""
+    assert "cap exceeded: alpha has more than 4300 digits" in capsys.readouterr().err
+
+
 def test_obstruction_range_past_cap_exits_3_before_any_sum(monkeypatch, capsys):
     def no_sum(*args, **kwargs):
         raise AssertionError("summed before the range was checked")
@@ -271,13 +288,6 @@ def test_obstruction_range_past_cap_exits_3_before_any_sum(monkeypatch, capsys):
     code, out = run_cli(["obstruction", "--alpha", "0,3/2", "--m", "1..3000"])
     assert code == 2 and out == ""
     assert "alpha must be positive" in capsys.readouterr().err
-
-
-def test_obstruction_rejects_precision_cap_below_minimum(monkeypatch, capsys):
-    monkeypatch.setenv("CUBECHAR_PRECISION_CAP", "32")
-    code, out = run_cli(["obstruction", "--alpha", "201/2", "--m", "103"])
-    assert code == 2 and out == ""
-    assert "precision cap 32 below minimum 64" in capsys.readouterr().err
 
 
 # -- construct-si -----------------------------------------------------------------

@@ -214,23 +214,34 @@ def test_projection_identities_examples():
     half = NiceSet.from_indices(1, [0])
     other = NiceSet.from_indices(1, [1])
 
-    report = projection_identity_checks(Alpha(1), projection_bases(half, half, half, other))
-    assert report.ok  # idempotent intersection
+    assert projection_identity_checks(Alpha(1), projection_bases(half, half, half, other)) == ()  # idempotent
 
-    report = projection_identity_checks(Alpha(1), projection_bases(half, other, half, other))
-    assert report.ok
-    assert report.intersection_value == "0"  # disjoint halves
+    bases = projection_bases(half, other, half, other)
+    assert projection_identity_checks(Alpha(1), bases) == ()
+    assert str(char_power(Alpha(1), bases[0])) == "0"  # disjoint halves
 
-    report = projection_identity_checks(Alpha(2), projection_bases(half, other, half, other))
-    assert report.ok
-    assert report.product_value == "1/16"  # (1/4)^2
+    assert projection_identity_checks(Alpha(2), bases) == ()
+    assert str(char_power(Alpha(2), bases[2])) == "1/16"  # (1/4)^2
 
 
 def test_projection_identities_real_alpha():
     a = NiceSet(2, 0b0111)
     b = NiceSet(2, 0b1010)
-    report = projection_identity_checks(Alpha(Fraction(3, 2)), projection_bases(a, b, a, b))
-    assert report.ok
+    assert projection_identity_checks(Alpha(Fraction(3, 2)), projection_bases(a, b, a, b)) == ()
+
+
+def test_projection_identities_name_each_failure():
+    """A failing identity is named with the two values it compared."""
+    half = NiceSet.from_indices(1, [0])
+    composite, meet, product, c, d, small, large = projection_bases(half, half, half, half)
+    wrong = (composite, Fraction(1), Fraction(1, 8), c, d, small, large)
+    assert projection_identity_checks(Alpha(2), wrong) == (
+        "intersection: 1/4 != 1",
+        "product: 1/64 != 1/16",
+    )
+    wrong = (composite, meet, product, c, d, Fraction(1), Fraction(1, 2))
+    assert projection_identity_checks(Alpha(2), wrong) == ("monotone: 1 > 1/4",)
+    assert projection_identity_checks(Alpha(Fraction(3, 2)), wrong) == ()
 
 
 @pytest.mark.parametrize("name, a, b", _PROJECTION_CATALOG, ids=[e[0] for e in _PROJECTION_CATALOG])

@@ -166,6 +166,24 @@ def test_permutation_operations_are_methods_only():
     assert set(reads) <= {"self.head.images"}
 
 
+def test_no_module_reads_the_environment():
+    """No configuration knob: no module imports os (or anything from it),
+    and none reads `environ` or `getenv`, so every verdict depends on the
+    arguments alone."""
+    found = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found += [(path.stem, a.name) for a in node.names if a.name.split(".")[0] == "os"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "os":
+                found.append((path.stem, node.module))
+            elif isinstance(node, ast.Attribute) and node.attr in {"environ", "getenv"}:
+                found.append((path.stem, node.attr))
+            elif isinstance(node, ast.Name) and node.id in {"environ", "getenv"}:
+                found.append((path.stem, node.id))
+    assert found == []
+
+
 #: mpmath's global contexts and the global mpf type: state shared with any
 #: other mpmath user in the process.
 MPMATH_GLOBALS = {"mp", "iv", "mpf"}

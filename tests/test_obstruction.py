@@ -14,6 +14,7 @@ from cubechar import (
     alt_trace_closed_form,
     c_alpha_integer,
     c_alpha_real,
+    certreal,
     noninteger_witness,
     noninteger_witness_scan,
     obstruction,
@@ -206,7 +207,7 @@ def test_exact_caps_take_unbounded_integers():
 def test_real_sum_cap_edge(monkeypatch):
     """The interval route sums m = REAL_SUM_MAX_M and refuses one more before
     any term; a 64-bit precision cap keeps the edge to one pass."""
-    monkeypatch.setenv("CUBECHAR_PRECISION_CAP", "64")
+    monkeypatch.setattr(certreal, "PRECISION_CAP", 64)
     report = c_alpha_real(Fraction(3, 2), REAL_SUM_MAX_M)
     assert report.m == REAL_SUM_MAX_M and report.method == "interval"
     with pytest.raises(CapExceededError):
@@ -415,31 +416,33 @@ def test_certified_signs_follow_the_rule(alpha):
         assert sign in (expected, "undetermined"), (alpha, m, sign)
 
 
-def test_witness_certifies_one_sum(monkeypatch):
+def _counted_certify_sign(monkeypatch):
+    """Replace obstruction's certify_sign by one that records the sum it is
+    given, as (alpha, m), and certifies it negative without evaluating it."""
     calls = []
 
-    def counted(alpha, m, precision):
-        calls.append((alpha, m))
-        return ObstructionReport(alpha, m, "negative", "interval")
+    def counted(evaluate, start_prec):
+        terms, alpha = evaluate.args
+        calls.append((alpha, len(terms)))  # the m terms j = 0, 2, ..., m of C_alpha(m)
+        return None, "negative"
 
-    monkeypatch.setattr(obstruction, "c_alpha_real", counted)
+    monkeypatch.setattr(obstruction, "certify_sign", counted)
+    return calls
+
+
+def test_witness_certifies_one_sum(monkeypatch):
+    calls = _counted_certify_sign(monkeypatch)
     alpha = Fraction(1001, 2)
     m, report = noninteger_witness(alpha)
     assert calls == [(alpha, 503)]
-    assert (m, report.m) == (503, 503)
+    assert (m, report) == (503, ObstructionReport(alpha, 503, "negative", "interval"))
 
 
 def test_witness_past_the_digit_cap_is_refused_before_its_sum(monkeypatch):
     """The predicted log2|C_alpha(m*)| is 2.4 bits under log2(10^4300) at
     alpha = 3117/2 and 8.2 bits over it at 3119/2: the first goes on to its
     one sum, the second is refused before any term."""
-    calls = []
-
-    def counted(alpha, m, precision):
-        calls.append((alpha, m))
-        return ObstructionReport(alpha, m, "negative", "interval")
-
-    monkeypatch.setattr(obstruction, "c_alpha_real", counted)
+    calls = _counted_certify_sign(monkeypatch)
     cap_bits = EXACT_VALUE_CAP_DIGITS * math.log2(10)
     for alpha, m, over in ((Fraction(3117, 2), 1561, -2.4), (Fraction(3119, 2), 1562, 8.2)):
         _, log2_value = obstruction._witness_precision(alpha, m, 64)
@@ -474,7 +477,7 @@ def test_witness_is_certified_in_one_evaluation(text, monkeypatch):
 
 
 def test_witness_undetermined_at_precision_cap(monkeypatch):
-    monkeypatch.setenv("CUBECHAR_PRECISION_CAP", "64")
+    monkeypatch.setattr(certreal, "PRECISION_CAP", 64)
     with pytest.raises(FalsificationError) as info:
         noninteger_witness(Fraction(1001, 2))
     assert [r.sign for r in info.value.report] == ["undetermined"]
