@@ -90,6 +90,8 @@ class NiceSet:
         """Re-express at a higher level; each word gains every possible suffix."""
         if level < self.level:
             raise ValueError("can only lift to a higher level")
+        if level == self.level:
+            return self
         check_level_cap(level)
         mask = self.mask
         width = 1 << self.level
@@ -107,7 +109,7 @@ class NiceSet:
             if mask >> half != low:
                 break
             level, mask = level - 1, low
-        return NiceSet(level, mask)
+        return self if level == self.level else NiceSet(level, mask)
 
     def measure(self) -> Fraction:
         return Fraction(self.size(), 1 << self.level)

@@ -14,7 +14,7 @@ from itertools import compress
 from .characters import Alpha, char_power
 from .cube import NiceSet, check_level_cap, nice_intersect, nice_product
 from .errors import CapExceededError, PreconditionError
-from .perm import CubePermutation, block_product, embed_head, fixed_fraction, flip_perm, identity
+from .perm import CubePermutation, block_product, embed_head, fixed_fraction, flip_perm
 
 #: explicit tensor powers are built densely only up to this many basis points
 TENSOR_DIM_CAP_BITS = 14
@@ -27,7 +27,7 @@ _XI_POWERS: dict = {}
 
 def rep_matrix(s: CubePermutation) -> CubePermutation:
     """pi(s) on the level-2n cube X_n x X_n: moves (x, y) to (s(x), y)."""
-    return block_product(s, identity(s.level))
+    return embed_head(s, 2 * s.level)
 
 
 def xi_vector(level: int):
@@ -56,7 +56,7 @@ def _diagonal_form(rep: CubePermutation, xi) -> Fraction:
     xi must be a 0/1 vector (xi_vector or a tensor power of it): the sum
     then runs over its support only, as the sum of xi[rep(i)] for xi[i] = 1.
     """
-    return Fraction(sum(xi[w] for w in compress(rep.images, xi)), 1 << rep.level // 2)
+    return Fraction(sum(map(xi.__getitem__, compress(rep.images, xi))), 1 << rep.level // 2)
 
 
 def tensor_character(s: CubePermutation, k: int) -> Fraction:

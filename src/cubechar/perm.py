@@ -12,6 +12,7 @@ block_product, before combining.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +39,7 @@ def compose_tables(p, q) -> tuple:
     """Image table of p after q (q applies first)."""
     if len(p) != len(q):
         raise LevelMismatchError("tables have different sizes")
-    return tuple(p[q[i]] for i in range(len(q)))
+    return tuple(map(p.__getitem__, q))
 
 
 def invert_table(p) -> tuple:
@@ -179,21 +180,26 @@ class CubePermutation:
         return CycleType.from_lengths(table_cycle_lengths(self.images))
 
     def fixed_point_count(self) -> int:
-        return sum(1 for i, v in enumerate(self.images) if v == i)
+        return sum(map(operator.eq, self.images, range(self.size)))
 
     def sign(self) -> int:
         return permutation_sign(self.images)
 
 
+#: the slots' own setters, which bypass CubePermutation.__setattr__
+_set_level = CubePermutation.level.__set__
+_set_images = CubePermutation.images.__set__
+
+
 def _trusted_permutation(level: int, images: tuple) -> CubePermutation:
     """A CubePermutation from a tuple that is a bijection of X_level by
-    construction (a composite, inverse or block product of permutations, the
-    identity, a row of itertools.permutations, a flip, a shuffled range), so
-    the constructor's cap and bijectivity checks are skipped; a caller that
-    makes a new level checks the cap itself."""
+    construction (a composite, inverse, block product or head embedding of
+    permutations, the identity, a row of itertools.permutations, a flip, a
+    shuffled range), so the constructor's cap and bijectivity checks are
+    skipped; a caller that makes a new level checks the cap itself."""
     p = object.__new__(CubePermutation)
-    object.__setattr__(p, "level", level)
-    object.__setattr__(p, "images", images)
+    _set_level(p, level)
+    _set_images(p, images)
     return p
 
 
@@ -258,23 +264,29 @@ def block_product(*perms: CubePermutation) -> CubePermutation:
     on the next perms[1].level, and so on; identity(0) for no factors.
 
     Image x of the product is the images of x's blocks, each shifted to its
-    block's place and OR-ed together; each factor's shifted images are built
-    once, before the products with the images built so far.
+    block's place and OR-ed together.  The first factor's table is the
+    start; each later factor's shifted images are built once, before their
+    products with the images built so far.
     """
+    if not perms:
+        return identity(0)
     check_level_cap(sum(p.level for p in perms))
-    images, shift = [0], 0
-    for p in perms:
+    images, shift = perms[0].images, perms[0].level
+    for p in perms[1:]:
         images = [v | h for h in [w << shift for w in p.images] for v in images]
         shift += p.level
     return _trusted_permutation(shift, tuple(images))
 
 
 def embed_head(p: CubePermutation, target_level: int) -> CubePermutation:
-    """Act by p on the first p.level coordinates, identity on the rest."""
+    """Act by p on the first p.level coordinates, identity on the rest: p's
+    table repeated on each block of p.size indices, shifted to its offset."""
     if target_level < p.level:
         raise LevelMismatchError("target level below source level")
     check_level_cap(target_level)
-    return block_product(p, identity(target_level - p.level))
+    images = p.images
+    offsets = range(0, 1 << target_level, p.size)
+    return _trusted_permutation(target_level, tuple([off + v for off in offsets for v in images]))
 
 
 def flip_perm(a: NiceSet, m: int) -> CubePermutation:
@@ -298,8 +310,7 @@ def apply_to_nice(g: CubePermutation, a: NiceSet) -> NiceSet:
     """The image set g(A), at the common level of g and A."""
     level = max(g.level, a.level)
     gl = embed_head(g, level) if g.level < level else g
-    al = a.lift(level)
-    return NiceSet.from_indices(level, (gl.images[i] for i in al.members()))
+    return NiceSet.from_indices(level, map(gl.images.__getitem__, a.lift(level).members()))
 
 
 # ---------------------------------------------------------------------------

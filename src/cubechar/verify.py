@@ -300,8 +300,9 @@ _WITNESS_GRID = ("0.3", "0.5", "1.5", "2.5", "3.7", "5.25")
 
 
 def criterion_noninteger_negativity(seed: int) -> CriterionResult:
-    """Every non-integer alpha on the grid has a certified C_alpha(m) < 0
-    with m <= floor(alpha) + 4."""
+    """Every non-integer alpha on the grid has its witness at
+    m = floor(alpha) + 3, the first negative index, with a report for that
+    same m and a certified C_alpha(m) < 0."""
     started = time.perf_counter()
     failures = []
     notes = []
@@ -312,7 +313,9 @@ def criterion_noninteger_negativity(seed: int) -> CriterionResult:
         except FalsificationError as exc:
             failures.append(f"alpha={text}: {exc}")
             continue
-        if m > int(alpha) + 4 or report.sign != "negative":
+        if report.m != m:
+            failures.append(f"alpha={text}: witness m={m}, report m={report.m}")
+        if m != math.floor(alpha) + 3 or report.sign != "negative":
             failures.append(f"alpha={text}: m={m} sign={report.sign}")
         notes.append(f"alpha={text}: m={m}")
     return _result(9, "noninteger-negativity", 10.0, started, failures, notes)
@@ -340,9 +343,10 @@ def criterion_gram_psd(seed: int) -> CriterionResult:
             p = random_permutation(3, rng)
             chosen[p.images] = p
         builds.append((f"subset {subset_index}", gram_build(chosen.values())))
+    alphas = [(a, Alpha(a)) for a in (0, 1, 2, 3)]
     for where, build in builds:
-        for a in (0, 1, 2, 3):
-            if not characters.psd_check_exact(gram_ints(Alpha(a), build)):
+        for a, alpha in alphas:
+            if not characters.psd_check_exact(gram_ints(alpha, build)):
                 failures.append(f"alpha={a} {where}: alpha={a}: Gram matrix failed the PSD check")
     half = Fraction(3, 2)
     c_report = obstruction.c_alpha_real(half, 4)

@@ -211,6 +211,19 @@ def test_negativity_criterion_reports_a_witness_one_too_early(monkeypatch):
     assert result.details[0] == "alpha=0.3: m=2 sign=positive"
 
 
+def test_negativity_criterion_reports_a_witness_one_too_early_with_the_true_report(monkeypatch):
+    witness = verify.obstruction.noninteger_witness
+
+    def early(alpha):
+        m, report = witness(alpha)
+        return m - 1, report
+
+    monkeypatch.setattr(verify.obstruction, "noninteger_witness", early)
+    result = verify.criterion_noninteger_negativity(SEED)
+    assert not result.passed
+    assert result.details[:2] == ("alpha=0.3: witness m=2, report m=3", "alpha=0.3: m=2 sign=negative")
+
+
 def test_gram_criterion_reports_an_uncertified_sign_witness(monkeypatch):
     monkeypatch.setattr(characters, "certify_sign", lambda evaluate, start_prec: (None, "undetermined"))
     result = verify.criterion_gram_psd(SEED)

@@ -48,12 +48,15 @@ def test_lift_preserves_measure(a, extra):
     lifted = a.lift(a.level + extra)
     assert lifted.measure() == a.measure()
     assert lifted == a  # denotational equality
+    assert (lifted is a) == (extra == 0)
 
 
 @given(nice_sets)
 def test_canonical_is_minimal_and_equal(a):
     c = a.canonical()
     assert c == a
+    assert (c is a) == (c.level == a.level)
+    assert c.canonical() is c
     if c.level > 0:
         half = 1 << (c.level - 1)
         assert c.mask >> half != c.mask & ((1 << half) - 1)

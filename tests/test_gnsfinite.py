@@ -44,6 +44,15 @@ def test_rep_is_the_head_embedding(s22, rng):
         assert rep_matrix(s) == embed_head(s, 2 * s.level)
 
 
+@given(
+    st.integers(0, 3).flatmap(
+        lambda n: st.permutations(range(1 << n)).map(lambda t: CubePermutation(n, t))
+    )
+)
+def test_rep_matrix_matches_block_product_oracle(s):
+    assert rep_matrix(s) == block_product(s, identity(s.level))
+
+
 def test_rep_homomorphism_exhaustive_level1():
     from cubechar import all_permutations
 

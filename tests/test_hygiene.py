@@ -104,6 +104,8 @@ TRUSTED_CALLERS = {
     "compose",
     "conjugate",
     "block_product",
+    # a bijection repeated on disjoint offset blocks
+    "embed_head",
     "identity",
     "all_permutations",
     "flip_perm",

@@ -29,6 +29,7 @@ from cubechar import (
     odometer,
     parse_permutation,
     random_permutation,
+    rep_matrix,
     transposition,
 )
 from conftest import orbit_lengths, traced_peak
@@ -54,6 +55,7 @@ def test_rejects_non_bijections():
 def test_unchecked_outputs_equal_checked_construction():
     p = CubePermutation(2, (2, 0, 3, 1))
     trusted = [p.compose(p), p.inverse(), conjugate(p, p), block_product(p, p)]
+    trusted += [embed_head(p, level) for level in range(2, 6)] + [rep_matrix(p)]
     trusted += [identity(level) for level in range(7)]
     trusted += [q for level in range(3) for q in all_permutations(level)]
     for out in trusted:
@@ -107,6 +109,11 @@ def test_cycle_type_matches_orbit_scan(p):
     assert p.cycle_type() == CycleType.from_lengths(orbit_lengths(p.images))
 
 
+@given(st.integers(0, 3).flatmap(perms))
+def test_fixed_point_count_matches_enumerate_count(p):
+    assert p.fixed_point_count() == sum(1 for i, v in enumerate(p.images) if v == i)
+
+
 def test_fixed_set_examples():
     assert fixed_fraction(identity(3)) == Fraction(1)
     t = transposition(3, 0, 5)
@@ -143,6 +150,12 @@ def test_embed_head_is_homomorphism(p, target):
     lhs = embed_head(p.compose(q), target)
     rhs = embed_head(p, target).compose(embed_head(q, target))
     assert lhs == rhs
+
+
+@given(st.integers(0, 3).flatmap(perms), st.integers(0, 6))
+def test_embed_head_matches_block_product_oracle(p, target):
+    assume(target >= p.level)
+    assert embed_head(p, target) == block_product(p, identity(target - p.level))
 
 
 def test_embed_tail_examples():
@@ -271,6 +284,19 @@ def test_conjugating_flip_moves_the_set():
         for m in (3, 4):
             lhs = conjugate(flip_perm(a, m), embed_head(g, m))
             assert lhs == flip_perm(apply_to_nice(g, a), m)
+
+
+def nice_sets(level):
+    return st.integers(0, (1 << (1 << level)) - 1).map(lambda mask: NiceSet(level, mask))
+
+
+@given(st.integers(0, 3).flatmap(perms), st.integers(0, 3).flatmap(nice_sets))
+def test_apply_to_nice_matches_lifted_members_oracle(g, a):
+    level = max(g.level, a.level)
+    g_lifted = block_product(g, identity(level - g.level))
+    oracle = NiceSet.from_indices(level, (g_lifted(i) for i in a.lift(level).members()))
+    got = apply_to_nice(g, a)
+    assert got.level == level and got.mask == oracle.mask
 
 
 def test_conjugation_preserves_cycle_type(rng):
