@@ -43,6 +43,14 @@ def check_precision(prec: int) -> None:
         raise CapExceededError(f"precision {prec} over the {PRECISION_CAP}-bit cap")
 
 
+def exponent_digits_refusal() -> CapExceededError:
+    """The refusal of an exponent past EXACT_VALUE_CAP_DIGITS digits."""
+    return CapExceededError(
+        f"alpha has more than {EXACT_VALUE_CAP_DIGITS} digits in its numerator or denominator,"
+        " over the cap"
+    )
+
+
 def check_exponent_digits(alpha: Fraction) -> None:
     """Refuse (CapExceededError) an exponent whose numerator or denominator
     has more than EXACT_VALUE_CAP_DIGITS digits, before anything prints it:
@@ -51,10 +59,7 @@ def check_exponent_digits(alpha: Fraction) -> None:
     with 10^EXACT_VALUE_CAP_DIGITS, which takes tens of microseconds to form."""
     big = max(abs(alpha.numerator), alpha.denominator)
     if big.bit_length() > 3 * EXACT_VALUE_CAP_DIGITS and big >= 10**EXACT_VALUE_CAP_DIGITS:
-        raise CapExceededError(
-            f"alpha has more than {EXACT_VALUE_CAP_DIGITS} digits in its numerator"
-            " or denominator, over the cap"
-        )
+        raise exponent_digits_refusal()
 
 
 @functools.lru_cache(maxsize=64)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -27,6 +28,7 @@ from .certreal import (
     certify_sign,
     check_exponent_digits,
     check_precision,
+    exponent_digits_refusal,
     power_sum,
 )
 from .errors import CapExceededError
@@ -45,13 +47,38 @@ GRAM_MAX_ELEMENTS = 128
 GRAM_WORK_CAP_LOG2 = 26
 
 
+def _exponent_literal(text: str) -> Fraction:
+    """Fraction(text), refused (CapExceededError) before 10^|e| is built when
+    it would be refused anyway: for a run of more than EXACT_VALUE_CAP_DIGITS
+    digits, or an exponent e past EXACT_VALUE_CAP_DIGITS plus the mantissa's
+    digits.  A zero mantissa is 0 whatever its exponent."""
+    runs = re.findall(r"[\d_]+", text)
+    if any(len(run) - run.count("_") > EXACT_VALUE_CAP_DIGITS for run in runs):
+        raise exponent_digits_refusal()
+    m = re.search(r"e([-+]?[\d_]+)\s*\Z", text, re.IGNORECASE)
+    if m is None:
+        return Fraction(text)
+    head, exponent = text[: m.start()], m.group(1)
+    try:
+        # the exponent's digits read as zeros: the same grammar, at 10^0
+        mantissa = Fraction(head + "e" + re.sub(r"\d", "0", exponent))
+    except ValueError:
+        return Fraction(text)  # the same grammar error, raised for the literal as given
+    if not mantissa:
+        return mantissa
+    if abs(int(exponent)) > EXACT_VALUE_CAP_DIGITS + len(re.findall(r"\d", head)):
+        raise exponent_digits_refusal()
+    return Fraction(text)
+
+
 class Alpha:
     """The character exponent: a non-negative rational or infinity.
 
     Integer and infinity exponents are the classified characters; non-integer
     rationals are candidates kept only to exhibit their positivity failure.
     An exponent of more than EXACT_VALUE_CAP_DIGITS digits, above or below
-    its fraction bar, is refused (`check_exponent_digits`).
+    its fraction bar, is refused (`check_exponent_digits`), and a text
+    literal of one before it is built (`_exponent_literal`).
     """
 
     __slots__ = ("_value", "_integer")
@@ -59,7 +86,7 @@ class Alpha:
     def __init__(self, value):
         integer = None
         if value is not None:
-            value = Fraction(value)
+            value = _exponent_literal(value) if isinstance(value, str) else Fraction(value)
             check_exponent_digits(value)
             if value < 0:
                 raise ValueError("alpha must be non-negative")
@@ -80,7 +107,7 @@ class Alpha:
         text = text.strip().lower()
         if text in ("inf", "infinity", "oo"):
             return cls.infinity()
-        return cls(Fraction(text))
+        return cls(text)
 
     @property
     def is_infinity(self) -> bool:

@@ -13,7 +13,6 @@ import io
 import json
 import random
 import sys
-from fractions import Fraction
 
 from . import appendix, gnsfinite, obstruction, verify
 from .certreal import DEFAULT_PRECISION, check_precision
@@ -117,7 +116,7 @@ def _print_obstruction_csv(reports) -> None:
 
 
 def cmd_obstruction(args) -> int:
-    alphas = [Fraction(part) for part in args.alpha.split(",") if part.strip()]
+    alphas = [Alpha.parse(part).fraction for part in args.alpha.split(",") if part.strip()]
     if not alphas:
         raise ValueError("--alpha needs at least one value")
     if args.witness:
@@ -165,6 +164,14 @@ def cmd_construct_si(args) -> int:
     head = parse_permutation(args.perm)
     family = appendix.construct_si(head, args.repeats)
     report = appendix.verify_si_properties(head, family)
+    if args.format == "text":
+        print(f"family of {len(family)} at level {family.level}: ", end="")
+        print("all properties verified" if report.ok else "FALSIFIED")
+        if not report.ok:
+            for kind in ("conjugacy_failures", "fix_failures", "even_failures"):
+                for item in report.to_json_dict()[kind]:
+                    print(f"  {kind}: {item}")
+        return EXIT_OK if report.ok else EXIT_FAILED
     payload = {
         "head": cycle_string(head),
         "head_level": head.level,
@@ -181,15 +188,7 @@ def cmd_construct_si(args) -> int:
     }
     if family.level <= 12:
         payload["members"] = [cycle_string(member.densify()) for member in family]
-    if args.format == "text":
-        print(f"family of {len(family)} at level {family.level}: ", end="")
-        print("all properties verified" if report.ok else "FALSIFIED")
-        if not report.ok:
-            for kind in ("conjugacy_failures", "fix_failures", "even_failures"):
-                for item in report.to_json_dict()[kind]:
-                    print(f"  {kind}: {item}")
-    else:
-        _print_json(payload)
+    _print_json(payload)
     return EXIT_OK if report.ok else EXIT_FAILED
 
 

@@ -85,14 +85,21 @@ def table_cycle_lengths(p) -> list:
 
 
 def table_from_cycles(size: int, cycles) -> tuple:
-    """Image table of a product of cycles over [0, size), rightmost applied first."""
+    """Image table of a product of cycles over [0, size), rightmost applied
+    first; each cycle needs at least two distinct points in [0, size)
+    (ValueError), and is composed in place on its own points only."""
     images = list(range(size))
     for cyc in cycles:
         bad = [x for x in cyc if not 0 <= x < size]
         if bad:
             raise ValueError(f"cycle points {bad} outside [0, {size})")
-        step = {cyc[i]: cyc[(i + 1) % len(cyc)] for i in range(len(cyc))}
-        images = [images[step.get(x, x)] for x in range(size)]
+        if len(cyc) < 2:
+            raise ValueError("cycles need at least two points")
+        if len(set(cyc)) != len(cyc):
+            raise ValueError(f"repeated point in cycle {tuple(cyc)}")
+        moved = [images[x] for x in cyc]
+        for x, v in zip(cyc, moved[1:] + moved[:1]):
+            images[x] = v
     return tuple(images)
 
 
@@ -217,10 +224,7 @@ def odometer(level: int) -> CubePermutation:
 
 
 def transposition(level: int, a: int, b: int) -> CubePermutation:
-    check_level_cap(level)
-    images = list(range(1 << level))
-    images[a], images[b] = images[b], images[a]
-    return CubePermutation(level, images)
+    return from_cycles(level, [(a, b)])
 
 
 def from_cycles(level: int, cycles) -> CubePermutation:
@@ -437,17 +441,10 @@ def parse_permutation(text: str) -> CubePermutation:
     level = int(m.group(1))
     body = m.group(2).strip()
     if body.startswith("("):
-        cycles = []
         rest = _CYCLE_RE.sub("", body).strip()
         if rest:
             raise ValueError(f"unexpected text {rest!r} in cycle notation")
-        for group in _CYCLE_RE.findall(body):
-            points = [int(t) for t in re.split(r"[\s,]+", group.strip()) if t]
-            if len(points) < 2:
-                raise ValueError("cycles need at least two points")
-            if len(set(points)) != len(points):
-                raise ValueError(f"repeated point in cycle {group!r}")
-            cycles.append(tuple(points))
-        return from_cycles(level, cycles)
+        groups = _CYCLE_RE.findall(body)
+        return from_cycles(level, [[int(t) for t in g.replace(",", " ").split()] for g in groups])
     images = [int(t) for t in body.split()]
     return CubePermutation(level, images)

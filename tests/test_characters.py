@@ -1,12 +1,13 @@
 import math
 import operator
 import random
+import re
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubechar import (
@@ -38,6 +39,7 @@ from cubechar.characters import (
     EXACT_POWER_CAP_BITS,
     GRAM_MAX_ELEMENTS,
     GRAM_WORK_CAP_LOG2,
+    _exponent_literal,
     gram_build,
     gram_verdict,
     multiplicativity_holds,
@@ -59,6 +61,25 @@ def test_alpha_parse_and_channels():
     assert str(Alpha.parse("3/2")) == "3/2"
     with pytest.raises(ValueError):
         Alpha.parse("-1")
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="0123456789_.eE+-/ ", max_size=12))
+def test_exponent_literal_reads_as_fraction_reads_it(text):
+    """Under the caps a literal has Fraction's value, or Fraction's error."""
+    assume(not re.search(r"e[-+]?[\d_]{4}", text, re.IGNORECASE))  # 10^|e| stays small
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            _exponent_literal(text)
+    else:
+        assert _exponent_literal(text) == expected
+
+
+def test_zero_mantissa_is_zero_whatever_its_exponent():
+    for text in ("0e99999999", "-0.000E-99999999", "0_0.0e9_999_999"):
+        assert Alpha(text) == Alpha.parse(text) == Alpha(0)
 
 
 # -- char_eval -----------------------------------------------------------------

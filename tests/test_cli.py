@@ -1,13 +1,14 @@
 import csv
 import io
 import json
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from cubechar import certreal, cli, gnsfinite, obstruction
+from cubechar import ProductFormPermutation, certreal, cli, gnsfinite, obstruction
 from cubechar.cli import main
 from conftest import run_cli_capped, traced_peak
 
@@ -272,6 +273,58 @@ def test_exponent_past_the_digit_cap_exits_3(command, capsys):
     assert "cap exceeded: alpha has more than 4300 digits" in capsys.readouterr().err
 
 
+LITERALS_PAST_THE_DIGIT_CAP = ["1e10000000", "1e-10000000", "7" * 5000, "1e4300"]
+LITERAL_COMMANDS = {
+    "char-eval": ["char-eval", "--perm", "identity(2)"],
+    "gram": ["gram", "--all-level", "1"],
+    "obstruction": ["obstruction", "--m", "1..2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(LITERAL_COMMANDS))
+@pytest.mark.parametrize("literal", LITERALS_PAST_THE_DIGIT_CAP, ids=lambda t: t[:12])
+def test_exponent_literals_past_the_digit_cap_exit_3_at_once(literal, command):
+    """A literal whose value would pass the digit cap, or that has a digit
+    run past it, is refused before Fraction builds it: 10^(10^7) alone took
+    seconds, and a 5000-digit run exited 2 on int()'s own digit limit."""
+    started = time.perf_counter()
+    done = run_cli_capped([*LITERAL_COMMANDS[command], "--alpha", literal])
+    assert time.perf_counter() - started < 2
+    assert (done.returncode, done.stdout) == (3, "")
+    assert "cap exceeded: alpha has more than 4300 digits" in done.stderr
+
+
+@pytest.mark.parametrize("literal, value", [("0e99999999", "1"), ("1e4299", "1")])
+def test_exponent_literals_under_the_digit_cap_are_accepted(literal, value):
+    """A zero mantissa is 0 whatever its exponent, and 10^4299 has 4300
+    digits: both evaluate, at once, as before."""
+    started = time.perf_counter()
+    done = run_cli_capped(["char-eval", "--alpha", literal, "--perm", "identity(2)"])
+    assert time.perf_counter() - started < 2
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"{value}\n", "")
+
+
+def test_two_thousand_transpositions_at_level_20_parse_in_linear_time():
+    """Each cycle is composed into the table in place: the 2^20 table is not
+    rebuilt once per cycle (this input took 106 s that way)."""
+    perm = "level=20: " + "".join(f"({2 * i} {2 * i + 1})" for i in range(2000))
+    started = time.perf_counter()
+    done = run_cli_capped(["char-eval", "--alpha", "1", "--perm", perm])
+    assert time.perf_counter() - started < 2
+    assert (done.returncode, done.stdout) == (0, f"{Fraction((1 << 20) - 4000, 1 << 20)}\n")
+
+
+def test_obstruction_alpha_is_read_as_every_other_alpha(capsys):
+    """--alpha of obstruction goes through Alpha.parse, like char-eval and gram."""
+    for alpha, message in (("-1", "alpha must be non-negative"), ("inf", "no rational value")):
+        code, out = run_cli(["obstruction", "--alpha", alpha, "--m", "1..2"])
+        assert (code, out) == (2, "")
+        assert message in capsys.readouterr().err
+    assert run_cli(["obstruction", "--alpha", " 3/2 ,1.5E0", "--m", "3"]) == run_cli(
+        ["obstruction", "--alpha", "3/2,3/2", "--m", "3"]
+    )
+
+
 def test_obstruction_range_past_cap_exits_3_before_any_sum(monkeypatch, capsys):
     def no_sum(*args, **kwargs):
         raise AssertionError("summed before the range was checked")
@@ -300,6 +353,17 @@ def test_construct_si_json():
     assert data["verification"]["ok"] is True
     assert len(data["members"]) == 4
     assert data["family_level"] == 6
+
+
+def test_construct_si_text_builds_no_json_payload(monkeypatch):
+    """The text report prints the verdict only, so no member is densified."""
+
+    def refuse(self):
+        raise AssertionError("densified a member that the text report never prints")
+
+    monkeypatch.setattr(ProductFormPermutation, "densify", refuse)
+    code, out = run_cli(["construct-si", "--perm", "odometer(2)", "-r", "2", "--format", "text"])
+    assert (code, out) == (0, "family of 4 at level 6: all properties verified\n")
 
 
 def test_construct_si_reports_falsification():

@@ -39,9 +39,17 @@ def test_rep_is_identity_on_identity():
     assert r.images == tuple(range(16))
 
 
+def _moves_x_keeps_y(rep, s):
+    """rep is the module docstring's pi(s): x | y << n goes to s(x) | y << n."""
+    n = s.level
+    return all(rep(x | y << n) == s(x) | y << n for x in range(1 << n) for y in range(1 << n))
+
+
 def test_rep_is_the_head_embedding(s22, rng):
     for s in s22 + [random_permutation(3, rng) for _ in range(10)]:
-        assert rep_matrix(s) == embed_head(s, 2 * s.level)
+        assert _moves_x_keeps_y(rep_matrix(s), s)
+        if s != identity(s.level):  # the check tells a rep that acts on y apart
+            assert not _moves_x_keeps_y(block_product(identity(s.level), s), s)
 
 
 @given(

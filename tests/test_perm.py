@@ -32,6 +32,7 @@ from cubechar import (
     rep_matrix,
     transposition,
 )
+from cubechar.perm import table_from_cycles
 from conftest import orbit_lengths, traced_peak
 
 
@@ -398,6 +399,42 @@ def test_parse_rejects_garbage():
     ):
         with pytest.raises(ValueError):
             parse_permutation(bad)
+
+
+def _rebuilt_per_cycle(size, cycles):
+    """Reference for table_from_cycles: the whole table remade through each
+    cycle's step map in turn, rightmost cycle applied first."""
+    images = list(range(size))
+    for cyc in cycles:
+        step = {cyc[i]: cyc[(i + 1) % len(cyc)] for i in range(len(cyc))}
+        images = [images[step.get(x, x)] for x in range(size)]
+    return tuple(images)
+
+
+@given(st.data())
+def test_table_from_cycles_matches_the_per_cycle_rebuild(data):
+    level = data.draw(st.integers(0, 6), label="level")
+    size = 1 << level
+    cycle = st.lists(st.integers(0, size - 1), min_size=2, max_size=size, unique=True)
+    cycles = data.draw(st.lists(cycle, max_size=8), label="cycles") if size > 1 else []
+    expected = _rebuilt_per_cycle(size, cycles)
+    assert table_from_cycles(size, cycles) == expected
+    assert from_cycles(level, cycles).images == expected
+
+
+@pytest.mark.parametrize(
+    "cycle",
+    [(1,), (0, 1, 0), (2, 2), (-1, 0), (0, 4)],
+    ids=["one-point", "repeated-point", "a-equals-b", "negative-point", "out-of-range"],
+)
+def test_malformed_cycles_are_refused_by_every_builder(cycle):
+    with pytest.raises(ValueError):
+        from_cycles(2, [(0, 1), cycle])
+    with pytest.raises(ValueError):
+        parse_permutation(f"level=2: (0 1)({' '.join(map(str, cycle))})")
+    if len(cycle) == 2:
+        with pytest.raises(ValueError):
+            transposition(2, *cycle)
 
 
 def test_from_cycles_order_convention():
