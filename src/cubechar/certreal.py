@@ -1,9 +1,12 @@
 """Certified real evaluation: interval arithmetic with escalating precision.
 
 All non-exact real quantities in this package are sums sum c * (num/den)^alpha,
-computed by `power_sum` as rigorous enclosures [lo, hi] via mpmath's interval
-context; the endpoints are then extracted as exact rationals, so downstream
-sign decisions and comparisons never depend on a rounding mode or global
+computed by `power_sum` as rigorous enclosures [lo, hi]: each power on raw
+`libmp` interval tuples at its own working precision, and the coefficients,
+the sum and the divisor in a private mpmath interval context per precision,
+whose precision is set once when it is built and never changed.  The
+endpoints are then extracted as exact rationals, so downstream sign
+decisions and comparisons never depend on a rounding mode or global
 precision state.  No other module touches an interval context.
 """
 
@@ -65,9 +68,9 @@ def check_exponent_digits(alpha: Fraction) -> None:
 @functools.lru_cache(maxsize=64)
 def _make_context(prec: int):
     """The interval context at `prec`: one private context per precision,
-    built on first use and shared by every later `power_sum`, so mpmath's
-    global `mp` and `iv` are never touched.  A step that changes `ctx.prec`
-    restores it before it returns, also when it raises, as `_power` does.
+    built on first use and reused by every later `power_sum`, so mpmath's
+    global `mp` and `iv` are never touched.  Its precision is set here and
+    nowhere else: a step that needs more bits passes them to `libmp`.
 
     A context holds about 30 KB and a caller may ask for any precision up
     to the cap, so only the 64 precisions used last are kept."""
@@ -139,63 +142,61 @@ def fraction_to_decimal(f: Fraction, round_up: bool) -> str:
     return f"{sign}{whole}.{frac:0{DECIMAL_DIGITS}d}"
 
 
-def _ratio_iv(ctx, num: int, den: int):
-    """num/den at ctx.prec.  An integer (den == 1) enters as ctx.mpf(num)
-    alone: ctx.mpf(num) is already rounded outward to ctx.prec, so dividing it
-    by the exact ctx.mpf(1) at the same precision would return each endpoint
+def _ratio_mpi(num: int, den: int, prec: int) -> tuple:
+    """num/den as a raw `libmp` interval at prec: each int rounded outward
+    (floor and ceiling), then divided, as an interval context at prec does
+    it.  An integer (den == 1) enters undivided: its endpoints are already
+    rounded outward to prec, so dividing by the exact 1 would return them
     unchanged."""
-    return ctx.mpf(num) if den == 1 else ctx.mpf(num) / ctx.mpf(den)
+    n = (libmp.from_int(num, prec, libmp.round_floor), libmp.from_int(num, prec, libmp.round_ceiling))
+    if den == 1:
+        return n
+    d = (libmp.from_int(den, prec, libmp.round_floor), libmp.from_int(den, prec, libmp.round_ceiling))
+    return libmp.mpi_div(n, d, prec)
 
 
-def _fraction_iv(ctx, f: Fraction):
-    """Enclosure of an arbitrary rational in the given context; an integer
-    enters undivided, which is exact (see `_ratio_iv`)."""
-    return _ratio_iv(ctx, f.numerator, f.denominator)
-
-
-def _power(ctx, base_num: int, base_den: int, exponent: Fraction, alphas: dict):
-    """(base_num/base_den) ** exponent for base >= 0, exponent > 0, as an
-    interval at ctx.prec.
+def _power(base_num: int, base_den: int, exponent: Fraction, prec: int, alphas: dict) -> tuple:
+    """(base_num/base_den) ** exponent for base >= 0, exponent > 0, as a raw
+    `libmp` interval at prec.
 
     exp(exponent * log(base)) turns the absolute width of its argument into
-    the relative width of the power: at ctx.prec the power would come back
-    wider by the factor |exponent * log(base)|, below (floor(exponent) + 1)
-    times the bit length of base_num or base_den.  log and exp run with the
-    bit length of that bound plus 2 more bits, and the power is rounded
-    outward to ctx.prec, within a few units in its last place.  ctx.prec is
-    restored on every exit, an exception included: the context is shared.
+    the relative width of the power: at prec the power would come back wider
+    by the factor |exponent * log(base)|, below (floor(exponent) + 1) times
+    the bit length of base_num or base_den.  log and exp run at the working
+    precision wp = prec + guard, the guard being the bit length of that
+    bound plus 2 more bits, and the power is rounded outward to prec, within
+    a few units in its last place.  Every step is the `libmp` call an
+    interval context at wp makes, so the endpoints are the ones it gives.
 
-    `alphas` maps each working precision (ctx.prec plus the guard) to the
-    enclosure of exponent at that precision, filled on first use.  The
-    enclosure depends on nothing but the exponent and that precision, so a
-    reused one has the endpoints a new one would have."""
+    `alphas` maps each working precision wp to the raw enclosure of exponent
+    at wp, filled on first use.  The enclosure depends on nothing but the
+    exponent and wp, so a reused one has the endpoints a new one would have."""
     if base_num < 0 or base_den <= 0:
         raise ValueError("base must be non-negative")
     if exponent <= 0:
         raise ValueError("exponent must be positive")
     if base_num == 0:
-        return ctx.mpf(0)
+        return libmp.fzero, libmp.fzero
     if exponent.denominator == 1:
         e = int(exponent)
-        return _ratio_iv(ctx, base_num**e, base_den**e)
+        return _ratio_mpi(base_num**e, base_den**e, prec)
     bits = max(base_num.bit_length(), base_den.bit_length())
-    guard = ((exponent.numerator // exponent.denominator + 1) * bits).bit_length() + 2
-    ctx.prec += guard
-    try:
-        alpha = alphas.get(ctx.prec)
-        if alpha is None:
-            alpha = alphas[ctx.prec] = _fraction_iv(ctx, exponent)
-        power = ctx.exp(alpha * ctx.log(_ratio_iv(ctx, base_num, base_den)))
-    finally:
-        ctx.prec -= guard
-    return +power
+    wp = prec + ((exponent.numerator // exponent.denominator + 1) * bits).bit_length() + 2
+    alpha = alphas.get(wp)
+    if alpha is None:
+        alpha = alphas[wp] = _ratio_mpi(exponent.numerator, exponent.denominator, wp)
+    log = libmp.mpi_log(_ratio_mpi(base_num, base_den, wp), wp)
+    return libmp.mpi_pos(libmp.mpi_exp(libmp.mpi_mul(alpha, log, wp), wp), prec)
 
 
 def _term(ctx, c, num: int, den: int, exponent: Fraction, alphas: dict):
-    """c * (num/den) ** exponent: an int c enters exactly as ctx.mpf(c), a
-    Fraction c as `_fraction_iv`."""
-    coeff = _fraction_iv(ctx, c) if isinstance(c, Fraction) else ctx.mpf(c)
-    return coeff * _power(ctx, num, den, exponent, alphas)
+    """c * (num/den) ** exponent: an int c enters as ctx.mpf(c), a Fraction c
+    as `_ratio_mpi` of its numerator and denominator."""
+    if isinstance(c, Fraction):
+        coeff = ctx.make_mpf(_ratio_mpi(c.numerator, c.denominator, ctx.prec))
+    else:
+        coeff = ctx.mpf(c)
+    return coeff * ctx.make_mpf(_power(num, den, exponent, ctx.prec, alphas))
 
 
 def power_sum(terms, exponent: Fraction, prec: int, divisor=None) -> Enclosure:

@@ -107,7 +107,10 @@ class Alpha:
         text = text.strip().lower()
         if text in ("inf", "infinity", "oo"):
             return cls.infinity()
-        return cls(text)
+        try:
+            return cls(text)
+        except ZeroDivisionError:
+            raise ValueError(f"alpha {text!r} has a zero denominator") from None
 
     @property
     def is_infinity(self) -> bool:
@@ -510,6 +513,18 @@ class GramBuild:
         return lut[self.counts]
 
 
+def check_gram_caps(n: int, level: int) -> None:
+    """Refuse (CapExceededError) a Gram matrix of more than GRAM_MAX_ELEMENTS
+    elements, or of n^2 x 2^level past 2^GRAM_WORK_CAP_LOG2: checked per
+    element level before any table at that level is built, and a level past
+    GRAM_WORK_CAP_LOG2 before 2^level is formed."""
+    if n > GRAM_MAX_ELEMENTS or level > GRAM_WORK_CAP_LOG2 or n * n << level > 1 << GRAM_WORK_CAP_LOG2:
+        raise CapExceededError(
+            f"{n} elements at level {level} exceed the {GRAM_MAX_ELEMENTS}-element"
+            f" or 2^{GRAM_WORK_CAP_LOG2} n^2 x 2^level cap"
+        )
+
+
 def gram_build(elements) -> GramBuild:
     """Check the caps, lift the elements to a common level, and count the
     agreements of every pair with their dyadic bases.
@@ -524,11 +539,7 @@ def gram_build(elements) -> GramBuild:
         raise ValueError("empty element list")
     level = max(g.level for g in elements)
     n = len(elements)
-    if n > GRAM_MAX_ELEMENTS or n * n << level > 1 << GRAM_WORK_CAP_LOG2:
-        raise CapExceededError(
-            f"{n} elements at level {level} exceed the {GRAM_MAX_ELEMENTS}-element"
-            f" or 2^{GRAM_WORK_CAP_LOG2} n^2 x 2^level cap"
-        )
+    check_gram_caps(n, level)
     import numpy as np
 
     lifted = tuple(embed_head(g, level) if g.level < level else g for g in elements)

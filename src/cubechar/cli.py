@@ -13,10 +13,11 @@ import io
 import json
 import random
 import sys
+from functools import partial
 
 from . import appendix, gnsfinite, obstruction, verify
 from .certreal import DEFAULT_PRECISION, check_precision
-from .characters import Alpha, BasePower, char_eval, gram_matrix
+from .characters import Alpha, BasePower, char_eval, check_gram_caps, gram_matrix
 from .cube import NiceSet, check_level_cap
 from .errors import CapExceededError, FalsificationError
 from .perm import (
@@ -90,7 +91,9 @@ def cmd_gram(args) -> int:
             raise ValueError("--all-level supports n <= 2 (the group is otherwise huge)")
         elements = list(all_permutations(args.all_level))
     elif args.elements:
-        elements = [parse_permutation(t) for t in args.elements.split(";") if t.strip()]
+        literals = [t for t in args.elements.split(";") if t.strip()]
+        check = partial(check_gram_caps, len(literals))
+        elements = [parse_permutation(t, check) for t in literals]
     else:
         raise ValueError("provide --elements or --all-level")
     report = gram_matrix(

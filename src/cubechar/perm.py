@@ -413,6 +413,7 @@ class ProductFormPermutation:
 # text notation
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
+_LITERAL_RE = re.compile(r"e|(identity|odometer)\((\d+)\)|level\s*=\s*(\d+)\s*:\s*(.*)", re.DOTALL)
 
 
 def cycle_string(p: CubePermutation) -> str:
@@ -425,21 +426,21 @@ def cycle_string(p: CubePermutation) -> str:
     return "".join(parts) if parts else "e"
 
 
-def parse_permutation(text: str) -> CubePermutation:
+def parse_permutation(text: str, check_level=None) -> CubePermutation:
     """Parse 'identity(n)', 'odometer(n)', 'level=n: i0 i1 ...' or
-    'level=n: (a b)(c d)' notation ('e' is identity(1))."""
+    'level=n: (a b)(c d)' notation ('e' is identity(1)).  `check_level`, when
+    given, is called with the literal's level before its table is built."""
     text = text.strip()
-    if text == "e":
-        return identity(1)
-    m = re.fullmatch(r"(identity|odometer)\((\d+)\)", text)
-    if m:
-        maker = identity if m.group(1) == "identity" else odometer
-        return maker(int(m.group(2)))
-    m = re.fullmatch(r"level\s*=\s*(\d+)\s*:\s*(.*)", text, re.DOTALL)
-    if not m:
+    m = _LITERAL_RE.fullmatch(text)
+    if m is None:
         raise ValueError(f"cannot parse permutation {text!r}")
-    level = int(m.group(1))
-    body = m.group(2).strip()
+    maker, maker_level, table_level, body = m.groups()
+    level = int(maker_level or table_level or 1)
+    if check_level is not None:
+        check_level(level)
+    if body is None:
+        return odometer(level) if maker == "odometer" else identity(level)
+    body = body.strip()
     if body.startswith("("):
         rest = _CYCLE_RE.sub("", body).strip()
         if rest:

@@ -20,7 +20,7 @@ from cubechar.certreal import (
     power_sum,
 )
 from cubechar.errors import CapExceededError
-from cubechar.obstruction import _c_alpha_terms
+from cubechar.obstruction import _c_alpha_terms, _witness_precision
 
 
 def _recording(tried, decide_at=None):
@@ -183,39 +183,30 @@ def test_make_context_keeps_a_bounded_number_of_contexts():
     assert [ctx.prec for ctx in contexts] == list(range(2000, 2100))
 
 
-def test_power_sum_restores_the_shared_precision_when_exp_raises(monkeypatch):
+def test_a_power_sum_that_raises_leaves_the_cached_context_as_it_was(monkeypatch):
+    """A power sum that fails inside its third power, or at a negative base,
+    leaves the cached context at its precision: the powers run at their
+    working precisions on raw tuples, and the next sum on the context is the
+    one a fresh context gives."""
     ctx = certreal._make_context(320)
+    real_exp, calls = libmp.mpi_exp, []
 
-    def failing_exp(x):
-        assert ctx.prec > 320
-        raise ZeroDivisionError("injected")
-
-    monkeypatch.setattr(ctx, "exp", failing_exp)
-    with pytest.raises(ZeroDivisionError, match="injected"):
-        power_sum([(1, 3, 7)], Fraction(5, 2), 320)
-    assert ctx.prec == 320
-    monkeypatch.undo()
-    assert certreal._make_context(320) is ctx and ctx.prec == 320
-    expected = _reference_pow_iv(_fresh_context(320), 3, 7, Fraction(5, 2))
-    assert _pair(power_sum([(1, 3, 7)], Fraction(5, 2), 320)) == _endpoints(expected)
-
-    # a power sum whose third term fails: the precision comes back, and the
-    # next sum on the shared context is the one a fresh context gives
-    real_exp, calls = ctx.exp, []
-
-    def exp_failing_on_the_third_term(x):
-        calls.append(ctx.prec)
+    def exp_failing_on_the_third_power(x, prec):
+        calls.append(prec)
         if len(calls) == 3:
             raise ZeroDivisionError("injected")
-        return real_exp(x)
+        return real_exp(x, prec)
 
     terms = [(2, 9, 1), (-5, 3, 4), (Fraction(1, 3), 1 << 30, 1), (7, 11, 2)]
-    monkeypatch.setattr(ctx, "exp", exp_failing_on_the_third_term)
+    monkeypatch.setattr(libmp, "mpi_exp", exp_failing_on_the_third_power)
     with pytest.raises(ZeroDivisionError, match="injected"):
         power_sum(terms, Fraction(7, 3), 320)
+    monkeypatch.undo()
     assert len(calls) == 3 and min(calls) > 320
     assert ctx.prec == 320
-    monkeypatch.undo()
+    with pytest.raises(ValueError, match="non-negative"):
+        power_sum([(1, 3, 7), (1, -1, 2)], Fraction(5, 2), 320)
+    assert certreal._make_context(320) is ctx and ctx.prec == 320
     expected = _reference_power_sum_iv(_fresh_context(320), terms, Fraction(7, 3))
     assert _pair(power_sum(terms, Fraction(7, 3), 320)) == _endpoints(expected)
     assert ctx.prec == 320
@@ -270,7 +261,7 @@ wide_bases = st.one_of(
     st.tuples(st.one_of(st.just(0), wide_ints), wide_ints),
     wide_ints.map(lambda n: (n, n)),
 )
-# int coefficients enter as ctx.mpf(c), Fractions through _fraction_iv, a
+# int coefficients enter as ctx.mpf(c), Fractions through _ratio_mpi, a
 # Fraction with denominator 1 among them
 mixed_coefficients = st.one_of(
     st.integers(-(10**6), 10**6),
@@ -320,17 +311,42 @@ def test_power_sums_match_the_per_term_reference_bit_for_bit(terms, exponent, pr
 def test_a_power_sum_encloses_its_exponent_once_per_working_precision(monkeypatch):
     """C_alpha(70) at 128 bits has 69 powers of bases 1 to 70, which meet
     three guards: the exponent 25/3 is enclosed once at each of 134, 135
-    and 136 bits (its coefficients are ints, so _fraction_iv builds nothing
+    and 136 bits (its bases are integers, so _ratio_mpi divides nothing
     else)."""
-    built, real_fraction_iv = [], certreal._fraction_iv
+    built, real_ratio_mpi = [], certreal._ratio_mpi
 
-    def counting_fraction_iv(ctx, f):
-        built.append((f, ctx.prec))
-        return real_fraction_iv(ctx, f)
+    def counting_ratio_mpi(num, den, prec):
+        if den != 1:
+            built.append((Fraction(num, den), prec))
+        return real_ratio_mpi(num, den, prec)
 
-    monkeypatch.setattr(certreal, "_fraction_iv", counting_fraction_iv)
+    monkeypatch.setattr(certreal, "_ratio_mpi", counting_ratio_mpi)
     power_sum(_c_alpha_terms(70), Fraction(25, 3), 128)
     assert sorted(built) == [(Fraction(25, 3), 134), (Fraction(25, 3), 135), (Fraction(25, 3), 136)]
+
+
+@pytest.mark.parametrize(
+    "alpha, m", [(Fraction(3, 2), 60), (Fraction(29, 3), 76), (Fraction(43, 4), 78)]
+)
+@pytest.mark.parametrize("prec", [64, 128, 256, 512])
+def test_c_alpha_sums_match_the_reference_at_the_certify_rungs(alpha, m, prec):
+    """The C_alpha(m) sums that certify signs, at each precision
+    `certify_sign` tries on them, have the endpoints of the term-by-term
+    evaluation on a fresh context."""
+    terms = list(_c_alpha_terms(m))
+    assert _pair(power_sum(terms, alpha, prec)) == _endpoints(
+        _reference_power_sum_iv(_fresh_context(prec), terms, alpha)
+    )
+
+
+def test_the_201_2_witness_matches_the_reference_at_its_predicted_rung():
+    alpha, m = Fraction(201, 2), 103
+    prec, _ = _witness_precision(alpha, m, DEFAULT_PRECISION)
+    assert prec == 256
+    terms = list(_c_alpha_terms(m))
+    enc = power_sum(terms, alpha, prec)
+    assert enc.sign() == "negative"
+    assert _pair(enc) == _endpoints(_reference_power_sum_iv(_fresh_context(prec), terms, alpha))
 
 
 def test_endpoints_past_the_bit_cap_are_refused_before_conversion():

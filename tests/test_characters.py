@@ -61,6 +61,8 @@ def test_alpha_parse_and_channels():
     assert str(Alpha.parse("3/2")) == "3/2"
     with pytest.raises(ValueError):
         Alpha.parse("-1")
+    with pytest.raises(ValueError, match="alpha '1/0' has a zero denominator"):
+        Alpha.parse("1/0")
 
 
 @settings(max_examples=300)

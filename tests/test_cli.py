@@ -304,6 +304,26 @@ def test_exponent_literals_under_the_digit_cap_are_accepted(literal, value):
     assert (done.returncode, done.stdout, done.stderr) == (0, f"{value}\n", "")
 
 
+@pytest.mark.parametrize("command", sorted(LITERAL_COMMANDS))
+def test_a_zero_denominator_exponent_is_named(command, capsys):
+    """alpha 1/0 is an input error that names alpha and its zero denominator,
+    not the bare Fraction(1, 0) of ZeroDivisionError."""
+    assert run_cli([*LITERAL_COMMANDS[command], "--alpha", "1/0"]) == (2, "")
+    assert capsys.readouterr().err == "error: alpha '1/0' has a zero denominator\n"
+
+
+@pytest.mark.parametrize(
+    "elements", [";".join(["level=20: (0 1)"] * 60), ";".join(["e"] * 129)], ids=["level20x60", "ex129"]
+)
+def test_gram_elements_past_the_caps_exit_3_before_their_tables(elements):
+    """gram counts its --elements literals and checks the element and work
+    caps at each literal's level before that literal's table is built: 60
+    level-20 tables died with MemoryError (exit 1) when they came first."""
+    done = run_cli_capped(["gram", "--alpha", "3", "--elements", elements])
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.startswith("cap exceeded:") and "Traceback" not in done.stderr
+
+
 def test_two_thousand_transpositions_at_level_20_parse_in_linear_time():
     """Each cycle is composed into the table in place: the 2^20 table is not
     rebuilt once per cycle (this input took 106 s that way)."""
@@ -449,6 +469,11 @@ def test_gns_check_tensor_check_runs_only_where_the_tensor_is_explicit(monkeypat
 #: file under tests/expected/, arguments, exit code.
 GOLDEN = [
     ("obstruction_m1_30.csv", ["obstruction", "--alpha", "3/2,1/3,41/2,7/10", "--m", "1..30"], 0),
+    (
+        "obstruction_m60_78.json",
+        ["obstruction", "--alpha", "3/2,29/3,43/4", "--m", "60..78", "--format", "json"],
+        0,
+    ),
     (
         "obstruction_witness_201_2.json",
         ["obstruction", "--witness", "--alpha", "201/2", "--format", "json"],

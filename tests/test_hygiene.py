@@ -248,6 +248,32 @@ def test_certreal_keeps_no_state_beyond_the_context_cache():
     assert cached == ["_make_context"]
 
 
+def test_certreal_sets_a_context_precision_only_where_it_builds_the_context():
+    """No step of certreal assigns `.prec` outside _make_context: a power
+    that needs guard bits passes its working precision to libmp, so a
+    cached context keeps the precision it was built with."""
+    tree = ast.parse(next(p for p in MODULES if p.stem == "certreal").read_text())
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                found.extend(
+                    (owner, ast.unparse(t))
+                    for target in targets
+                    for t in ast.walk(target)
+                    if isinstance(t, ast.Attribute) and t.attr == "prec"
+                )
+            visit(child, owner)
+
+    visit(tree, None)
+    assert found == [("_make_context", "ctx.prec")]
+
+
 #: Who in the package may call each brute-force oracle.  The oracles sit
 #: beside their fast paths and are compared with them in tests; a criterion
 #: that compares them names itself here, and no fast path calls one.
