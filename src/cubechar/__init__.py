@@ -1,6 +1,7 @@
 """Exact verification toolkit for the character family mu(Fix(s))^alpha on
 the tower of permutation groups of finite binary cubes."""
 
+from . import caps
 from .appendix import (
     CyclePair,
     MkGenerators,
@@ -25,7 +26,7 @@ from .characters import (
     quadratic_form,
 )
 from .certreal import Enclosure, certify_sign
-from .cube import DEFAULT_LEVEL_CAP, NiceSet, nice_intersect, nice_product
+from .cube import NiceSet, nice_intersect, nice_product
 from .errors import (
     CapExceededError,
     FalsificationError,

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .cube import DEFAULT_LEVEL_CAP, check_level_cap
-from .errors import CapExceededError, FalsificationError, PreconditionError
+from . import caps
+from .errors import FalsificationError, PreconditionError
 from .perm import (
     CubePermutation,
     ProductFormPermutation,
@@ -26,9 +26,6 @@ from .perm import (
     table_cycles,
     table_from_cycles,
 )
-
-#: log2 of the cap on the tail entries verify_si_properties composes over all pairs.
-VERIFY_SI_ENTRY_CAP_LOG2 = 22
 
 
 def _odd_quotient_cycles(g1, g2) -> list:
@@ -134,7 +131,7 @@ def mk_generators(k: int, m: int) -> MkGenerators:
         raise PreconditionError("k must be positive")
     if m < minimal_level(k):
         raise PreconditionError(f"level {m} below minimal level {minimal_level(k)} for k={k}")
-    check_level_cap(m)
+    caps.LEVEL.check(m)
     size = 1 << m
     if k == 1:
         e = identity(m)
@@ -194,7 +191,7 @@ def construct_si(s: CubePermutation, r: int) -> SiFamily:
     actions depend only on the cycle length of the moved head point.
 
     Each of the 2^r members builds one 2^(m r)-entry tail table per distinct
-    moved cycle length; when that exceeds 2^DEFAULT_LEVEL_CAP entries in all
+    moved cycle length; past the SI_TABLES cap on their entries in all
     (counting at least one table per member), CapExceededError is raised
     before anything is built.
     """
@@ -207,12 +204,7 @@ def construct_si(s: CubePermutation, r: int) -> SiFamily:
     moved_lengths = sorted({k for k in orders.values() if k > 1})
     m = max((minimal_level(k) for k in moved_lengths), default=0)
     tables = max(1, len(moved_lengths))
-    entry_bits = r * (m + 1)
-    if entry_bits > DEFAULT_LEVEL_CAP or tables << entry_bits > 1 << DEFAULT_LEVEL_CAP:
-        raise CapExceededError(
-            f"2^{r} members x {tables} tail tables of 2^{m * r} entries"
-            f" exceed the 2^{DEFAULT_LEVEL_CAP}-entry cap"
-        )
+    caps.SI_TABLES.check(caps.log2_ceil(tables) + r * (m + 1))
     generators = {k: mk_generators(k, m) for k in moved_lengths}
 
     tail_level = m * r
@@ -269,19 +261,16 @@ def verify_si_properties(s: CubePermutation, family) -> SiVerification:
     (3) every quotient s_i s_j^-1 has only even cycles and fixed points.
 
     Failures are collected, never raised: the report names the offending
-    member or pair and the cycle data that breaks the property.  Past
-    2^DEFAULT_LEVEL_CAP (family size)^2 x head points, or 2^VERIFY_SI_ENTRY_CAP_LOG2
-    of those times 2^tail_level tail entries, CapExceededError comes first.
+    member or pair and the cycle data that breaks the property.  Past the
+    SI_PAIRS cap on (family size)^2 x head points, or the SI_PAIR_ENTRIES cap
+    on those times 2^tail_level tail entries, CapExceededError comes first.
     """
     family = list(family)
     if not family:
         raise ValueError("empty family")
-    points, tail_level = len(family) ** 2 * s.size, family[0].tail_level
-    if points > 1 << DEFAULT_LEVEL_CAP or points << tail_level > 1 << VERIFY_SI_ENTRY_CAP_LOG2:
-        raise CapExceededError(
-            f"{len(family)}^2 pairs x {s.size} head points x 2^{tail_level} tail entries exceed"
-            f" the 2^{DEFAULT_LEVEL_CAP}-point or 2^{VERIFY_SI_ENTRY_CAP_LOG2}-entry cap"
-        )
+    log2_points, tail_level = caps.log2_ceil(len(family) ** 2 * s.size), family[0].tail_level
+    caps.SI_PAIRS.check(log2_points)
+    caps.SI_PAIR_ENTRIES.check(log2_points + tail_level)
     expected_type = s.cycle_type().scaled(1 << tail_level)
     expected_counts = tuple((1 << tail_level) if s(x) == x else 0 for x in range(s.size))
 

@@ -19,50 +19,19 @@ from fractions import Fraction
 import mpmath
 from mpmath import libmp
 
-from .errors import CapExceededError
+from . import caps
 
 DEFAULT_PRECISION = 64
-#: The highest working precision (bits): `check_precision` refuses a start
-#: above it, and `certify_sign` stops doubling at it.
-PRECISION_CAP = 16384
 #: Fractional decimal places of a printed enclosure endpoint.
 DECIMAL_DIGITS = 25
-
-#: Python's default limit on the digits of an int converted to str: a value
-#: with more integer digits is refused, exact or enclosed.
-EXACT_VALUE_CAP_DIGITS = 4300
-
-#: Bound on the bits of an enclosure endpoint, numerator and denominator
-#: together (2^20).  The witness at alpha = 2046, m = 2048 needs about 2.3e4.
-ENDPOINT_CAP_BITS = 1048576
 
 
 def check_precision(prec: int) -> None:
     """Refuse a working precision below DEFAULT_PRECISION (ValueError) or
-    above PRECISION_CAP (CapExceededError) before any evaluation."""
+    above the PRECISION cap before any evaluation."""
     if prec < DEFAULT_PRECISION:
         raise ValueError(f"precision must be at least {DEFAULT_PRECISION}")
-    if prec > PRECISION_CAP:
-        raise CapExceededError(f"precision {prec} over the {PRECISION_CAP}-bit cap")
-
-
-def exponent_digits_refusal() -> CapExceededError:
-    """The refusal of an exponent past EXACT_VALUE_CAP_DIGITS digits."""
-    return CapExceededError(
-        f"alpha has more than {EXACT_VALUE_CAP_DIGITS} digits in its numerator or denominator,"
-        " over the cap"
-    )
-
-
-def check_exponent_digits(alpha: Fraction) -> None:
-    """Refuse (CapExceededError) an exponent whose numerator or denominator
-    has more than EXACT_VALUE_CAP_DIGITS digits, before anything prints it:
-    str() of such an int raises.  An int of at most 3 * EXACT_VALUE_CAP_DIGITS
-    bits is below 8^EXACT_VALUE_CAP_DIGITS, so only a longer one is compared
-    with 10^EXACT_VALUE_CAP_DIGITS, which takes tens of microseconds to form."""
-    big = max(abs(alpha.numerator), alpha.denominator)
-    if big.bit_length() > 3 * EXACT_VALUE_CAP_DIGITS and big >= 10**EXACT_VALUE_CAP_DIGITS:
-        raise exponent_digits_refusal()
+    caps.PRECISION.check(prec)
 
 
 @functools.lru_cache(maxsize=64)
@@ -81,14 +50,10 @@ def _make_context(prec: int):
 
 def _endpoint(raw) -> Fraction:
     """The exact value man * 2^exp of an mpf endpoint.  Its numerator and
-    denominator take about bc + |exp| bits, so past ENDPOINT_CAP_BITS it is
+    denominator take about bc + |exp| bits, so past the ENDPOINT cap it is
     refused before any of them is allocated."""
     _, _, exp, bc = raw
-    if abs(exp) + bc > ENDPOINT_CAP_BITS:
-        raise CapExceededError(
-            f"an interval endpoint of scale 2^{exp} needs {abs(exp) + bc} bits,"
-            f" over the {ENDPOINT_CAP_BITS}-bit cap"
-        )
+    caps.ENDPOINT.check(abs(exp) + bc)
     p, q = libmp.to_rational(raw)
     return Fraction(int(p), int(q))
 
@@ -127,7 +92,7 @@ class Enclosure:
 
 def fraction_to_decimal(f: Fraction, round_up: bool) -> str:
     """Decimal string with DECIMAL_DIGITS fractional places, rounded outward;
-    a value of more than EXACT_VALUE_CAP_DIGITS integer digits is refused."""
+    a value of more integer digits than the DIGITS cap is refused."""
     sign = "-" if f < 0 else ""
     num, den = abs(f.numerator), f.denominator
     scaled = num * 10**DECIMAL_DIGITS
@@ -135,10 +100,7 @@ def fraction_to_decimal(f: Fraction, round_up: bool) -> str:
     if rem and (round_up != (f < 0)):
         quo += 1
     whole, frac = divmod(quo, 10**DECIMAL_DIGITS)
-    if whole >= 10**EXACT_VALUE_CAP_DIGITS:
-        raise CapExceededError(
-            f"a value has more than {EXACT_VALUE_CAP_DIGITS} integer digits, over the cap"
-        )
+    caps.check_digits(whole)
     return f"{sign}{whole}.{frac:0{DECIMAL_DIGITS}d}"
 
 
@@ -226,9 +188,9 @@ def power_sum(terms, exponent: Fraction, prec: int, divisor=None) -> Enclosure:
 
 def certify_sign(evaluate, start_prec: int = DEFAULT_PRECISION):
     """Call evaluate(prec) -> Enclosure, doubling prec until the sign is
-    certified or PRECISION_CAP is reached; a start above the cap is clamped
-    to it.  Returns (enclosure, sign_string)."""
-    cap = PRECISION_CAP
+    certified or the PRECISION cap is reached; a start above the cap is
+    clamped to it.  Returns (enclosure, sign_string)."""
+    cap = caps.PRECISION.limit
     prec = min(max(start_prec, 8), cap)
     while True:
         enc = evaluate(prec)

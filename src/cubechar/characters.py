@@ -21,40 +21,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .certreal import (
-    DEFAULT_PRECISION,
-    EXACT_VALUE_CAP_DIGITS,
-    Enclosure,
-    certify_sign,
-    check_exponent_digits,
-    check_precision,
-    exponent_digits_refusal,
-    power_sum,
-)
-from .errors import CapExceededError
+from . import caps
+from .certreal import DEFAULT_PRECISION, Enclosure, certify_sign, check_precision, power_sum
 from .perm import cycle_string, embed_head, fixed_fraction
 
 FLOAT_TOLERANCE_BITS = 40
 
-#: Bound on alpha * max(bits of the numerator, log2 of the denominator) for
-#: an exact power of a dyadic base in lowest terms: the largest B with 2^B of
-#: at most EXACT_VALUE_CAP_DIGITS decimal digits (14284), so on bases in
-#: (0, 1) every value under the bound prints and none above it does.
-EXACT_POWER_CAP_BITS = (10**EXACT_VALUE_CAP_DIGITS).bit_length() - 1
-
-#: Caps on gram_matrix: its float eigen-decomposition grows as n^3, its agreement counts as n^2 x 2^level.
-GRAM_MAX_ELEMENTS = 128
-GRAM_WORK_CAP_LOG2 = 26
-
 
 def _exponent_literal(text: str) -> Fraction:
-    """Fraction(text), refused (CapExceededError) before 10^|e| is built when
-    it would be refused anyway: for a run of more than EXACT_VALUE_CAP_DIGITS
-    digits, or an exponent e past EXACT_VALUE_CAP_DIGITS plus the mantissa's
-    digits.  A zero mantissa is 0 whatever its exponent."""
+    """Fraction(text), refused (DIGITS) before 10^|e| is built when it would
+    be refused anyway: for a run of more digits than the cap, or an exponent
+    e past the cap plus the mantissa's digits.  A zero mantissa is 0
+    whatever its exponent."""
     runs = re.findall(r"[\d_]+", text)
-    if any(len(run) - run.count("_") > EXACT_VALUE_CAP_DIGITS for run in runs):
-        raise exponent_digits_refusal()
+    caps.DIGITS.check(max((len(run) - run.count("_") for run in runs), default=0))
     m = re.search(r"e([-+]?[\d_]+)\s*\Z", text, re.IGNORECASE)
     if m is None:
         return Fraction(text)
@@ -66,8 +46,7 @@ def _exponent_literal(text: str) -> Fraction:
         return Fraction(text)  # the same grammar error, raised for the literal as given
     if not mantissa:
         return mantissa
-    if abs(int(exponent)) > EXACT_VALUE_CAP_DIGITS + len(re.findall(r"\d", head)):
-        raise exponent_digits_refusal()
+    caps.DIGITS.check(abs(int(exponent)) - len(re.findall(r"\d", head)))
     return Fraction(text)
 
 
@@ -76,9 +55,9 @@ class Alpha:
 
     Integer and infinity exponents are the classified characters; non-integer
     rationals are candidates kept only to exhibit their positivity failure.
-    An exponent of more than EXACT_VALUE_CAP_DIGITS digits, above or below
-    its fraction bar, is refused (`check_exponent_digits`), and a text
-    literal of one before it is built (`_exponent_literal`).
+    An exponent of more digits than the DIGITS cap, above or below its
+    fraction bar, is refused, and a text literal of one before it is built
+    (`_exponent_literal`).
     """
 
     __slots__ = ("_value", "_integer")
@@ -87,7 +66,7 @@ class Alpha:
         integer = None
         if value is not None:
             value = _exponent_literal(value) if isinstance(value, str) else Fraction(value)
-            check_exponent_digits(value)
+            caps.check_digits(value.numerator, value.denominator)
             if value < 0:
                 raise ValueError("alpha must be non-negative")
             if value.denominator == 1:
@@ -174,10 +153,8 @@ def char_power(alpha: Alpha, base: Fraction):
     n = alpha._integer
     if n is not None:
         bits = n * max(base.numerator.bit_length(), base.denominator.bit_length() - 1)
-        if bits > EXACT_POWER_CAP_BITS and base != 1:
-            raise CapExceededError(
-                f"({base})^{alpha} needs {bits} bits, exact-power cap {EXACT_POWER_CAP_BITS}"
-            )
+        if base != 1:
+            caps.EXACT_POWER.check(bits)
         return base**n
     if alpha.is_infinity:
         return Fraction(1) if base == 1 else Fraction(0)
@@ -466,8 +443,7 @@ def gram_matrix(
     count shares its string, the exact value for a classified exponent, the
     repr of the midpoint float the verdict's float check read otherwise.
     Each lifted element is named by its cycle string.
-    More than GRAM_MAX_ELEMENTS elements, or n^2 x 2^level past
-    2^GRAM_WORK_CAP_LOG2, raise CapExceededError first.
+    The GRAM_ELEMENTS and GRAM_WORK caps are checked first.
     """
     build = gram_build(elements)
     decision = gram_verdict(alpha, build, witness_strategy, precision)
@@ -514,15 +490,11 @@ class GramBuild:
 
 
 def check_gram_caps(n: int, level: int) -> None:
-    """Refuse (CapExceededError) a Gram matrix of more than GRAM_MAX_ELEMENTS
-    elements, or of n^2 x 2^level past 2^GRAM_WORK_CAP_LOG2: checked per
-    element level before any table at that level is built, and a level past
-    GRAM_WORK_CAP_LOG2 before 2^level is formed."""
-    if n > GRAM_MAX_ELEMENTS or level > GRAM_WORK_CAP_LOG2 or n * n << level > 1 << GRAM_WORK_CAP_LOG2:
-        raise CapExceededError(
-            f"{n} elements at level {level} exceed the {GRAM_MAX_ELEMENTS}-element"
-            f" or 2^{GRAM_WORK_CAP_LOG2} n^2 x 2^level cap"
-        )
+    """Refuse a Gram matrix of n elements past GRAM_ELEMENTS, or at `level`
+    past GRAM_WORK: checked per element level before any table at that
+    level is built, and with no 2^level formed."""
+    caps.GRAM_ELEMENTS.check(n)
+    caps.GRAM_WORK.check(caps.log2_ceil(n * n) + level)
 
 
 def gram_build(elements) -> GramBuild:
@@ -586,7 +558,7 @@ def gram_verdict(
     The counts come in the order of their first nonzero product, row by
     row; a count whose total is 0 is kept (`power_sum` skips it).
 
-    A precision below DEFAULT_PRECISION or above PRECISION_CAP is
+    A precision below DEFAULT_PRECISION or above the PRECISION cap is
     refused first, at every exponent (`check_precision`).
     """
     check_precision(precision)

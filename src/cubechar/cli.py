@@ -11,14 +11,15 @@ import argparse
 import csv
 import io
 import json
+import math
 import random
 import sys
 from functools import partial
 
-from . import appendix, gnsfinite, obstruction, verify
+from . import appendix, caps, gnsfinite, obstruction, verify
 from .certreal import DEFAULT_PRECISION, check_precision
 from .characters import Alpha, BasePower, char_eval, check_gram_caps, gram_matrix
-from .cube import NiceSet, check_level_cap
+from .cube import NiceSet
 from .errors import CapExceededError, FalsificationError
 from .perm import (
     all_permutations,
@@ -33,10 +34,6 @@ EXIT_FAILED = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_UNDETERMINED = 4
-
-#: gns-check refuses samples x 4^level above 2^this before the first sample:
-#: each sample builds a table of 4^level entries (50 samples at level 10 pass).
-GNS_SAMPLE_CAP_LOG2 = 26
 
 
 def _print_json(payload) -> None:
@@ -86,10 +83,11 @@ def cmd_gram(args) -> int:
     check_precision(args.precision)
     alpha = Alpha.parse(args.alpha)
     if args.all_level is not None:
-        _check_count("--all-level", args.all_level)
-        if args.all_level > 2:
-            raise ValueError("--all-level supports n <= 2 (the group is otherwise huge)")
-        elements = list(all_permutations(args.all_level))
+        n = args.all_level
+        _check_count("--all-level", n)
+        # S(2^n) has (2^n)! elements; from n = 4 on only 16!, already past the cap, is formed
+        check_gram_caps(math.factorial(1 << min(n, 4)), n)
+        elements = list(all_permutations(n))
     elif args.elements:
         literals = [t for t in args.elements.split(";") if t.strip()]
         check = partial(check_gram_caps, len(literals))
@@ -199,11 +197,8 @@ def cmd_gns_check(args) -> int:
     level = args.level
     _check_count("--level", level)
     _check_count("--samples", args.samples)
-    check_level_cap(2 * level)
-    if args.samples << 2 * level > 1 << GNS_SAMPLE_CAP_LOG2:
-        raise CapExceededError(
-            f"{args.samples} samples of 4^{level} entries exceed the 2^{GNS_SAMPLE_CAP_LOG2} cap"
-        )
+    caps.LEVEL.check(2 * level)
+    caps.GNS_SAMPLES.check(caps.log2_ceil(args.samples) + 2 * level)
     rng = random.Random(args.seed)
     failures = []
     for _ in range(args.samples):
@@ -215,7 +210,7 @@ def cmd_gns_check(args) -> int:
     rep_s, rep_t = gnsfinite.rep_matrix(s), gnsfinite.rep_matrix(t)
     if gnsfinite.rep_matrix(s.compose(t)) != rep_s.compose(rep_t):
         failures.append("rep is not a homomorphism on a sampled pair")
-    explicit_tensor = 4 * level <= gnsfinite.TENSOR_DIM_CAP_BITS
+    explicit_tensor = 4 * level <= caps.TENSOR.limit
     if explicit_tensor and gnsfinite.tensor_character(s, 2) != gnsfinite.matrix_character(s) ** 2:
         failures.append("tensor self-check failed")
     xi = gnsfinite.xi_vector(level)
@@ -298,10 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help="cube level n <= 10; the tensor-square check runs only where the explicit"
-        f" tensor is built (n <= {gnsfinite.TENSOR_DIM_CAP_BITS // 4})",
+        f" tensor is built (n <= {caps.TENSOR.limit // 4})",
     )
     p.add_argument(
-        "--samples", type=int, default=50, help=f"samples x 4^n at most 2^{GNS_SAMPLE_CAP_LOG2}"
+        "--samples", type=int, default=50, help=f"samples x 4^n at most 2^{caps.GNS_SAMPLES.limit}"
     )
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.add_argument("--nice-set", help="cylinder set for the stabilization scan, e.g. 'k=2:1010'")
@@ -327,7 +322,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -10,15 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import CapExceededError
-
-#: Default bound on the level of any dense 2**n table.
-DEFAULT_LEVEL_CAP = 20
-
-
-def check_level_cap(level: int) -> None:
-    if level > DEFAULT_LEVEL_CAP:
-        raise CapExceededError(f"level {level} exceeds dense-table cap {DEFAULT_LEVEL_CAP}")
+from . import caps
 
 
 class NiceSet:
@@ -34,7 +26,7 @@ class NiceSet:
     def __init__(self, level: int, mask: int):
         if level < 0:
             raise ValueError("nice-set level must be non-negative")
-        check_level_cap(level)
+        caps.LEVEL.check(level)
         if not 0 <= mask < 1 << (1 << level):
             raise ValueError(f"mask does not fit {1 << level} bits")
         object.__setattr__(self, "level", level)
@@ -92,7 +84,7 @@ class NiceSet:
             raise ValueError("can only lift to a higher level")
         if level == self.level:
             return self
-        check_level_cap(level)
+        caps.LEVEL.check(level)
         mask = self.mask
         width = 1 << self.level
         for _ in range(level - self.level):
@@ -144,7 +136,7 @@ def nice_product(c: NiceSet, d: NiceSet) -> NiceSet:
     d.level coordinates, so measure(product) = measure(c) * measure(d).
     """
     level = c.level + d.level
-    check_level_cap(level)
+    caps.LEVEL.check(level)
     width = 1 << c.level
     mask = 0
     for j in d.members():

@@ -6,7 +6,19 @@ class LevelMismatchError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """A dense table or explicit tensor would exceed the configured cap."""
+    """An input would pass one of the fixed limits in `cubechar.caps`; raised
+    before the work it bounds starts.  `cap` is the record and `value` the
+    quantity it refused, in the record's unit (a lower bound where the exact
+    quantity is too large to count); the message is rendered from both."""
+
+    def __init__(self, cap, value):
+        super().__init__(cap, value)
+        self.cap = cap
+        self.value = value
+
+    def __str__(self):
+        cap = self.cap
+        return f"{cap.name} {self.value} over its limit {cap.limit} ({cap.unit}: {cap.bounds})"
 
 
 class PreconditionError(ValueError):

@@ -12,16 +12,14 @@ from fractions import Fraction
 from itertools import compress
 
 from .characters import Alpha, char_power
-from .cube import NiceSet, check_level_cap, nice_intersect, nice_product
-from .errors import CapExceededError, PreconditionError
+from . import caps
+from .cube import NiceSet, nice_intersect, nice_product
+from .errors import PreconditionError
 from .perm import CubePermutation, block_product, embed_head, fixed_fraction, flip_perm
 
-#: explicit tensor powers are built densely only up to this many basis points
-TENSOR_DIM_CAP_BITS = 14
-
 #: xi^(x)k as an immutable tuple, keyed by (level, k); `tensor_character`
-#: stores a key only after its cap check, so every value has at most
-#: 2^TENSOR_DIM_CAP_BITS entries and there are finitely many keys.
+#: stores a key only after its TENSOR check, so every value has at most
+#: 2^TENSOR.limit entries and there are finitely many keys.
 _XI_POWERS: dict = {}
 
 
@@ -32,7 +30,7 @@ def rep_matrix(s: CubePermutation) -> CubePermutation:
 
 def xi_vector(level: int):
     """Indicator of the diagonal, a unit vector for the 2^-n point weights."""
-    check_level_cap(2 * level)
+    caps.LEVEL.check(2 * level)
     vec = [0] * (1 << 2 * level)
     for x in range(1 << level):
         vec[x | (x << level)] = 1
@@ -63,19 +61,15 @@ def tensor_character(s: CubePermutation, k: int) -> Fraction:
     """<pi^(x)k(s) xi^(x)k, xi^(x)k>, which equals matrix_character(s)^k.
 
     Built from the explicit k-fold tensor, whose dimension 4^(n k) must fit
-    2^TENSOR_DIM_CAP_BITS; above it CapExceededError is raised before any
-    table.  The table pi^(x)k(s) is built on every call; xi^(x)k depends only
-    on (n, k) and is built once, then read from `_XI_POWERS`.  Criterion 2
+    the TENSOR cap; above it CapExceededError is raised before any table.
+    The table pi^(x)k(s) is built on every call; xi^(x)k depends only on
+    (n, k) and is built once, then read from `_XI_POWERS`.  Criterion 2
     compares it with the product formula, and so does gns-check at the
     levels the cap admits (n <= 3).
     """
     if k < 1:
         raise ValueError("tensor power k must be positive")
-    if 2 * s.level * k > TENSOR_DIM_CAP_BITS:
-        raise CapExceededError(
-            f"tensor power k={k} at level {s.level} has dimension 4^{s.level * k},"
-            f" over the 2^{TENSOR_DIM_CAP_BITS} cap"
-        )
+    caps.TENSOR.check(2 * s.level * k)
     xi_k = _XI_POWERS.get((s.level, k))
     if xi_k is None:
         xi, xi_k = xi_vector(s.level), [1]

@@ -17,34 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .certreal import (
-    DEFAULT_PRECISION,
-    EXACT_VALUE_CAP_DIGITS,
-    Enclosure,
-    certify_sign,
-    check_exponent_digits,
-    check_precision,
-    power_sum,
-)
+from . import caps
+from .certreal import DEFAULT_PRECISION, Enclosure, certify_sign, check_precision, power_sum
 from .errors import CapExceededError, FalsificationError, InternalInconsistencyError
-
-ALT_TRACE_MAX_M = 8
 
 #: noninteger_witness rejects alpha this close to an integer.
 INTEGER_DISTANCE_THRESHOLD = Fraction(1, 1 << 20)
-
-# Every exact C_n(m) under the digit cap prints; c_alpha_integer refuses the rest.
-_EXACT_VALUE_BOUND = 10**EXACT_VALUE_CAP_DIGITS
-# A lower bound of more bits than log2(10^4300) means too many digits; the
-# extra bit absorbs float rounding in that bound.
-_EXACT_VALUE_CAP_BITS = EXACT_VALUE_CAP_DIGITS * math.log2(10) + 1
-
-#: log2 of the bound on m (n log2 m + m), the bit work of the exact sums for
-#: C_n(m): m + 1 terms, each an m-bit binomial times an (n log2 m)-bit power.
-#: Every C_n(m) with m <= n + 1 that passes the digit cap costs at most
-#: 2^24.75 by this count (n = m = 1558), so only the zero values at m >= n + 2
-#: with m in the thousands reach it; at the bound the sums take a few seconds.
-EXACT_SUM_WORK_CAP_LOG2 = 25
 
 #: Bits the witness sum's evaluation gets above the cancellation that
 #: `_witness_precision` predicts; with powers tight to a few units in their
@@ -52,17 +30,10 @@ EXACT_SUM_WORK_CAP_LOG2 = 25
 WITNESS_GUARD_BITS = 16
 
 #: Bits by which the witness's predicted log2|C_alpha(m)| may pass
-#: _EXACT_VALUE_CAP_BITS before noninteger_witness refuses it unsummed;
+#: caps.EXACT_VALUE_BITS before noninteger_witness refuses it unsummed;
 #: nearer the cap the exact digit check of the printed value decides (the
 #: prediction is within 0.3 bits for m >= 8).
 WITNESS_DIGIT_MARGIN_BITS = 4
-
-#: Largest m at which c_alpha_real encloses C_alpha(m) for non-integer alpha.
-#: The sum cancels up to about 2.5 m bits, so each of its m terms escalates
-#: to a precision of that order; up to this bound a sign takes at most about
-#: half a minute (the witness of alpha = 4001/2 at m = 2003, one evaluation
-#: at 4096 bits, takes about 5 s).
-REAL_SUM_MAX_M = 2048
 
 
 def signed_derangement_sum(k: int) -> int:
@@ -75,8 +46,6 @@ def signed_derangement_sum(k: int) -> int:
 def signed_derangement_sum_bruteforce(k: int) -> int:
     """The same sum by literal enumeration of S(k): the signs, each the parity
     of the permutation's inversions, of the permutations with no fixed point."""
-    if not 1 <= k <= 9:
-        raise ValueError("brute force supported only for 1 <= k <= 9")
     return _signed_fixcounts(k)[0]
 
 
@@ -124,8 +93,11 @@ def _signed_fixcounts(k: int) -> list:
     count is the number of columns i holding i.  One bincount per block
     counts (k+1)*odd + fixed: the even rows land in its first k+1 bins, the
     odd rows in the rest, which are subtracted at the end.  The buffers are
-    preallocated, so at k = 9 the peak stays under 1 MB.
+    preallocated, so at k = 9, the ENUMERATION cap, the peak stays under 1 MB.
     """
+    if k < 1:
+        raise ValueError("k must be positive")
+    caps.ENUMERATION.check(k)
     import numpy as np
 
     size = math.factorial(k - 1)
@@ -165,32 +137,21 @@ def stirling2_recurrence(n: int, m: int) -> int:
 def _check_exact_caps(n: int, m: int) -> None:
     """Raise CapExceededError if the exact sum for C_n(m) passes a cap; each
     bound rises with m.  For 1 <= m <= n+1, C_n(m) >= m! m^(n-m) since
-    S(n,m) >= m S(n-1,m); past EXACT_VALUE_CAP_DIGITS digits it is refused.
-    For m >= n+2 the value is 0, but the sum still forms the powers (m-j)^n:
-    refused when m^n has more bits, or past 2^EXACT_SUM_WORK_CAP_LOG2 work.
+    S(n,m) >= m S(n-1,m); past the DIGITS cap it is refused.  For m >= n+2
+    the value is 0, but the sum still forms the powers (m-j)^n: refused when
+    m^n has more digits.  The sum's work, m + 1 terms each an m-bit binomial
+    times an (n log2 m)-bit power, is capped by EXACT_SUM_WORK; every value
+    at m <= n+1 under the digit cap costs less (2^24.75 at n = m = 1558).
     """
     if m <= 1:  # C_n(0) = 0^n and C_n(1) = 1^n pass every cap
         return
     if max(n, m).bit_length() > 64:  # settled before n or m could overflow a float
-        raise CapExceededError(f"C_{n}({m}) needs at least 2^64 bit operations, over the work cap")
+        raise CapExceededError(caps.EXACT_SUM_WORK, max(n, m).bit_length())
     if m <= n + 1:
-        bits = math.lgamma(m + 1) / math.log(2) + (n - m) * math.log2(m)
-        if bits > _EXACT_VALUE_CAP_BITS:
-            raise CapExceededError(
-                f"C_{n}({m}) has at least {bits:.0f} bits,"
-                f" over the {EXACT_VALUE_CAP_DIGITS}-digit cap"
-            )
-    elif n * math.log2(m) > _EXACT_VALUE_CAP_BITS:
-        raise CapExceededError(
-            f"C_{n}({m}) sums powers {m}^{n} of {n * math.log2(m):.0f} bits,"
-            f" over the {EXACT_VALUE_CAP_DIGITS}-digit cap"
-        )
-    work = math.log2(m * (n * math.log2(m) + m))
-    if work > EXACT_SUM_WORK_CAP_LOG2:
-        raise CapExceededError(
-            f"C_{n}({m}) needs about 2^{work:.2f} bit operations,"
-            f" over the 2^{EXACT_SUM_WORK_CAP_LOG2} work cap"
-        )
+        caps.check_value_bits(math.lgamma(m + 1) / math.log(2) + (n - m) * math.log2(m))
+    else:
+        caps.check_value_bits(n * math.log2(m))
+    caps.EXACT_SUM_WORK.check(math.ceil(math.log2(m * (n * math.log2(m) + m))))
 
 
 def _c_alpha_terms(m: int):
@@ -201,15 +162,14 @@ def _c_alpha_terms(m: int):
 
 def c_alpha_integer(n: int, m: int) -> int:
     """C_n(m) by the alternating sum (criterion 7 checks it against m!(S(n,m) +
-    S(n,m-1))), capped by `_check_exact_caps` and at EXACT_VALUE_CAP_DIGITS digits."""
+    S(n,m-1))), capped by `_check_exact_caps` and by the DIGITS cap."""
     if n < 0:
         raise ValueError("exponent must be non-negative")
     if m < 1:
         raise ValueError("m must be positive")
     _check_exact_caps(n, m)
     total = sum(c * b**n for c, b, _ in _c_alpha_terms(m))
-    if total >= _EXACT_VALUE_BOUND:
-        raise CapExceededError(f"C_{n}({m}) has more than {EXACT_VALUE_CAP_DIGITS} digits")
+    caps.check_digits(total)
     if total < 0:
         raise FalsificationError(f"C_{n}({m}) = {total} < 0 at integer exponent")
     return total
@@ -251,9 +211,12 @@ class ObstructionReport:
 def check_m_range(alpha: Fraction, lo: int, hi: int, precision: int = DEFAULT_PRECISION) -> None:
     """Raise, before any sum, what c_alpha_real(alpha, m, precision) raises
     for some lo <= m <= hi: ValueError for its arguments, or CapExceededError.
-    Each cap checked before a sum rises with m, so m = hi decides them all."""
+    Each cap checked before a sum rises with m, so m = hi decides them all.
+    A non-integer alpha's sum cancels up to about 2.5 m bits, so each of its
+    m terms escalates to a precision of that order: up to the REAL_SUM_M cap
+    a sign takes at most about half a minute."""
     alpha = Fraction(alpha)
-    check_exponent_digits(alpha)
+    caps.check_digits(alpha.numerator, alpha.denominator)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     check_precision(precision)
@@ -261,8 +224,8 @@ def check_m_range(alpha: Fraction, lo: int, hi: int, precision: int = DEFAULT_PR
         raise ValueError("m must be positive")
     if alpha.denominator == 1:
         _check_exact_caps(int(alpha), hi)
-    elif hi > REAL_SUM_MAX_M:
-        raise CapExceededError(f"C_{alpha}({hi}): m over the interval-sum cap {REAL_SUM_MAX_M}")
+    else:
+        caps.REAL_SUM_M.check(hi)
 
 
 def c_alpha_real(alpha: Fraction, m: int, precision: int = DEFAULT_PRECISION) -> ObstructionReport:
@@ -272,8 +235,8 @@ def c_alpha_real(alpha: Fraction, m: int, precision: int = DEFAULT_PRECISION) ->
     point and the sign may be 'zero').  Otherwise the alternating sum is
     enclosed by interval arithmetic, doubling the working precision until the
     sign is certified or the cap is hit, in which case the report says
-    'undetermined' rather than guessing.  That route refuses m above
-    REAL_SUM_MAX_M before it sums.
+    'undetermined' rather than guessing.  That route refuses m above the
+    REAL_SUM_M cap before it sums.
     """
     check_m_range(alpha, m, m, precision)
     alpha = Fraction(alpha)
@@ -288,14 +251,12 @@ def c_alpha_real(alpha: Fraction, m: int, precision: int = DEFAULT_PRECISION) ->
 def signed_fixcount_distribution(m: int) -> list:
     """a[f] = sum of sign(s) over s in S(m) with exactly f fixed points, by
     literal enumeration of S(m), each sign the parity of the inversions."""
-    if not 1 <= m <= ALT_TRACE_MAX_M:
-        raise ValueError(f"m must be between 1 and {ALT_TRACE_MAX_M}")
     return _signed_fixcounts(m)
 
 
 def _check_nonnegative(alpha: Fraction) -> Fraction:
     alpha = Fraction(alpha)
-    check_exponent_digits(alpha)
+    caps.check_digits(alpha.numerator, alpha.denominator)
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
     return alpha
@@ -338,7 +299,7 @@ def alt_trace_closed_form(alpha: Fraction, m: int):
 
 def _check_noninteger(alpha: Fraction) -> Fraction:
     alpha = Fraction(alpha)
-    check_exponent_digits(alpha)
+    caps.check_digits(alpha.numerator, alpha.denominator)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     nearest = round(alpha)
@@ -376,11 +337,7 @@ def noninteger_witness(alpha: Fraction, precision: int = DEFAULT_PRECISION) -> t
     m = math.ceil(alpha) + 2
     check_m_range(alpha, m, m, precision)
     start, log2_value = _witness_precision(alpha, m, precision)
-    if log2_value > _EXACT_VALUE_CAP_BITS + WITNESS_DIGIT_MARGIN_BITS:
-        raise CapExceededError(
-            f"C_alpha({m}) for alpha={alpha} has about {log2_value:.0f} bits,"
-            f" over the {EXACT_VALUE_CAP_DIGITS}-digit cap"
-        )
+    caps.check_value_bits(log2_value, WITNESS_DIGIT_MARGIN_BITS)
     enc, sign = certify_sign(partial(power_sum, list(_c_alpha_terms(m)), alpha), start_prec=start)
     report = ObstructionReport(alpha, m, sign, "interval", enclosure=enc)
     if sign != "negative":

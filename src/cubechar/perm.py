@@ -17,7 +17,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cube import NiceSet, check_level_cap
+from . import caps
+from .cube import NiceSet
 from .errors import LevelMismatchError, PreconditionError
 
 # ---------------------------------------------------------------------------
@@ -142,7 +143,7 @@ class CubePermutation:
     __slots__ = ("level", "images")
 
     def __init__(self, level: int, images):
-        check_level_cap(level)
+        caps.LEVEL.check(level)
         images = tuple(images)
         if len(images) != 1 << level:
             raise ValueError(f"expected {1 << level} images, got {len(images)}")
@@ -211,7 +212,7 @@ def _trusted_permutation(level: int, images: tuple) -> CubePermutation:
 
 
 def identity(level: int) -> CubePermutation:
-    check_level_cap(level)
+    caps.LEVEL.check(level)
     return _trusted_permutation(level, tuple(range(1 << level)))
 
 
@@ -228,12 +229,12 @@ def transposition(level: int, a: int, b: int) -> CubePermutation:
 
 
 def from_cycles(level: int, cycles) -> CubePermutation:
-    check_level_cap(level)
+    caps.LEVEL.check(level)
     return CubePermutation(level, table_from_cycles(1 << level, cycles))
 
 
 def random_permutation(level: int, rng) -> CubePermutation:
-    check_level_cap(level)
+    caps.LEVEL.check(level)
     images = list(range(1 << level))
     rng.shuffle(images)
     return _trusted_permutation(level, tuple(images))
@@ -241,7 +242,7 @@ def random_permutation(level: int, rng) -> CubePermutation:
 
 def all_permutations(level: int):
     """Iterate S(2^level) in lexicographic table order; only sane for level <= 2."""
-    check_level_cap(level)
+    caps.LEVEL.check(level)
     for images in itertools.permutations(range(1 << level)):
         yield _trusted_permutation(level, images)
 
@@ -274,7 +275,7 @@ def block_product(*perms: CubePermutation) -> CubePermutation:
     """
     if not perms:
         return identity(0)
-    check_level_cap(sum(p.level for p in perms))
+    caps.LEVEL.check(sum(p.level for p in perms))
     images, shift = perms[0].images, perms[0].level
     for p in perms[1:]:
         images = [v | h for h in [w << shift for w in p.images] for v in images]
@@ -287,7 +288,7 @@ def embed_head(p: CubePermutation, target_level: int) -> CubePermutation:
     table repeated on each block of p.size indices, shifted to its offset."""
     if target_level < p.level:
         raise LevelMismatchError("target level below source level")
-    check_level_cap(target_level)
+    caps.LEVEL.check(target_level)
     images = p.images
     offsets = range(0, 1 << target_level, p.size)
     return _trusted_permutation(target_level, tuple([off + v for off in offsets for v in images]))
@@ -304,7 +305,7 @@ def flip_perm(a: NiceSet, m: int) -> CubePermutation:
     a = a.canonical()
     if m <= a.level:
         raise PreconditionError(f"coordinate {m} must exceed the set's level {a.level}")
-    check_level_cap(m)
+    caps.LEVEL.check(m)
     bit, low = 1 << (m - 1), (1 << a.level) - 1
     toggle = [0 if a.mask >> w & 1 else bit for w in range(low + 1)]
     return _trusted_permutation(m, tuple(x ^ toggle[x & low] for x in range(1 << m)))
@@ -399,7 +400,7 @@ class ProductFormPermutation:
         return CycleType.from_counts(tally)
 
     def densify(self) -> CubePermutation:
-        check_level_cap(self.level)
+        caps.LEVEL.check(self.level)
         return CubePermutation(self.level, (self.apply(z) for z in range(1 << self.level)))
 
     def __repr__(self):

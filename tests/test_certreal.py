@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,14 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import libmp
 
-from cubechar import Alpha, certreal
+from cubechar import Alpha, caps, certreal
 from cubechar.certreal import (
     DEFAULT_PRECISION,
-    ENDPOINT_CAP_BITS,
-    EXACT_VALUE_CAP_DIGITS,
     Enclosure,
     certify_sign,
-    check_exponent_digits,
     check_precision,
     fraction_to_decimal,
     power_sum,
@@ -35,7 +33,7 @@ def _recording(tried, decide_at=None):
 
 
 def test_certify_sign_doubles_up_to_the_cap(monkeypatch):
-    monkeypatch.setattr(certreal, "PRECISION_CAP", 256)
+    monkeypatch.setattr(caps, "PRECISION", dataclasses.replace(caps.PRECISION, limit=256))
     tried = []
     enc, sign = certify_sign(_recording(tried))
     assert tried == [64, 128, 256]
@@ -43,7 +41,7 @@ def test_certify_sign_doubles_up_to_the_cap(monkeypatch):
 
 
 def test_certify_sign_stops_at_the_first_decided_precision(monkeypatch):
-    monkeypatch.setattr(certreal, "PRECISION_CAP", 256)
+    monkeypatch.setattr(caps, "PRECISION", dataclasses.replace(caps.PRECISION, limit=256))
     tried = []
     enc, sign = certify_sign(_recording(tried, decide_at=128))
     assert tried == [64, 128]
@@ -51,27 +49,28 @@ def test_certify_sign_stops_at_the_first_decided_precision(monkeypatch):
 
 
 def test_certify_sign_clamps_to_a_cap_between_doublings(monkeypatch):
-    monkeypatch.setattr(certreal, "PRECISION_CAP", 200)
+    monkeypatch.setattr(caps, "PRECISION", dataclasses.replace(caps.PRECISION, limit=200))
     tried = []
     certify_sign(_recording(tried), start_prec=64)
     assert tried == [64, 128, 200]
-    monkeypatch.setattr(certreal, "PRECISION_CAP", 64)
+    monkeypatch.setattr(caps, "PRECISION", dataclasses.replace(caps.PRECISION, limit=64))
     tried.clear()
     certify_sign(_recording(tried), start_prec=128)
     assert tried == [64]
 
 
 def test_check_precision_edges(monkeypatch):
-    for prec in (DEFAULT_PRECISION, certreal.PRECISION_CAP):
+    for prec in (DEFAULT_PRECISION, caps.PRECISION.limit):
         check_precision(prec)
     with pytest.raises(ValueError, match="precision must be at least 64"):
         check_precision(DEFAULT_PRECISION - 1)
     with pytest.raises(CapExceededError):
-        check_precision(certreal.PRECISION_CAP + 1)
-    monkeypatch.setattr(certreal, "PRECISION_CAP", 100)
+        check_precision(caps.PRECISION.limit + 1)
+    monkeypatch.setattr(caps, "PRECISION", dataclasses.replace(caps.PRECISION, limit=100))
     check_precision(100)
-    with pytest.raises(CapExceededError, match="precision 101 over the 100-bit cap"):
+    with pytest.raises(CapExceededError) as info:
         check_precision(101)
+    assert (info.value.cap, info.value.value) == (caps.PRECISION, 101)
 
 
 # zero coefficients and zero bases are drawn often: both must add nothing
@@ -353,40 +352,45 @@ def test_endpoints_past_the_bit_cap_are_refused_before_conversion():
     """(1/2)^alpha and 3^alpha have an endpoint of scale 2^-alpha and about
     2^(1.58 alpha): under the cap it converts, past it CapExceededError comes
     instead.  (The CLI tests run the huge exponents, in a capped child.)"""
-    under = power_sum([(1, 1, 2)], Fraction(2 * ENDPOINT_CAP_BITS - 2001, 2), 64)
+    cap = caps.ENDPOINT.limit
+    under = power_sum([(1, 1, 2)], Fraction(2 * cap - 2001, 2), 64)
     assert 0 < under.lo <= under.hi
-    for term, alpha in (((1, 1, 2), ENDPOINT_CAP_BITS), ((1, 3, 1), 2 * ENDPOINT_CAP_BITS // 3)):
-        with pytest.raises(CapExceededError, match=f"{ENDPOINT_CAP_BITS}-bit cap"):
+    for term, alpha in (((1, 1, 2), cap), ((1, 3, 1), 2 * cap // 3)):
+        with pytest.raises(CapExceededError) as info:
             power_sum([term], alpha + Fraction(1, 2), 64)
+        assert info.value.cap is caps.ENDPOINT and info.value.value > cap
 
 
 def test_decimals_past_the_digit_cap_are_refused():
-    """A value prints up to EXACT_VALUE_CAP_DIGITS integer digits, in either
-    direction of rounding, and is refused with CapExceededError past them."""
-    largest = 10**EXACT_VALUE_CAP_DIGITS - 1
+    """A value prints up to DIGITS.limit integer digits, in either direction
+    of rounding, and is refused with CapExceededError past them."""
+    digits = caps.DIGITS.limit
+    largest = 10**digits - 1
     for f in (Fraction(largest), Fraction(-largest), Fraction(largest * 3 + 1, 3)):
         for round_up in (False, True):
             whole, frac = fraction_to_decimal(f, round_up).split(".")
-            assert len(whole.lstrip("-")) == EXACT_VALUE_CAP_DIGITS and len(frac) == 25
-    for f in (Fraction(10**EXACT_VALUE_CAP_DIGITS), Fraction(-(10**EXACT_VALUE_CAP_DIGITS) * 7, 3)):
-        with pytest.raises(CapExceededError, match="more than 4300 integer digits"):
+            assert len(whole.lstrip("-")) == digits and len(frac) == 25
+    for f in (Fraction(10**digits), Fraction(-(10**digits) * 7, 3)):
+        with pytest.raises(CapExceededError) as info:
             fraction_to_decimal(f, round_up=True)
+        assert (info.value.cap, info.value.value) == (caps.DIGITS, 4301)
     assert fraction_to_decimal(Fraction(-1, 3), round_up=True) == "-0." + "3" * 25
     assert fraction_to_decimal(Fraction(2, 3), round_up=True) == "0." + "6" * 24 + "7"
 
 
 def test_exponent_digits_cap_edge():
-    """An exponent prints with EXACT_VALUE_CAP_DIGITS digits above or below
-    its fraction bar; one more digit is refused, by Alpha too, before
-    anything prints it."""
-    top = 10**EXACT_VALUE_CAP_DIGITS
+    """An exponent prints with DIGITS.limit digits above or below its
+    fraction bar; one more digit is refused, by Alpha too, before anything
+    prints it."""
+    top = 10**caps.DIGITS.limit
     for alpha in (Fraction(top - 1), Fraction(1, top - 1), Fraction(1 - top, 7)):
-        check_exponent_digits(alpha)
+        caps.check_digits(alpha.numerator, alpha.denominator)
         str(alpha)  # str raises past the digit limit
     assert str(Alpha(top - 1)) == str(top - 1)
     for alpha in (Fraction(top), Fraction(1, top), Fraction(-top, 7)):
-        with pytest.raises(CapExceededError, match="more than 4300 digits"):
-            check_exponent_digits(alpha)
+        with pytest.raises(CapExceededError) as info:
+            caps.check_digits(alpha.numerator, alpha.denominator)
+        assert (info.value.cap, info.value.value) == (caps.DIGITS, 4301)
     with pytest.raises(CapExceededError):
         Alpha(Fraction(3, top))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import operator
 import random
@@ -33,12 +34,9 @@ from cubechar import (
     random_permutation,
     transposition,
 )
-from cubechar import certreal, characters
-from cubechar.certreal import DEFAULT_PRECISION, PRECISION_CAP
+from cubechar import caps, characters
+from cubechar.certreal import DEFAULT_PRECISION
 from cubechar.characters import (
-    EXACT_POWER_CAP_BITS,
-    GRAM_MAX_ELEMENTS,
-    GRAM_WORK_CAP_LOG2,
     _exponent_literal,
     gram_build,
     gram_verdict,
@@ -127,18 +125,19 @@ def test_alpha_integer_is_stored_at_construction(alpha, integer):
 def test_exact_power_cap_edge(base):
     """Powers up to the cap print in full; one step past it raises before the power."""
     bits_per_unit = max(base.numerator.bit_length(), base.denominator.bit_length() - 1)
-    edge = EXACT_POWER_CAP_BITS // bits_per_unit
+    edge = caps.EXACT_POWER.limit // bits_per_unit
     value = char_power(Alpha(edge), base)
     assert str(value) == f"{base.numerator**edge}/{base.denominator**edge}"
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError) as info:
         char_power(Alpha(edge + 1), base)
+    assert (info.value.cap, info.value.value) == (caps.EXACT_POWER, (edge + 1) * bits_per_unit)
 
 
 def test_exact_power_cap_is_the_digit_limit_in_bits():
     """2^B is the largest power of two of at most 4300 decimal digits (2^(B+1)
     is compared with 10^4300, since Python refuses to print it)."""
-    assert len(str(2**EXACT_POWER_CAP_BITS)) <= 4300
-    assert 2 ** (EXACT_POWER_CAP_BITS + 1) >= 10**4300
+    assert len(str(2**caps.EXACT_POWER.limit)) <= 4300
+    assert 2 ** (caps.EXACT_POWER.limit + 1) >= 10**4300
 
 
 def test_exact_power_cap_spares_zero_and_one():
@@ -672,11 +671,11 @@ def test_gram_build_counts_match_the_pairwise_count(elements, block_bytes):
 
 
 def test_gram_build_at_the_level_20_work_edge():
-    """Eight level-20 tables, n^2 x 2^level = 2^GRAM_WORK_CAP_LOG2: the counts
+    """Eight level-20 tables, n^2 x 2^level = 2^GRAM_WORK.limit: the counts
     take column blocks, so the build stays in the bound of the level-14
     edge."""
     elements = [identity(20), transposition(20, 0, 1)] * 4
-    assert len(elements) ** 2 << 20 == 1 << GRAM_WORK_CAP_LOG2
+    assert len(elements) ** 2 << 20 == 1 << caps.GRAM_WORK.limit
     build, peak = traced_peak(lambda: gram_build(elements))
     assert peak < 1 << 22
     assert build.counts[0, 1] == (1 << 20) - 2 and build.counts[1, 3] == 1 << 20
@@ -701,11 +700,11 @@ def test_gram_requires_elements():
 
 
 def test_gram_element_caps_edge():
-    """GRAM_MAX_ELEMENTS elements, and n^2 x 2^level = 2^GRAM_WORK_CAP_LOG2,
+    """GRAM_ELEMENTS.limit elements, and n^2 x 2^level = 2^GRAM_WORK.limit,
     each verify; one element more raises before any element is lifted."""
-    at_count_edge = [identity(0)] * GRAM_MAX_ELEMENTS
+    at_count_edge = [identity(0)] * caps.GRAM_ELEMENTS.limit
     at_work_edge = [identity(14), transposition(14, 0, 1)] * 32
-    assert len(at_work_edge) ** 2 << 14 == 1 << GRAM_WORK_CAP_LOG2
+    assert len(at_work_edge) ** 2 << 14 == 1 << caps.GRAM_WORK.limit
     for elements, extra in ((at_count_edge, identity(0)), (at_work_edge, identity(13))):
         report, peak = traced_peak(lambda: gram_matrix(Alpha(1), elements))
         assert report.is_psd and peak < 1 << 22
@@ -779,10 +778,11 @@ def test_gram_precision_outside_the_bounds_is_refused(monkeypatch, s22, alpha):
             gram_matrix(alpha, s22, witness_strategy="signs", precision=low)
         with pytest.raises(ValueError):
             gram_verdict(alpha, build, "signs", low)
-    for high in (10**6, PRECISION_CAP + 1):
-        with pytest.raises(CapExceededError, match="precision"):
+    for high in (10**6, caps.PRECISION.limit + 1):
+        with pytest.raises(CapExceededError) as info:
             gram_matrix(alpha, s22, witness_strategy="signs", precision=high)
-    monkeypatch.setattr(certreal, "PRECISION_CAP", 128)
+        assert (info.value.cap, info.value.value) == (caps.PRECISION, high)
+    monkeypatch.setattr(caps, "PRECISION", dataclasses.replace(caps.PRECISION, limit=128))
     with pytest.raises(CapExceededError):
         gram_verdict(alpha, build, "signs", 129)
 

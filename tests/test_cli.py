@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import time
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cubechar import ProductFormPermutation, certreal, cli, gnsfinite, obstruction
+from cubechar import ProductFormPermutation, caps, gnsfinite, obstruction
 from cubechar.cli import main
 from conftest import run_cli_capped, traced_peak
 
@@ -88,12 +89,12 @@ PRECISION_COMMANDS = {
 @pytest.mark.parametrize("command", sorted(PRECISION_COMMANDS))
 def test_precision_is_refused_outside_64_to_the_cap(command, monkeypatch, capsys):
     argv, in_range = PRECISION_COMMANDS[command]
-    monkeypatch.setattr(certreal, "PRECISION_CAP", 128)
+    monkeypatch.setattr(caps, "PRECISION", dataclasses.replace(caps.PRECISION, limit=128))
     for precision, code, message in (
         (63, 2, "error: precision must be at least 64"),
         (64, in_range, ""),
         (128, in_range, ""),
-        (129, 3, "cap exceeded: precision 129 over the 128-bit cap"),
+        (129, 3, "cap exceeded: PRECISION 129 over its limit 128"),
     ):
         got, out = run_cli([*argv, "--precision", str(precision)])
         assert got == code and (out == "") == (code > 1)
@@ -135,9 +136,10 @@ def test_negative_counts_are_refused_by_flag(argv, flag, capsys):
     assert capsys.readouterr().err == f"error: {flag} must be non-negative, got {argv[-1]}\n"
 
 
-def test_gram_rejects_large_level():
-    code, _ = run_cli(["gram", "--alpha", "1", "--all-level", "3"])
-    assert code == 2
+def test_gram_rejects_large_level(capsys):
+    """S(2^3) has 40320 elements: the element cap refuses it before any is listed."""
+    assert run_cli(["gram", "--alpha", "1", "--all-level", "3"]) == (3, "")
+    assert capsys.readouterr().err.startswith("cap exceeded: GRAM_ELEMENTS 40320 over its limit 128")
 
 
 def test_gram_rejects_low_precision(capsys):
@@ -212,7 +214,7 @@ def test_obstruction_witness_rejects_integers():
 
 
 def test_obstruction_undetermined_at_precision_cap(monkeypatch, capsys):
-    monkeypatch.setattr(certreal, "PRECISION_CAP", 64)
+    monkeypatch.setattr(caps, "PRECISION", dataclasses.replace(caps.PRECISION, limit=64))
     code, out = run_cli(["obstruction", "--alpha", "201/2", "--m", "103", "--format", "text"])
     assert code == 4
     assert out.startswith("C_201/2(103) = [") and out.endswith(" [undetermined]\n")
@@ -267,13 +269,20 @@ HUGE_EXPONENT_COMMANDS = {
 @pytest.mark.parametrize("command", sorted(HUGE_EXPONENT_COMMANDS))
 def test_exponent_past_the_digit_cap_exits_3(command, capsys):
     """An exponent whose numerator or denominator has more than 4300 digits
-    is refused before anything prints it."""
+    is refused before anything prints it: 10^5000 has 4999 digits past its
+    mantissa's one."""
     code, out = run_cli(HUGE_EXPONENT_COMMANDS[command])
     assert code == 3 and out == ""
-    assert "cap exceeded: alpha has more than 4300 digits" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("cap exceeded: DIGITS 4999 over its limit 4300")
 
 
-LITERALS_PAST_THE_DIGIT_CAP = ["1e10000000", "1e-10000000", "7" * 5000, "1e4300"]
+#: Each literal, and the digits the DIGITS cap reports for it.
+LITERALS_PAST_THE_DIGIT_CAP = {
+    "1e10000000": 9999999,
+    "1e-10000000": 9999999,
+    "7" * 5000: 5000,
+    "1e4300": 4301,
+}
 LITERAL_COMMANDS = {
     "char-eval": ["char-eval", "--perm", "identity(2)"],
     "gram": ["gram", "--all-level", "1"],
@@ -291,7 +300,8 @@ def test_exponent_literals_past_the_digit_cap_exit_3_at_once(literal, command):
     done = run_cli_capped([*LITERAL_COMMANDS[command], "--alpha", literal])
     assert time.perf_counter() - started < 2
     assert (done.returncode, done.stdout) == (3, "")
-    assert "cap exceeded: alpha has more than 4300 digits" in done.stderr
+    digits = LITERALS_PAST_THE_DIGIT_CAP[literal]
+    assert done.stderr.startswith(f"cap exceeded: DIGITS {digits} over its limit 4300")
 
 
 @pytest.mark.parametrize("literal, value", [("0e99999999", "1"), ("1e4299", "1")])
@@ -408,7 +418,7 @@ def test_construct_si_past_pair_cap_exits_3(capsys):
         lambda: run_cli(["construct-si", "--perm", "identity(1)", "-r", "10"])
     )
     assert code == 3 and out == ""
-    assert "pairs" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("cap exceeded: SI_PAIRS 21 over its limit 20")
     assert peak < 1 << 20
 
 
@@ -437,14 +447,15 @@ def test_gns_check_level_above_cap_exits_before_allocation(capsys):
 
 
 def test_gns_check_refuses_samples_past_cap_before_the_first(monkeypatch, capsys):
-    assert 50 << 2 * 10 <= 1 << cli.GNS_SAMPLE_CAP_LOG2  # the default runs at level 10
+    assert 50 << 2 * 10 <= 1 << caps.GNS_SAMPLES.limit  # the default runs at level 10
     (code, out), peak = traced_peak(
         lambda: run_cli(["gns-check", "--level", "10", "--samples", "65"])
     )
     assert code == 3 and out == ""
-    assert "65 samples of 4^10 entries exceed the 2^26 cap" in capsys.readouterr().err
+    # 65 samples of 4^10 entries: 2^26.02, so 27 rounded up
+    assert capsys.readouterr().err.startswith("cap exceeded: GNS_SAMPLES 27 over its limit 26")
     assert peak < 1 << 20
-    monkeypatch.setattr(cli, "GNS_SAMPLE_CAP_LOG2", 10)
+    monkeypatch.setattr(caps, "GNS_SAMPLES", dataclasses.replace(caps.GNS_SAMPLES, limit=10))
     assert run_cli(["gns-check", "--level", "2", "--samples", "64"])[0] == 0
     assert run_cli(["gns-check", "--level", "2", "--samples", "65"]) == (3, "")
 
@@ -531,7 +542,7 @@ def test_huge_exponents_exit_3_under_the_endpoint_cap():
     ):
         done = run_cli_capped(argv)
         assert (done.returncode, done.stdout) == (3, "")
-        assert "cap exceeded" in done.stderr and "1048576-bit cap" in done.stderr
+        assert done.stderr.startswith("cap exceeded: ENDPOINT ") and "over its limit 1048576" in done.stderr
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
@@ -540,7 +551,7 @@ def test_values_past_the_digit_cap_exit_3_and_print_nothing(fmt):
     format, with nothing printed for the value of 3/2 before it."""
     done = run_cli_capped(["obstruction", "--alpha", "3/2,20001/2", "--m", "3", "--format", fmt])
     assert (done.returncode, done.stdout) == (3, "")
-    assert "cap exceeded" in done.stderr and "more than 4300 integer digits" in done.stderr
+    assert done.stderr.startswith("cap exceeded: DIGITS 4772 over its limit 4300")
 
 
 def test_witness_past_the_digit_cap_exits_3_before_its_sum(monkeypatch, capsys):
@@ -550,7 +561,7 @@ def test_witness_past_the_digit_cap_exits_3_before_its_sum(monkeypatch, capsys):
     monkeypatch.setattr(obstruction, "power_sum", refuse)
     code, out = run_cli(["obstruction", "--witness", "--alpha", "3501/2"])
     assert (code, out) == (3, "")
-    assert "over the 4300-digit cap" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("cap exceeded: DIGITS 4918 over its limit 4300")
 
 
 def test_verify_all_json_smoke():

@@ -12,6 +12,7 @@ from cubechar import (
     NiceSet,
     PreconditionError,
     block_product,
+    caps,
     char_power,
     embed_head,
     fixed_fraction,
@@ -29,7 +30,7 @@ from cubechar import (
     weighted_inner,
     xi_vector,
 )
-from cubechar.gnsfinite import TENSOR_DIM_CAP_BITS, _diagonal_form
+from cubechar.gnsfinite import _diagonal_form
 from cubechar.verify import _PROJECTION_CATALOG
 from conftest import traced_peak
 
@@ -153,8 +154,9 @@ def test_tensor_cap():
     by the product formula it is checked against."""
     assert tensor_character(odometer(3), 2) == Fraction(0)  # 4^6 = 2^12 basis points
     for level, k in ((4, 2), (2, 4), (8, 1)):
-        with pytest.raises(CapExceededError, match="cap"):
+        with pytest.raises(CapExceededError) as info:
             tensor_character(odometer(level), k)
+        assert (info.value.cap, info.value.value) == (caps.TENSOR, 2 * level * k)
 
 
 def test_tensor_matches_power(rng):
@@ -178,7 +180,7 @@ def test_tensor_cache_matches_power_and_stays_under_the_cap(s22, rng):
     cache = gnsfinite._XI_POWERS
     assert {(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)} <= cache.keys()
     for (level, k), xi_k in cache.items():
-        assert 2 * level * k <= TENSOR_DIM_CAP_BITS
+        assert 2 * level * k <= caps.TENSOR.limit
         expected = [1]
         for _ in range(k):
             expected = [a * b for b in xi_vector(level) for a in expected]

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from cubechar import caps
+
 MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "cubechar").glob("*.py"))
 NON_INIT = [p for p in MODULES if p.name != "__init__.py"]
 
@@ -272,6 +274,47 @@ def test_certreal_sets_a_context_precision_only_where_it_builds_the_context():
 
     visit(tree, None)
     assert found == [("_make_context", "ctx.prec")]
+
+
+def _module_level_names(tree):
+    """The names a module binds at its top level: assignments, imports,
+    functions and classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name))
+
+
+def test_every_limit_is_a_caps_record():
+    """The cap registry is closed: no module but `caps` binds a module-level
+    name containing CAP or MAX_ (the exit code cli.EXIT_CAP aside), and every
+    CapExceededError raised elsewhere is given a `caps` record first, so no
+    refusal writes its own prose."""
+    records = {name for name, value in vars(caps).items() if isinstance(value, caps.Cap)}
+    found = []
+    for path in MODULES:
+        if path.stem == "caps":
+            continue
+        tree = ast.parse(path.read_text())
+        found += [
+            (path.stem, name)
+            for name in _module_level_names(tree)
+            if ("CAP" in name or "MAX_" in name) and (path.stem, name) != ("cli", "EXIT_CAP")
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CapExceededError":
+                first = node.args[0] if node.args else None
+                if not (
+                    isinstance(first, ast.Attribute)
+                    and getattr(first.value, "id", None) == "caps"
+                    and first.attr in records
+                ):
+                    found.append((path.stem, ast.unparse(node)))
+    assert found == []
 
 
 #: Who in the package may call each brute-force oracle.  The oracles sit

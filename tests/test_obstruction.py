@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -14,7 +15,7 @@ from cubechar import (
     alt_trace_closed_form,
     c_alpha_integer,
     c_alpha_real,
-    certreal,
+    caps,
     noninteger_witness,
     noninteger_witness_scan,
     obstruction,
@@ -24,13 +25,7 @@ from cubechar import (
     stirling2,
     stirling2_recurrence,
 )
-from cubechar.obstruction import (
-    EXACT_VALUE_CAP_DIGITS,
-    REAL_SUM_MAX_M,
-    _permutation_rows,
-    _signed_fixcounts,
-    check_m_range,
-)
+from cubechar.obstruction import _permutation_rows, _signed_fixcounts, check_m_range
 from cubechar.perm import permutation_sign
 from conftest import traced_peak
 
@@ -62,8 +57,14 @@ def test_derangement_recurrence():
 
 
 def test_derangement_bruteforce_bounds():
-    with pytest.raises(ValueError):
-        signed_derangement_sum_bruteforce(10)
+    """Both oracles enumerate S(k) under the one ENUMERATION cap, k <= 9."""
+    assert caps.ENUMERATION.limit == 9
+    for oracle in (signed_derangement_sum_bruteforce, signed_fixcount_distribution):
+        with pytest.raises(ValueError, match="k must be positive"):
+            oracle(0)
+        with pytest.raises(CapExceededError) as info:
+            oracle(10)
+        assert (info.value.cap, info.value.value) == (caps.ENUMERATION, 10)
 
 
 def _fixcounts_by_loop(k):
@@ -128,6 +129,24 @@ def test_stirling_formula_matches_recurrence():
 # -- C_n(m), integer channel --------------------------------------------------------
 
 
+def _power_digits(n, m):
+    """The digits the DIGITS cap reports for the powers m^n of the sum."""
+    return int(n * math.log2(m) * math.log10(2)) + 1
+
+
+def _bound_digits(n, m):
+    """The digits the DIGITS cap reports for the lower bound m! m^(n-m)."""
+    return int((math.lgamma(m + 1) / math.log(2) + (n - m) * math.log2(m)) * math.log10(2)) + 1
+
+
+def _refused(call, *args):
+    """(cap, value) of the CapExceededError that call(*args) raises."""
+    with pytest.raises(CapExceededError) as info:
+        call(*args)
+    return info.value.cap, info.value.value
+
+
+
 def test_c_alpha_integer_pinned_convention():
     # pins the (-1)^(j-1)(j-1) weight: only the j=0 term survives at (n,m)=(2,2)
     assert c_alpha_integer(2, 2) == 4
@@ -146,24 +165,20 @@ def test_c_alpha_integer_examples():
 @pytest.mark.parametrize("n, m", [(9012, 3), (2684, 40)])
 def test_integer_cap_edge(n, m):
     """The largest n that prints at each m prints in full; n + 1 raises."""
-    assert len(str(c_alpha_integer(n, m))) == EXACT_VALUE_CAP_DIGITS
-    with pytest.raises(CapExceededError):
-        c_alpha_integer(n + 1, m)
+    assert len(str(c_alpha_integer(n, m))) == caps.DIGITS.limit
+    assert _refused(c_alpha_integer, n + 1, m)[0] is caps.DIGITS
 
 
 def test_integer_cap_edge_past_n_plus_1():
     """For m >= n+2 the value is 0; the sums' powers m^n are capped at the
     same bit count, whose edge at m = n+2 is n = 1370."""
     assert c_alpha_integer(1370, 1372) == 0
-    with pytest.raises(CapExceededError, match="sums powers"):
-        c_alpha_integer(1371, 1373)
+    assert _refused(c_alpha_integer, 1371, 1373) == (caps.DIGITS, _power_digits(1371, 1373))
 
 
 def test_integer_cap_is_checked_before_the_sums():
-    with pytest.raises(CapExceededError, match="at least"):
-        c_alpha_integer(10**11, 3)
-    with pytest.raises(CapExceededError, match="sums powers"):
-        c_alpha_integer(10**4, 10**4 + 2)
+    assert _refused(c_alpha_integer, 10**11, 3) == (caps.DIGITS, _bound_digits(10**11, 3))
+    assert _refused(c_alpha_integer, 10**4, 10**4 + 2) == (caps.DIGITS, _power_digits(10**4, 10**4 + 2))
     assert c_alpha_integer(10**11, 1) == 1
     assert c_alpha_integer(5, 100) == 0
 
@@ -173,17 +188,14 @@ def test_integer_work_cap_edge():
     operations; at m = 2200 the edge is n = 1175.  The largest work below
     the digit cap, at m <= n+1, still prints."""
     assert c_alpha_integer(1175, 2200) == 0
-    with pytest.raises(CapExceededError, match="work cap"):
-        c_alpha_integer(1176, 2200)
-    assert len(str(c_alpha_integer(1556, 1557))) <= EXACT_VALUE_CAP_DIGITS
+    assert _refused(c_alpha_integer, 1176, 2200) == (caps.EXACT_SUM_WORK, 26)
+    assert len(str(c_alpha_integer(1556, 1557))) <= caps.DIGITS.limit
 
 
 def test_integer_work_cap_is_checked_before_the_sums():
     # with n small the powers stay under the digit cap; only the work cap stops these
-    with pytest.raises(CapExceededError, match="work cap"):
-        c_alpha_integer(1000, 19966)
-    with pytest.raises(CapExceededError, match="work cap"):
-        c_alpha_integer(0, 10**12)
+    assert _refused(c_alpha_integer, 1000, 19966) == (caps.EXACT_SUM_WORK, 30)
+    assert _refused(c_alpha_integer, 0, 10**12) == (caps.EXACT_SUM_WORK, 80)
 
 
 def test_exact_caps_take_unbounded_integers():
@@ -193,29 +205,27 @@ def test_exact_caps_take_unbounded_integers():
     huge = 10**400
     assert c_alpha_integer(huge, 1) == 1
     for n, m in ((3, huge), (huge, 5), (huge, 2), (huge, huge), (0, huge), (2**64, 2)):
-        with pytest.raises(CapExceededError, match="at least 2\\^64 bit operations"):
-            c_alpha_integer(n, m)
-    with pytest.raises(CapExceededError, match="digit cap"):
-        c_alpha_integer(2**64 - 1, 2)
-    with pytest.raises(CapExceededError, match="work cap"):
-        c_alpha_integer(3, 2**64 - 1)
-    with pytest.raises(CapExceededError, match="work cap"):
-        check_m_range(Fraction(3), 1, huge)
+        # at least 2^64 bit operations: reported by bit length, never as a float
+        assert _refused(c_alpha_integer, n, m) == (caps.EXACT_SUM_WORK, max(n, m).bit_length())
+    assert _refused(c_alpha_integer, 2**64 - 1, 2)[0] is caps.DIGITS
+    assert _refused(c_alpha_integer, 3, 2**64 - 1) == (caps.EXACT_SUM_WORK, 128)
+    assert _refused(check_m_range, Fraction(3), 1, huge) == (caps.EXACT_SUM_WORK, huge.bit_length())
     check_m_range(Fraction(huge), 1, 1)
 
 
 def test_real_sum_cap_edge(monkeypatch):
-    """The interval route sums m = REAL_SUM_MAX_M and refuses one more before
-    any term; a 64-bit precision cap keeps the edge to one pass."""
-    monkeypatch.setattr(certreal, "PRECISION_CAP", 64)
-    report = c_alpha_real(Fraction(3, 2), REAL_SUM_MAX_M)
-    assert report.m == REAL_SUM_MAX_M and report.method == "interval"
+    """The interval route sums m = REAL_SUM_M.limit and refuses one more
+    before any term; a 64-bit precision cap keeps the edge to one pass."""
+    monkeypatch.setattr(caps, "PRECISION", dataclasses.replace(caps.PRECISION, limit=64))
+    edge = caps.REAL_SUM_M.limit
+    report = c_alpha_real(Fraction(3, 2), edge)
+    assert report.m == edge and report.method == "interval"
     with pytest.raises(CapExceededError):
-        c_alpha_real(Fraction(3, 2), REAL_SUM_MAX_M + 1)
+        c_alpha_real(Fraction(3, 2), edge + 1)
     with pytest.raises(CapExceededError):
-        noninteger_witness(Fraction(2 * REAL_SUM_MAX_M - 1, 2))  # m* = REAL_SUM_MAX_M + 2
+        noninteger_witness(Fraction(2 * edge - 1, 2))  # m* = edge + 2
     # integer alpha takes the exact route, which its own work cap bounds
-    assert c_alpha_real(Fraction(1), REAL_SUM_MAX_M + 1).sign == "zero"
+    assert c_alpha_real(Fraction(1), edge + 1).sign == "zero"
 
 
 def test_c_alpha_direct_equals_stirling_route():
@@ -247,18 +257,15 @@ def test_exact_caps_rise_with_m(n):
 
 def test_m_range_cap_edges():
     """A range is refused, before any sum, exactly when its largest m would be."""
-    check_m_range(Fraction(3, 2), 1, REAL_SUM_MAX_M)
-    with pytest.raises(CapExceededError, match="interval-sum cap"):
-        check_m_range(Fraction(3, 2), 1, REAL_SUM_MAX_M + 1)
+    edge = caps.REAL_SUM_M.limit
+    check_m_range(Fraction(3, 2), 1, edge)
+    assert _refused(check_m_range, Fraction(3, 2), 1, edge + 1) == (caps.REAL_SUM_M, edge + 1)
     check_m_range(Fraction(1175), 1, 2200)  # the work cap's edge at m = 2200
-    with pytest.raises(CapExceededError, match="work cap"):
-        check_m_range(Fraction(1176), 1, 2200)
+    assert _refused(check_m_range, Fraction(1176), 1, 2200) == (caps.EXACT_SUM_WORK, 26)
     check_m_range(Fraction(1370), 1, 1372)  # the power cap's edge at m = n + 2
-    with pytest.raises(CapExceededError, match="sums powers"):
-        check_m_range(Fraction(1371), 1, 1373)
+    assert _refused(check_m_range, Fraction(1371), 1, 1373) == (caps.DIGITS, _power_digits(1371, 1373))
     check_m_range(Fraction(9014), 1, 3)  # the lower bound's edge at m = 3
-    with pytest.raises(CapExceededError, match="at least"):
-        check_m_range(Fraction(9015), 1, 3)
+    assert _refused(check_m_range, Fraction(9015), 1, 3) == (caps.DIGITS, _bound_digits(9015, 3))
 
 
 def test_m_range_is_refused_before_it_is_listed():
@@ -351,8 +358,7 @@ def test_alt_trace_matches_closed_form():
 
 
 def test_alt_trace_rejects_large_m():
-    with pytest.raises(ValueError):
-        alt_trace_bruteforce(Fraction(1), 9)
+    assert _refused(alt_trace_bruteforce, Fraction(1), 10) == (caps.ENUMERATION, 10)
 
 
 def test_alt_trace_caps_integer_exponents_like_the_closed_form():
@@ -443,12 +449,11 @@ def test_witness_past_the_digit_cap_is_refused_before_its_sum(monkeypatch):
     alpha = 3117/2 and 8.2 bits over it at 3119/2: the first goes on to its
     one sum, the second is refused before any term."""
     calls = _counted_certify_sign(monkeypatch)
-    cap_bits = EXACT_VALUE_CAP_DIGITS * math.log2(10)
+    cap_bits = caps.DIGITS.limit * math.log2(10)
     for alpha, m, over in ((Fraction(3117, 2), 1561, -2.4), (Fraction(3119, 2), 1562, 8.2)):
         _, log2_value = obstruction._witness_precision(alpha, m, 64)
         assert abs(log2_value - cap_bits - over) < 0.1
-    with pytest.raises(CapExceededError, match="4300-digit cap"):
-        noninteger_witness(Fraction(3119, 2))
+    assert _refused(noninteger_witness, Fraction(3119, 2))[0] is caps.DIGITS
     assert calls == []
     assert noninteger_witness(Fraction(3117, 2))[0] == 1561
     assert calls == [(Fraction(3117, 2), 1561)]
@@ -477,7 +482,7 @@ def test_witness_is_certified_in_one_evaluation(text, monkeypatch):
 
 
 def test_witness_undetermined_at_precision_cap(monkeypatch):
-    monkeypatch.setattr(certreal, "PRECISION_CAP", 64)
+    monkeypatch.setattr(caps, "PRECISION", dataclasses.replace(caps.PRECISION, limit=64))
     with pytest.raises(FalsificationError) as info:
         noninteger_witness(Fraction(1001, 2))
     assert [r.sign for r in info.value.report] == ["undetermined"]
