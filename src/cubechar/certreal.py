@@ -1,22 +1,22 @@
 """Certified real evaluation: interval arithmetic with escalating precision.
 
 All non-exact real quantities in this package are sums sum c * (num/den)^alpha,
-computed by `power_sum` as rigorous enclosures [lo, hi]: each power on raw
-`libmp` interval tuples at its own working precision, and the coefficients,
-the sum and the divisor in a private mpmath interval context per precision,
-whose precision is set once when it is built and never changed.  The
-endpoints are then extracted as exact rationals, so downstream sign
-decisions and comparisons never depend on a rounding mode or global
-precision state.  No other module touches an interval context.
+computed by `power_sum` as rigorous enclosures [lo, hi]: every step (each
+power at its own working precision; each coefficient, term, partial sum and
+the divisor at the precision asked for) is a `libmp` call on raw interval
+tuples with its precision passed as an argument, so no interval context and
+no global precision state is involved.  mpmath's interval context appears
+only in the tests, as the reference whose endpoints these steps reproduce.
+The endpoints are then extracted as exact rationals, so downstream sign
+decisions and comparisons never depend on a rounding mode.  No other module
+touches mpmath.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 from mpmath import libmp
 
 from . import caps
@@ -32,20 +32,6 @@ def check_precision(prec: int) -> None:
     if prec < DEFAULT_PRECISION:
         raise ValueError(f"precision must be at least {DEFAULT_PRECISION}")
     caps.PRECISION.check(prec)
-
-
-@functools.lru_cache(maxsize=64)
-def _make_context(prec: int):
-    """The interval context at `prec`: one private context per precision,
-    built on first use and reused by every later `power_sum`, so mpmath's
-    global `mp` and `iv` are never touched.  Its precision is set here and
-    nowhere else: a step that needs more bits passes them to `libmp`.
-
-    A context holds about 30 KB and a caller may ask for any precision up
-    to the cap, so only the 64 precisions used last are kept."""
-    ctx = mpmath.ctx_iv.MPIntervalContext()
-    ctx.prec = prec
-    return ctx
 
 
 def _endpoint(raw) -> Fraction:
@@ -106,10 +92,10 @@ def fraction_to_decimal(f: Fraction, round_up: bool) -> str:
 
 def _ratio_mpi(num: int, den: int, prec: int) -> tuple:
     """num/den as a raw `libmp` interval at prec: each int rounded outward
-    (floor and ceiling), then divided, as an interval context at prec does
-    it.  An integer (den == 1) enters undivided: its endpoints are already
-    rounded outward to prec, so dividing by the exact 1 would return them
-    unchanged."""
+    (floor and ceiling), then divided.  An integer (den == 1) enters
+    undivided: its endpoints are already rounded outward to prec, so dividing
+    by the exact 1 would return them unchanged.  These are the endpoints
+    mpmath's interval context at prec gives num/den (the tests' reference)."""
     n = (libmp.from_int(num, prec, libmp.round_floor), libmp.from_int(num, prec, libmp.round_ceiling))
     if den == 1:
         return n
@@ -124,11 +110,10 @@ def _power(base_num: int, base_den: int, exponent: Fraction, prec: int, alphas: 
     exp(exponent * log(base)) turns the absolute width of its argument into
     the relative width of the power: at prec the power would come back wider
     by the factor |exponent * log(base)|, below (floor(exponent) + 1) times
-    the bit length of base_num or base_den.  log and exp run at the working
-    precision wp = prec + guard, the guard being the bit length of that
-    bound plus 2 more bits, and the power is rounded outward to prec, within
-    a few units in its last place.  Every step is the `libmp` call an
-    interval context at wp makes, so the endpoints are the ones it gives.
+    the bit length of base_num or base_den.  log and exp run on raw tuples
+    at the working precision wp = prec + guard, the guard being the bit
+    length of that bound plus 2 more bits, and the power is rounded outward
+    to prec, within a few units in its last place.
 
     `alphas` maps each working precision wp to the raw enclosure of exponent
     at wp, filled on first use.  The enclosure depends on nothing but the
@@ -151,14 +136,10 @@ def _power(base_num: int, base_den: int, exponent: Fraction, prec: int, alphas: 
     return libmp.mpi_pos(libmp.mpi_exp(libmp.mpi_mul(alpha, log, wp), wp), prec)
 
 
-def _term(ctx, c, num: int, den: int, exponent: Fraction, alphas: dict):
-    """c * (num/den) ** exponent: an int c enters as ctx.mpf(c), a Fraction c
-    as `_ratio_mpi` of its numerator and denominator."""
-    if isinstance(c, Fraction):
-        coeff = ctx.make_mpf(_ratio_mpi(c.numerator, c.denominator, ctx.prec))
-    else:
-        coeff = ctx.mpf(c)
-    return coeff * ctx.make_mpf(_power(num, den, exponent, ctx.prec, alphas))
+def _term(c, num: int, den: int, exponent: Fraction, prec: int, alphas: dict) -> tuple:
+    """c * (num/den) ** exponent at prec, c an int or a Fraction."""
+    coeff = _ratio_mpi(c.numerator, c.denominator, prec)
+    return libmp.mpi_mul(coeff, _power(num, den, exponent, prec, alphas), prec)
 
 
 def power_sum(terms, exponent: Fraction, prec: int, divisor=None) -> Enclosure:
@@ -169,20 +150,20 @@ def power_sum(terms, exponent: Fraction, prec: int, divisor=None) -> Enclosure:
     c * (num/den) ** exponent.
 
     The terms are added in the order given, each rounded outward as `_power`
-    rounds it.  The enclosure of exponent is built once per working
-    precision and shared by the terms and the divisor of this call only (a
-    sum of C_alpha(m) meets 3 or 4 working precisions); an integer base
-    enters undivided.  Both leave every endpoint as a term-by-term
+    rounds it; each coefficient, product, partial sum and the quotient is
+    rounded outward to prec.  The enclosure of exponent is built once per
+    working precision and shared by the terms and the divisor of this call
+    only (a sum of C_alpha(m) meets 3 or 4 working precisions); an integer
+    base enters undivided.  Both leave every endpoint as a term-by-term
     evaluation would."""
-    ctx = _make_context(prec)
     alphas = {}
-    total = ctx.mpf(0)
+    total = libmp.fzero, libmp.fzero
     for c, num, den in terms:
         if c and num:
-            total += _term(ctx, c, num, den, exponent, alphas)
+            total = libmp.mpi_add(total, _term(c, num, den, exponent, prec, alphas), prec)
     if divisor is not None:
-        total /= _term(ctx, *divisor, exponent, alphas)
-    lo, hi = total._mpi_
+        total = libmp.mpi_div(total, _term(*divisor, exponent, prec, alphas), prec)
+    lo, hi = total
     return Enclosure(_endpoint(lo), _endpoint(hi), prec)
 
 

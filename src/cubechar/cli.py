@@ -46,13 +46,18 @@ def _check_count(flag: str, value: int) -> None:
 
 
 def _parse_m_range(text: str) -> tuple:
+    """`--m` as (lo, hi): an integer n is (n, n), and 'a..b' is (a, b)."""
     text = text.strip()
-    if ".." in text:
-        lo, hi = (int(part) for part in text.split("..", 1))
-        if lo > hi:
-            raise ValueError(f"reversed range {text!r}: write the smaller end first")
-        return lo, hi
-    return int(text), int(text)
+    parts = text.split("..")
+    try:
+        if len(parts) > 2:
+            raise ValueError
+        lo, hi = int(parts[0]), int(parts[-1])
+    except ValueError:
+        raise ValueError(f"--m expects an integer or 'a..b', got {text!r}") from None
+    if lo > hi:
+        raise ValueError(f"reversed range {text!r}: write the smaller end first")
+    return lo, hi
 
 
 def cmd_char_eval(args) -> int:

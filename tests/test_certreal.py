@@ -121,7 +121,6 @@ def test_a_single_power_is_tight_whatever_the_exponent(num, den, exponent, prec)
     """The one-term sum's enclosure holds a 300-digit mpmath value and is at
     most 8 units in its last place wide at prec, however large exponent * log(base)."""
     enc = power_sum([(1, num, den)], exponent, prec)
-    assert certreal._make_context(prec).prec == prec
     with mpmath.workdps(300):
         value = _mp(Fraction(num, den)) ** _mp(exponent)
         assert _mp(enc.lo) <= value <= _mp(enc.hi)
@@ -157,13 +156,12 @@ rational_alphas = st.builds(Fraction, st.integers(1, 200), st.integers(1, 10))
     st.lists(st.integers(64, 1024), min_size=2, max_size=4),
 )
 def test_shared_contexts_agree_with_fresh_ones(steps, precs):
-    """power_sum on the shared context at p gives the endpoints the
-    reference gives on a fresh context at p, for one power and for a sum,
-    with the precisions visited in interleaved order."""
+    """power_sum at p gives the endpoints the reference gives on a fresh
+    context at p, for one power and for a sum, with the precisions visited
+    in interleaved order: no step carries a precision from one call to the
+    next."""
     for i, ((num, den), terms, alpha) in enumerate(steps * 2):
         prec = precs[i % len(precs)]
-        shared = certreal._make_context(prec)
-        assert shared is certreal._make_context(prec) and shared.prec == prec
         assert _pair(power_sum([(1, num, den)], alpha, prec)) == _endpoints(
             _reference_pow_iv(_fresh_context(prec), num, den, alpha)
         )
@@ -171,23 +169,14 @@ def test_shared_contexts_agree_with_fresh_ones(steps, precs):
         assert _pair(power_sum(terms, alpha, prec)) == _endpoints(
             _reference_power_sum_iv(_fresh_context(prec), terms, alpha)
         )
-        assert shared.prec == prec
 
 
-def test_make_context_keeps_a_bounded_number_of_contexts():
-    make_context = certreal._make_context
-    contexts = [make_context(prec) for prec in range(2000, 2100)]
-    assert make_context.cache_info().currsize <= 64
-    assert make_context(2099) is contexts[-1]
-    assert [ctx.prec for ctx in contexts] == list(range(2000, 2100))
-
-
-def test_a_power_sum_that_raises_leaves_the_cached_context_as_it_was(monkeypatch):
+def test_a_power_sum_that_raises_leaves_mpmath_as_it_was(monkeypatch):
     """A power sum that fails inside its third power, or at a negative base,
-    leaves the cached context at its precision: the powers run at their
-    working precisions on raw tuples, and the next sum on the context is the
-    one a fresh context gives."""
-    ctx = certreal._make_context(320)
+    leaves mpmath's global `mp` and `iv` at their precisions (every step
+    passes its precision to libmp), and the next sum is the one a fresh
+    context gives."""
+    precs = mpmath.mp.prec, mpmath.iv.prec
     real_exp, calls = libmp.mpi_exp, []
 
     def exp_failing_on_the_third_power(x, prec):
@@ -202,13 +191,12 @@ def test_a_power_sum_that_raises_leaves_the_cached_context_as_it_was(monkeypatch
         power_sum(terms, Fraction(7, 3), 320)
     monkeypatch.undo()
     assert len(calls) == 3 and min(calls) > 320
-    assert ctx.prec == 320
+    assert (mpmath.mp.prec, mpmath.iv.prec) == precs
     with pytest.raises(ValueError, match="non-negative"):
         power_sum([(1, 3, 7), (1, -1, 2)], Fraction(5, 2), 320)
-    assert certreal._make_context(320) is ctx and ctx.prec == 320
+    assert (mpmath.mp.prec, mpmath.iv.prec) == precs
     expected = _reference_power_sum_iv(_fresh_context(320), terms, Fraction(7, 3))
     assert _pair(power_sum(terms, Fraction(7, 3), 320)) == _endpoints(expected)
-    assert ctx.prec == 320
 
 
 def _reference_pow_iv(ctx, base_num, base_den, exponent):
@@ -260,8 +248,8 @@ wide_bases = st.one_of(
     st.tuples(st.one_of(st.just(0), wide_ints), wide_ints),
     wide_ints.map(lambda n: (n, n)),
 )
-# int coefficients enter as ctx.mpf(c), Fractions through _ratio_mpi, a
-# Fraction with denominator 1 among them
+# int and Fraction coefficients both enter through _ratio_mpi, a Fraction
+# with denominator 1 among them
 mixed_coefficients = st.one_of(
     st.integers(-(10**6), 10**6),
     st.integers(-50, 50).map(Fraction),
@@ -304,7 +292,97 @@ def test_power_sums_match_the_per_term_reference_bit_for_bit(terms, exponent, pr
         assert _pair(power_sum([(1, num, den)], exponent, prec)) == _endpoints(
             _reference_pow_iv(_fresh_context(prec), num, den, exponent)
         )
-    assert certreal._make_context(prec).prec == prec
+
+
+def _iroot(n: int, b: int) -> int:
+    """floor(n ** (1/b)) for n >= 0 and b >= 1, in ints: math.isqrt for
+    b = 2, otherwise integer Newton from above, started just above the root
+    of n's top half so that it takes a few steps."""
+    if b == 1 or n < 2:
+        return n
+    if b == 2:
+        return math.isqrt(n)
+    k = n.bit_length() // (2 * b)
+    x = (_iroot(n >> (k * b), b) + 1) << k if k else 1 << -(-n.bit_length() // b)
+    while True:
+        y = ((b - 1) * x + n // x ** (b - 1)) // b
+        if y >= x:
+            return x
+        x = y
+
+
+def _scaled_power(num: int, den: int, exponent: Fraction, bits: int) -> tuple:
+    """The floor and the ceiling of 2^bits * (num/den)^(a/b): the floor is
+    the integer b-th root of floor(num^a 2^(b bits) / den^a), and the
+    ceiling is one more unless that root is exact."""
+    a, b = exponent.numerator, exponent.denominator
+    n, rem = divmod(num**a << (b * bits), den**a)
+    root = _iroot(n, b)
+    return root, root + (rem != 0 or root**b != n)
+
+
+def _exact_enclosure(terms, exponent: Fraction, bits: int) -> tuple:
+    """[lo, hi] around sum c * (num/den)^exponent from ints alone: each power
+    within 2^-bits, times c at its floor or its ceiling by the sign of c."""
+    lo = hi = Fraction(0)
+    for c, num, den in terms:
+        floor, ceiling = _scaled_power(num, den, exponent, bits)
+        lo += c * (floor if c > 0 else ceiling)
+        hi += c * (ceiling if c > 0 else floor)
+    return lo / 2**bits, hi / 2**bits
+
+
+def _oracle_bits(terms, exponent: Fraction, prec: int) -> int:
+    """prec + 64 bits, one more per term, and as many as the smallest power
+    may fall below 1 (none for integer bases, so C_alpha(m) gets
+    prec + m + 64): each power's 2^-bits then lies far inside the outward
+    rounding of its term at prec, and a power that power_sum holds exactly
+    (a dyadic of at most prec bits) is exact here too."""
+    below = max(
+        (
+            math.ceil(exponent * ((den - 1).bit_length() + 1 - num.bit_length()))
+            for c, num, den in terms
+            if c and num
+        ),
+        default=0,
+    )
+    return prec + 64 + len(terms) + max(0, below)
+
+
+def _assert_holds_the_exact_enclosure(enc: Enclosure, terms, exponent: Fraction) -> None:
+    """power_sum's enclosure holds the integer-root one, and is wider than it
+    by at most 2^(5 - prec) of sum |c| (num/den)^exponent: a few units in
+    the last place of each term and each partial sum, so a power run
+    without its guard bits shows up as too wide."""
+    bits = _oracle_bits(terms, exponent, prec=enc.prec)
+    lo, hi = _exact_enclosure(terms, exponent, bits)
+    assert enc.lo <= lo <= hi <= enc.hi
+    _, size = _exact_enclosure([(abs(c), num, den) for c, num, den in terms], exponent, bits)
+    assert enc.hi - enc.lo <= hi - lo + size * Fraction(2) ** (5 - enc.prec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 1 << 400), st.integers(1, 70))
+def test_integer_roots_are_floors(n, b):
+    root = _iroot(n, b)
+    assert root**b <= n < (root + 1) ** b
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(coefficients, wide_bases), min_size=1, max_size=6),
+    st.one_of(exponents, rational_alphas),
+    st.integers(64, 320),
+)
+def test_power_sum_holds_the_integer_root_enclosure(terms, exponent, prec):
+    """An oracle that shares nothing with mpmath: the enclosure built from
+    integer roots lies inside power_sum's, which is not much wider, for the
+    sum and for each term alone.  Bases of up to 40 bits, often integers,
+    make powers that do not fit in prec bits and enter undivided, so a wrong
+    rounding direction shows."""
+    terms = [(c, num, den) for c, (num, den) in terms]
+    for part in [terms] + [[term] for term in terms]:
+        _assert_holds_the_exact_enclosure(power_sum(part, exponent, prec), part, exponent)
 
 
 def test_a_power_sum_encloses_its_exponent_once_per_working_precision(monkeypatch):
@@ -331,11 +409,13 @@ def test_a_power_sum_encloses_its_exponent_once_per_working_precision(monkeypatc
 def test_c_alpha_sums_match_the_reference_at_the_certify_rungs(alpha, m, prec):
     """The C_alpha(m) sums that certify signs, at each precision
     `certify_sign` tries on them, have the endpoints of the term-by-term
-    evaluation on a fresh context."""
+    evaluation on a fresh context, and hold the integer-root enclosure at
+    prec + m + 64 bits."""
     terms = list(_c_alpha_terms(m))
-    assert _pair(power_sum(terms, alpha, prec)) == _endpoints(
-        _reference_power_sum_iv(_fresh_context(prec), terms, alpha)
-    )
+    enc = power_sum(terms, alpha, prec)
+    assert _pair(enc) == _endpoints(_reference_power_sum_iv(_fresh_context(prec), terms, alpha))
+    assert _oracle_bits(terms, alpha, prec) == prec + m + 64
+    _assert_holds_the_exact_enclosure(enc, terms, alpha)
 
 
 def test_the_201_2_witness_matches_the_reference_at_its_predicted_rung():

@@ -173,6 +173,13 @@ def test_obstruction_rejects_reversed_range(capsys):
     assert "reversed range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m", ["3..", "..3", "a..b", "3..4..5", "", "1.5"])
+def test_obstruction_names_a_malformed_m(m, capsys):
+    code, out = run_cli(["obstruction", "--alpha", "3/2", "--m", m])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: --m expects an integer or 'a..b', got {m!r}\n"
+
+
 @pytest.mark.parametrize("alphas", [",", ""])
 def test_obstruction_rejects_an_empty_alpha_list(alphas, capsys):
     for fmt in ("csv", "json"):

@@ -223,12 +223,16 @@ def _decorator_name(node) -> str:
     return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
 
 
+def _certreal_tree():
+    return ast.parse(next(p for p in MODULES if p.stem == "certreal").read_text())
+
+
 def test_certreal_keeps_no_state_beyond_the_context_cache():
-    """certreal's module-level names are int or str constants, and
-    _make_context is its only cache: a per-call map (such as the exponent
-    enclosures of one power sum) must not become a process-wide cache that
-    grows with each exponent seen."""
-    tree = ast.parse(next(p for p in MODULES if p.stem == "certreal").read_text())
+    """certreal's module-level names are int or str constants, and it has no
+    cache at all, of interval contexts or of anything else: a per-call map
+    (such as the exponent enclosures of one power sum) must not become a
+    process-wide cache that grows with each exponent or precision seen."""
+    tree = _certreal_tree()
     assigned = [
         node.value
         for node in tree.body
@@ -247,33 +251,45 @@ def test_certreal_keeps_no_state_beyond_the_context_cache():
         for decorator in node.decorator_list
         if _decorator_name(decorator) in {"lru_cache", "cache"}
     ]
-    assert cached == ["_make_context"]
+    assert cached == []
 
 
 def test_certreal_sets_a_context_precision_only_where_it_builds_the_context():
-    """No step of certreal assigns `.prec` outside _make_context: a power
-    that needs guard bits passes its working precision to libmp, so a
-    cached context keeps the precision it was built with."""
-    tree = ast.parse(next(p for p in MODULES if p.stem == "certreal").read_text())
-    found = []
+    """certreal builds no context, so no statement of it assigns `.prec`:
+    every step passes its precision to libmp, and no object carries a
+    precision from one call to the next."""
+    found = [
+        ast.unparse(t)
+        for node in ast.walk(_certreal_tree())
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for t in ast.walk(target)
+        if isinstance(t, ast.Attribute) and t.attr == "prec"
+    ]
+    assert found == []
 
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
-                found.extend(
-                    (owner, ast.unparse(t))
-                    for target in targets
-                    for t in ast.walk(target)
-                    if isinstance(t, ast.Attribute) and t.attr == "prec"
-                )
-            visit(child, owner)
 
-    visit(tree, None)
-    assert found == [("_make_context", "ctx.prec")]
+def test_certreal_reaches_mpmath_only_through_libmp():
+    """certreal's one mpmath import is `from mpmath import libmp`, and it
+    names neither mpmath's interval context nor its globals, as a bare name
+    or as an attribute: libmp's raw-tuple calls take their precision as an
+    argument."""
+    contexts = MPMATH_GLOBALS | {"ctx_iv", "MPIntervalContext"}
+    tree = _certreal_tree()
+    imports = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "mpmath" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath")
+    ]
+    assert imports == ["from mpmath import libmp"]
+    named = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in contexts)
+        or (isinstance(node, ast.Attribute) and node.attr in contexts)
+    ]
+    assert named == []
 
 
 def _module_level_names(tree):
