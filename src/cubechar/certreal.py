@@ -35,10 +35,13 @@ def check_precision(prec: int) -> None:
 
 
 def _endpoint(raw) -> Fraction:
-    """The exact value man * 2^exp of an mpf endpoint.  Its numerator and
-    denominator take about bc + |exp| bits, so past the ENDPOINT cap it is
-    refused before any of them is allocated."""
-    _, _, exp, bc = raw
+    """The exact value man * 2^exp of an mpf endpoint.  An infinity or a nan
+    (mantissa 0, like zero, which `to_rational` would read as 0) is refused.
+    Its numerator and denominator take about bc + |exp| bits, so past the
+    ENDPOINT cap it is refused before any of them is allocated."""
+    _, man, exp, bc = raw
+    if not man and raw != libmp.fzero:
+        raise ValueError(f"enclosure endpoint {libmp.to_str(raw, 5)} is not finite")
     caps.ENDPOINT.check(abs(exp) + bc)
     p, q = libmp.to_rational(raw)
     return Fraction(int(p), int(q))
@@ -146,8 +149,8 @@ def power_sum(terms, exponent: Fraction, prec: int, divisor=None) -> Enclosure:
     """Enclosure at `prec` of sum c * (num/den) ** exponent over the
     (c, num, den) terms, each base non-negative and exponent > 0; terms with
     c = 0 or num = 0 add nothing.  A single power is the one term (1, num, den).
-    With `divisor` = (c, num, den), a nonzero term, the sum is divided by
-    c * (num/den) ** exponent.
+    With `divisor` = (c, num, den), a nonzero term (ValueError otherwise),
+    the sum is divided by c * (num/den) ** exponent.
 
     The terms are added in the order given, each rounded outward as `_power`
     rounds it; each coefficient, product, partial sum and the quotient is
@@ -156,6 +159,8 @@ def power_sum(terms, exponent: Fraction, prec: int, divisor=None) -> Enclosure:
     only (a sum of C_alpha(m) meets 3 or 4 working precisions); an integer
     base enters undivided.  Both leave every endpoint as a term-by-term
     evaluation would."""
+    if divisor is not None and not (divisor[0] and divisor[1]):
+        raise ValueError("divisor must be a nonzero term")
     alphas = {}
     total = libmp.fzero, libmp.fzero
     for c, num, den in terms:

@@ -128,14 +128,10 @@ def cmd_obstruction(args) -> int:
     if args.witness:
         if len(alphas) != 1:
             raise ValueError("--witness takes a single alpha")
-        try:
-            m, report = obstruction.noninteger_witness(alphas[0], precision=args.precision)
-        except FalsificationError as exc:
-            scanned = exc.report or []
-            if any(r.sign == "undetermined" for r in scanned):
-                print("undetermined", file=sys.stderr)
-                return EXIT_UNDETERMINED
-            raise
+        m, report = obstruction.noninteger_witness(alphas[0], precision=args.precision)
+        if report.sign == "undetermined":
+            print("undetermined", file=sys.stderr)
+            return EXIT_UNDETERMINED
         if args.format == "json":
             _print_json({"witness_m": m, "report": report.to_json_dict()})
         elif args.format == "text":

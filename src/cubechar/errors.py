@@ -26,15 +26,11 @@ class PreconditionError(ValueError):
 
 
 class FalsificationError(RuntimeError):
-    """A claimed identity failed on a concrete input.
-
-    Carries a structured report naming the witnesses; raised instead of
-    silently returning a wrong or partial answer.
-    """
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
+    """A claimed identity failed on a concrete input; raised, with a message
+    naming the input, instead of silently returning a wrong or partial
+    answer.  A sign left undetermined at the precision cap falsifies
+    nothing: `c_alpha_real` and `noninteger_witness` return it in their
+    report."""
 
 
 class InternalInconsistencyError(RuntimeError):

@@ -209,16 +209,18 @@ class ObstructionReport:
 
 
 def check_m_range(alpha: Fraction, lo: int, hi: int, precision: int = DEFAULT_PRECISION) -> None:
-    """Raise, before any sum, what c_alpha_real(alpha, m, precision) raises
-    for some lo <= m <= hi: ValueError for its arguments, or CapExceededError.
-    Each cap checked before a sum rises with m, so m = hi decides them all.
-    A non-integer alpha's sum cancels up to about 2.5 m bits, so each of its
-    m terms escalates to a precision of that order: up to the REAL_SUM_M cap
-    a sign takes at most about half a minute."""
+    """The one argument check of every public entry here that sums C_alpha(m)
+    or enumerates S(m): raise, before any sum or enumeration, what the sum at
+    some lo <= m <= hi would raise.  That is ValueError for alpha < 0 (0^0 = 1,
+    as pinned above), m < 1 or a precision below DEFAULT_PRECISION, or
+    CapExceededError.  Each cap checked before a sum rises with m, so m = hi
+    decides them all.  A non-integer alpha's sum cancels up to about 2.5 m
+    bits, so each of its m terms escalates to a precision of that order: up
+    to the REAL_SUM_M cap a sign takes at most about half a minute."""
     alpha = Fraction(alpha)
     caps.check_digits(alpha.numerator, alpha.denominator)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if alpha < 0:
+        raise ValueError("alpha must be non-negative")
     check_precision(precision)
     if lo < 1:
         raise ValueError("m must be positive")
@@ -228,8 +230,15 @@ def check_m_range(alpha: Fraction, lo: int, hi: int, precision: int = DEFAULT_PR
         caps.REAL_SUM_M.check(hi)
 
 
+def _interval_report(alpha: Fraction, m: int, start_prec: int) -> ObstructionReport:
+    """C_alpha(m) at non-integer alpha, its sign certified by doubling the
+    working precision from start_prec; 'undetermined' at the PRECISION cap."""
+    enc, sign = certify_sign(partial(power_sum, list(_c_alpha_terms(m)), alpha), start_prec=start_prec)
+    return ObstructionReport(alpha, m, sign, "interval", enclosure=enc)
+
+
 def c_alpha_real(alpha: Fraction, m: int, precision: int = DEFAULT_PRECISION) -> ObstructionReport:
-    """C_alpha(m) for real alpha > 0 with a certified sign.
+    """C_alpha(m) for real alpha >= 0 with a certified sign.
 
     Integer-valued alpha is evaluated exactly (the enclosure degenerates to a
     point and the sign may be 'zero').  Otherwise the alternating sum is
@@ -244,22 +253,13 @@ def c_alpha_real(alpha: Fraction, m: int, precision: int = DEFAULT_PRECISION) ->
         value = c_alpha_integer(int(alpha), m)
         sign = "zero" if value == 0 else ("positive" if value > 0 else "negative")
         return ObstructionReport(alpha, m, sign, "exact", exact_value=value)
-    enc, sign = certify_sign(partial(power_sum, list(_c_alpha_terms(m)), alpha), start_prec=precision)
-    return ObstructionReport(alpha, m, sign, "interval", enclosure=enc)
+    return _interval_report(alpha, m, precision)
 
 
 def signed_fixcount_distribution(m: int) -> list:
     """a[f] = sum of sign(s) over s in S(m) with exactly f fixed points, by
     literal enumeration of S(m), each sign the parity of the inversions."""
     return _signed_fixcounts(m)
-
-
-def _check_nonnegative(alpha: Fraction) -> Fraction:
-    alpha = Fraction(alpha)
-    caps.check_digits(alpha.numerator, alpha.denominator)
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
-    return alpha
 
 
 def alt_trace_bruteforce(alpha: Fraction, m: int):
@@ -269,19 +269,23 @@ def alt_trace_bruteforce(alpha: Fraction, m: int):
     a certified Enclosure otherwise.  The composition of
     `signed_fixcount_distribution` and `alt_trace_from_distribution`.
     """
-    _check_nonnegative(alpha)
-    return alt_trace_from_distribution(alpha, signed_fixcount_distribution(m))
+    check_m_range(alpha, m, m)
+    return _alt_trace(Fraction(alpha), signed_fixcount_distribution(m))
 
 
 def alt_trace_from_distribution(alpha: Fraction, dist: list):
     """The exponent half of `alt_trace_bruteforce`: the trace at alpha from
     the enumerated a[f] = dist[f] of S(m), m = len(dist) - 1."""
-    alpha = _check_nonnegative(alpha)
+    check_m_range(alpha, len(dist) - 1, len(dist) - 1)  # the numerator is C_alpha(m)
+    return _alt_trace(Fraction(alpha), dist)
+
+
+def _alt_trace(alpha: Fraction, dist: list):
+    """Both alt_trace entries past their check: the trace at alpha from dist."""
     m = len(dist) - 1
     fact = math.factorial(m)
     if alpha.denominator == 1:
         a = int(alpha)
-        _check_exact_caps(a, m)  # num is C_a(m)
         num = sum(coeff * f**a for f, coeff in enumerate(dist) if coeff)
         return Fraction(num, fact * m**a)
     terms = [(coeff, f, 1) for f, coeff in enumerate(dist)]
@@ -290,6 +294,7 @@ def alt_trace_from_distribution(alpha: Fraction, dist: list):
 
 def alt_trace_closed_form(alpha: Fraction, m: int):
     """C_alpha(m) / (m! * m^alpha), the closed form the enumeration must match."""
+    check_m_range(alpha, m, m)
     alpha = Fraction(alpha)
     fact = math.factorial(m)
     if alpha.denominator == 1:
@@ -297,15 +302,9 @@ def alt_trace_closed_form(alpha: Fraction, m: int):
     return power_sum(_c_alpha_terms(m), alpha, DEFAULT_PRECISION, divisor=(fact, m, 1))
 
 
-def _check_noninteger(alpha: Fraction) -> Fraction:
-    alpha = Fraction(alpha)
-    caps.check_digits(alpha.numerator, alpha.denominator)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    nearest = round(alpha)
-    if abs(alpha - nearest) <= INTEGER_DISTANCE_THRESHOLD:
+def _check_noninteger(alpha: Fraction) -> None:
+    if abs(alpha - round(alpha)) <= INTEGER_DISTANCE_THRESHOLD:
         raise ValueError(f"alpha {alpha} is within {INTEGER_DISTANCE_THRESHOLD} of an integer")
-    return alpha
 
 
 def noninteger_witness(alpha: Fraction, precision: int = DEFAULT_PRECISION) -> tuple:
@@ -328,23 +327,23 @@ def noninteger_witness(alpha: Fraction, precision: int = DEFAULT_PRECISION) -> t
     C_alpha(m) = m Delta^(m-1) h(0) + Delta^m h(0) with h = x^alpha, and both
     terms are positive.
 
-    Returns (m*, ObstructionReport).  If the report at m* is not certified
-    negative (undetermined at the precision cap, or a contradiction of the
-    rule) raises FalsificationError carrying [report].
+    Returns (m*, ObstructionReport) when the report at m* is certified
+    negative or 'undetermined' at the precision cap, which the report's sign
+    says.  Raises FalsificationError, a contradiction of the rule, only for a
+    certified non-negative sign.  The arguments are checked by
+    `check_m_range` at m*, then alpha within INTEGER_DISTANCE_THRESHOLD of an
+    integer is refused (ValueError).
     `noninteger_witness_scan` is the brute-force oracle for the rule.
     """
-    alpha = _check_noninteger(alpha)
+    alpha = Fraction(alpha)
     m = math.ceil(alpha) + 2
     check_m_range(alpha, m, m, precision)
+    _check_noninteger(alpha)
     start, log2_value = _witness_precision(alpha, m, precision)
     caps.check_value_bits(log2_value, WITNESS_DIGIT_MARGIN_BITS)
-    enc, sign = certify_sign(partial(power_sum, list(_c_alpha_terms(m)), alpha), start_prec=start)
-    report = ObstructionReport(alpha, m, sign, "interval", enclosure=enc)
-    if sign != "negative":
-        raise FalsificationError(
-            f"C_alpha({m}) for alpha={alpha} is {sign}, not certified negative",
-            report=[report],
-        )
+    report = _interval_report(alpha, m, start)
+    if report.sign in ("positive", "zero"):
+        raise FalsificationError(f"C_alpha({m}) for alpha={alpha} is {report.sign}, not certified negative")
     return m, report
 
 
@@ -377,19 +376,20 @@ def _witness_precision(alpha: Fraction, m: int, precision: int) -> tuple:
 
 def noninteger_witness_scan(alpha: Fraction, precision: int = DEFAULT_PRECISION) -> tuple:
     """First m <= floor(alpha)+4 with certified C_alpha(m) < 0, by certifying
-    every m from 2 up; the oracle for `noninteger_witness`.
+    every m from 2 up, each doubling from `precision` as `c_alpha_real` does;
+    the oracle for `noninteger_witness`.  The whole range is checked by
+    `check_m_range` before the first sum, then alpha is refused as the
+    witness refuses it.
 
     Returns (m, ObstructionReport).  Raises FalsificationError if no certified
-    negative value exists in the scanned range, carrying all reports.
+    negative value exists in the scanned range.
     """
-    alpha = _check_noninteger(alpha)
-    reports = []
-    for m in range(2, int(alpha) + 5):
-        report = c_alpha_real(alpha, m, precision=precision)
-        reports.append(report)
+    alpha = Fraction(alpha)
+    hi = math.floor(alpha) + 4
+    check_m_range(alpha, 2, hi, precision)
+    _check_noninteger(alpha)
+    for m in range(2, hi + 1):
+        report = _interval_report(alpha, m, precision)
         if report.sign == "negative":
             return m, report
-    raise FalsificationError(
-        f"no certified-negative C_alpha(m) for alpha={alpha} with m <= {int(alpha) + 4}",
-        report=reports,
-    )
+    raise FalsificationError(f"no certified-negative C_alpha(m) for alpha={alpha} with m <= {hi}")

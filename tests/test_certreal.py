@@ -441,6 +441,25 @@ def test_endpoints_past_the_bit_cap_are_refused_before_conversion():
         assert info.value.cap is caps.ENDPOINT and info.value.value > cap
 
 
+def test_a_zero_divisor_is_refused_before_any_term():
+    """A divisor with c = 0 or num = 0 is zero: libmp would divide to
+    (-inf, +inf), which the endpoints would read as [0, 0]."""
+    for divisor in ((1, 0, 1), (0, 1, 1), (0, 0, 1), (Fraction(0), 5, 3)):
+        with pytest.raises(ValueError, match="divisor must be a nonzero term"):
+            power_sum([(1, 1, 1)], Fraction(3, 2), 64, divisor=divisor)
+    assert _pair(power_sum([(1, 1, 1)], Fraction(3, 2), 64, divisor=(2, 1, 1))) == (Fraction(1, 2),) * 2
+
+
+def test_an_endpoint_that_is_not_finite_is_refused():
+    """An infinity or a nan has mantissa 0, as zero has; `to_rational`
+    would read it as 0."""
+    for raw in (libmp.finf, libmp.fninf, libmp.fnan):
+        with pytest.raises(ValueError, match="is not finite"):
+            certreal._endpoint(raw)
+    assert certreal._endpoint(libmp.fzero) == 0
+    assert certreal._endpoint(libmp.from_int(-3)) == -3
+
+
 def test_decimals_past_the_digit_cap_are_refused():
     """A value prints up to DIGITS.limit integer digits, in either direction
     of rounding, and is refused with CapExceededError past them."""

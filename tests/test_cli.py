@@ -375,9 +375,18 @@ def test_obstruction_range_past_cap_exits_3_before_any_sum(monkeypatch, capsys):
         assert "cap exceeded" in capsys.readouterr().err
         assert peak < 1 << 16
     # an argument c_alpha_real rejects at the first alpha still exits 2 first
-    code, out = run_cli(["obstruction", "--alpha", "0,3/2", "--m", "1..3000"])
+    code, out = run_cli(["obstruction", "--alpha", "0,3/2", "--m", "0..3000"])
     assert code == 2 and out == ""
-    assert "alpha must be positive" in capsys.readouterr().err
+    assert "m must be positive" in capsys.readouterr().err
+
+
+def test_obstruction_alpha_zero_is_exact(capsys):
+    """0^0 = 1: C_0(1) = 1 and C_0(m) = 0 after; the witness refuses 0 as an integer."""
+    code, out = run_cli(["obstruction", "--alpha", "0", "--m", "1..3", "--format", "text"])
+    assert (code, out) == (0, "C_0(1) = 1 [positive]\nC_0(2) = 0 [zero]\nC_0(3) = 0 [zero]\n")
+    code, out = run_cli(["obstruction", "--witness", "--alpha", "0"])
+    assert (code, out) == (2, "")
+    assert "error: alpha 0 is within 1/1048576 of an integer" in capsys.readouterr().err
 
 
 # -- construct-si -----------------------------------------------------------------

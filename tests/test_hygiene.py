@@ -355,6 +355,17 @@ def test_oracles_are_called_only_by_allowlisted_callers(oracle):
     assert {owner for tree in trees for owner in _callers_of(tree, oracle)} == ORACLE_CALLERS[oracle]
 
 
+#: The only callers of certify_sign: one per kind of certified sum, so a sign
+#: is certified, or reported undetermined, in one place for each.
+CERTIFY_SIGN_CALLERS = [("characters", "gram_verdict"), ("obstruction", "_interval_report")]
+
+
+def test_certify_sign_has_one_caller_per_certified_sum():
+    trees = {path.stem: ast.parse(path.read_text()) for path in MODULES}
+    found = [(stem, owner) for stem, tree in trees.items() for owner in _callers_of(tree, "certify_sign")]
+    assert sorted(found) == CERTIFY_SIGN_CALLERS
+
+
 def test_import_leaves_numpy_out():
     """numpy is imported inside the functions that use it, so a cold
     `import cubechar` does not pay for it."""

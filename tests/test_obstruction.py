@@ -279,7 +279,7 @@ def test_m_range_is_refused_before_it_is_listed():
 def test_m_range_checks_arguments_first():
     """The range gives the ValueError c_alpha_real gives at its first m."""
     for args, message in [
-        ((Fraction(0), 1, 10**9), "alpha must be positive"),
+        ((Fraction(-1, 2), 1, 10**9), "alpha must be non-negative"),
         ((Fraction(3, 2), 0, 10**9), "m must be positive"),
         ((Fraction(3, 2), 1, 10**9, 32), "precision must be at least"),
     ]:
@@ -482,7 +482,104 @@ def test_witness_is_certified_in_one_evaluation(text, monkeypatch):
 
 
 def test_witness_undetermined_at_precision_cap(monkeypatch):
+    """A sign the capped precision cannot certify is returned in the report."""
     monkeypatch.setattr(caps, "PRECISION", dataclasses.replace(caps.PRECISION, limit=64))
-    with pytest.raises(FalsificationError) as info:
-        noninteger_witness(Fraction(1001, 2))
-    assert [r.sign for r in info.value.report] == ["undetermined"]
+    m, report = noninteger_witness(Fraction(1001, 2))
+    assert (m, report.m, report.sign, report.method) == (503, 503, "undetermined", "interval")
+    assert report.enclosure.prec == 64 and report.enclosure.sign() is None
+
+
+def test_witness_raises_only_for_a_certified_non_negative_sign(monkeypatch):
+    for sign in ("positive", "zero"):
+        monkeypatch.setattr(obstruction, "certify_sign", lambda evaluate, start_prec: (None, sign))
+        with pytest.raises(FalsificationError, match=f"is {sign}, not certified negative"):
+            noninteger_witness(Fraction(3, 2))
+    monkeypatch.setattr(obstruction, "certify_sign", lambda evaluate, start_prec: (None, "positive"))
+    with pytest.raises(FalsificationError, match="no certified-negative C_alpha"):
+        noninteger_witness_scan(Fraction(3, 2))
+
+
+# -- one argument check per entry ------------------------------------------------------
+
+
+#: The six public entries, each called as f(alpha, m, precision); the
+#: alt-trace entries take no precision.  The witness and the scan take no m:
+#: a row gives each an alpha of its own, whose m* = ceil(alpha) + 2 (the
+#: witness) or last scanned m = floor(alpha) + 4 (the scan) is the row's m.
+ENTRIES = {
+    "c_alpha_real": c_alpha_real,
+    "alt_trace_bruteforce": lambda alpha, m, precision: alt_trace_bruteforce(alpha, m),
+    "alt_trace_from_distribution": lambda alpha, m, precision: obstruction.alt_trace_from_distribution(
+        alpha, [0] * m + [1]
+    ),
+    "alt_trace_closed_form": lambda alpha, m, precision: alt_trace_closed_form(alpha, m),
+    "noninteger_witness": lambda alpha, m, precision: noninteger_witness(alpha, precision),
+    "noninteger_witness_scan": lambda alpha, m, precision: noninteger_witness_scan(alpha, precision),
+}
+WITNESS_ENTRIES = {"noninteger_witness", "noninteger_witness_scan"}
+
+#: (alpha, m, precision, the alphas of the witness and of the scan, or None
+#: where the row has no such alpha (m = 0, integer alpha), and what is
+#: raised: a ValueError's text, or a cap and its value).
+BAD_INPUTS = {
+    "negative-alpha": (Fraction(-1, 2), 3, 64, (Fraction(-1, 2),) * 2, "alpha must be non-negative"),
+    "alpha-digits": (
+        Fraction(10**4300 + 1, 2), 3, 64, (Fraction(10**4300 + 1, 2),) * 2, (caps.DIGITS, 4301)
+    ),
+    "m-zero": (Fraction(3, 2), 0, 64, None, "m must be positive"),
+    "real-sum-m": (
+        Fraction(3, 2), 2049, 64, (Fraction(4093, 2), Fraction(4091, 2)), (caps.REAL_SUM_M, 2049)
+    ),
+    "exact-sum-work": (Fraction(1000), 19966, 64, None, (caps.EXACT_SUM_WORK, 30)),
+    "precision": (Fraction(3, 2), 3, 32, (Fraction(3, 2),) * 2, "precision must be at least 64"),
+}
+
+
+def _counted_checks(monkeypatch) -> list:
+    """The arguments of every check_m_range call from here on."""
+    checks = []
+    check = obstruction.check_m_range
+    monkeypatch.setattr(obstruction, "check_m_range", lambda *a: checks.append(a) or check(*a))
+    return checks
+
+
+def _applies(entry: str, row: str) -> bool:
+    _, _, precision, witness_alphas, _ = BAD_INPUTS[row]
+    if entry in WITNESS_ENTRIES:
+        return witness_alphas is not None
+    return precision == 64 or entry == "c_alpha_real"  # the alt-trace entries take no precision
+
+
+@pytest.mark.parametrize(
+    "entry, row", [(e, r) for e in sorted(ENTRIES) for r in sorted(BAD_INPUTS) if _applies(e, r)]
+)
+def test_every_entry_refuses_alike_before_any_sum(entry, row, monkeypatch):
+    """Each public entry refuses a bad input in its one call of
+    check_m_range, before it lists a term, sums or enumerates."""
+    alpha, m, precision, witness_alphas, expected = BAD_INPUTS[row]
+    if entry in WITNESS_ENTRIES:
+        alpha = witness_alphas[entry == "noninteger_witness_scan"]
+    for name in ("power_sum", "_signed_fixcounts", "_c_alpha_terms"):
+        monkeypatch.setattr(obstruction, name, lambda *a, name=name, **k: pytest.fail(f"{name} reached"))
+    checks = _counted_checks(monkeypatch)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
+            ENTRIES[entry](alpha, m, precision)
+    else:
+        assert _refused(ENTRIES[entry], alpha, m, precision) == expected
+    assert len(checks) == 1
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_every_entry_checks_its_arguments_once(entry, monkeypatch):
+    checks = _counted_checks(monkeypatch)
+    ENTRIES[entry](Fraction(3, 2), 4, 64)
+    assert len(checks) == 1
+
+
+def test_alpha_zero_is_exact_with_zero_to_the_zero_one():
+    """C_0(m) = m!(S(0,m) + S(0,m-1)): 1 at m = 1, 0 after."""
+    assert [c_alpha_real(Fraction(0), m).exact_value for m in range(1, 5)] == [1, 0, 0, 0]
+    assert [alt_trace_closed_form(Fraction(0), m) for m in range(1, 5)] == [1, 0, 0, 0]
+    with pytest.raises(ValueError, match="within 1/1048576 of an integer"):
+        noninteger_witness(Fraction(0))
