@@ -10,10 +10,19 @@ only in the tests, as the reference whose endpoints these steps reproduce.
 The endpoints are then extracted as exact rationals, so downstream sign
 decisions and comparisons never depend on a rounding mode.  No other module
 touches mpmath.
+
+Beside it runs an exact kernel with no mpmath at all: the prec-bit floor and
+ceiling of each power (num/den)^(a/b), from one integer b-th root
+(`_rounded_power`).  It never supplies a reported value.  It proves, in ints,
+that `power_sum` at a precision would straddle 0 (`_rounded_sum`), so
+`rung_enclosure` lets `certify_sign` double past that precision without
+summing there; every precision tried and every returned enclosure stay as
+they would be without it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -158,7 +167,9 @@ def power_sum(terms, exponent: Fraction, prec: int, divisor=None) -> Enclosure:
     working precision and shared by the terms and the divisor of this call
     only (a sum of C_alpha(m) meets 3 or 4 working precisions); an integer
     base enters undivided.  Both leave every endpoint as a term-by-term
-    evaluation would."""
+    evaluation would.  Its enclosure holds `_rounded_sum(terms, exponent,
+    prec)`, the exact sum of each power's prec-bit floor or ceiling, so that
+    inner bound can show, without this sum, that it straddles 0."""
     if divisor is not None and not (divisor[0] and divisor[1]):
         raise ValueError("divisor must be a nonzero term")
     alphas = {}
@@ -172,10 +183,116 @@ def power_sum(terms, exponent: Fraction, prec: int, divisor=None) -> Enclosure:
     return Enclosure(_endpoint(lo), _endpoint(hi), prec)
 
 
+def _iroot(n: int, b: int) -> int:
+    """floor(n ** (1/b)) for n >= 0 and b >= 1, in ints.  An even b takes
+    math.isqrt first (floor((floor(sqrt(n)))^(2/b)) is the root).  An odd b
+    takes integer Newton from above, started from a float estimate of the
+    root's top 52 bits raised by 2^-40 relative, so that it lies above the
+    root and takes a few steps; each step stays above the root until the
+    first that does not decrease, which is the root."""
+    if b == 1 or n < 2:
+        return n
+    if b % 2 == 0:
+        return _iroot(math.isqrt(n), b // 2)
+    k = max(0, n.bit_length() // b - 52)
+    x = (int(2 ** (math.log2(n >> (k * b)) / b) * (1 + 2**-40)) + 1) << k
+    while True:
+        y = ((b - 1) * x + n // x ** (b - 1)) // b
+        if y >= x:
+            return x
+        x = y
+
+
+def _rounded_power(num: int, den: int, exponent: Fraction, prec: int):
+    """(lo, hi, e) with lo * 2^e and hi * 2^e the largest number of prec
+    significant bits at or below x = (num/den)^(a/b) and the smallest at or
+    above it, for num, den > 0 and exponent = a/b > 0; None when an integer
+    it would form could pass EXACT_POWER.limit bits.
+
+    The shift s puts y = x * 2^s in [2^prec, 2^(prec+3)): b log2(num^a/den^a)
+    lies within 1 of the bit lengths' difference d, so s = prec - floor((d-1)/b).
+    floor(y) is the integer b-th root of floor(num^a 2^(b s) / den^a), and
+    dropping its j = bits - prec low bits leaves floor(y / 2^j), the prec-bit
+    floor; the ceiling is one more unless y / 2^j is an integer (the division
+    and the root exact, and the dropped bits 0)."""
+    a, b = exponent.numerator, exponent.denominator
+    if a * max(num.bit_length(), den.bit_length()) + b * (prec + 4) > caps.EXACT_POWER.limit:
+        return None
+    top, bottom = num**a, den**a
+    s = prec - (top.bit_length() - bottom.bit_length() - 1) // b
+    if s >= 0:
+        n, rem = divmod(top << (b * s), bottom)
+    else:
+        n, rem = divmod(top, bottom << (-b * s))
+    root = _iroot(n, b)
+    j = root.bit_length() - prec
+    lo = root >> j
+    exact = not rem and not root & ((1 << j) - 1) and root**b == n
+    return lo, lo + (not exact), j - s
+
+
+def _rounded_sum(terms, exponent: Fraction, prec: int):
+    """The exact Enclosure [lo, hi] at prec of sum c * (num/den)^exponent
+    that bounds `power_sum(terms, exponent, prec)` from inside, in ints
+    alone; None for a term `_rounded_power` declines, a negative base or an
+    exponent <= 0 (`power_sum` refuses those itself).
+
+    With x_lo and x_hi the prec-bit floor and ceiling of a power x,
+    lo = sum c * (x_lo if c > 0 else x_hi) and hi = sum c * (x_hi if c > 0
+    else x_lo), over the terms with c != 0 and num != 0.  `_power` returns
+    prec-bit endpoints P_lo <= x <= P_hi, so P_lo <= x_lo and x_hi <= P_hi;
+    the product of the coefficient's interval (which holds c) with
+    [P_lo, P_hi] is rounded outward from a box that holds (c, x_lo) and
+    (c, x_hi), so its lower end is at most the term's share of lo and its
+    upper end at least its share of hi; and the sum rounds outward.  So
+    power_sum's enclosure holds [lo, hi], and lo < 0 < hi proves that it
+    straddles 0."""
+    if exponent.numerator <= 0:
+        return None
+    parts = []
+    for c, num, den in terms:
+        cn, cd = c.numerator, c.denominator
+        if not (cn and num):
+            continue
+        if num < 0 or den <= 0:
+            return None
+        power = _rounded_power(num, den, exponent, prec)
+        if power is None:
+            return None
+        x_lo, x_hi, e = power
+        parts.append((cn, cd, x_lo, x_hi, e) if cn > 0 else (cn, cd, x_hi, x_lo, e))
+    # the sums in ints over the coefficients' common denominator d and the
+    # smallest power of 2
+    d = math.lcm(*(cd for _, cd, *_ in parts))
+    e0 = min((e for *_, e in parts), default=0)
+    lo = sum(cn * (d // cd) * x << (e - e0) for cn, cd, x, _, e in parts)
+    hi = sum(cn * (d // cd) * x << (e - e0) for cn, cd, _, x, e in parts)
+    up, down = (1 << e0, d) if e0 >= 0 else (1, d << -e0)
+    return Enclosure(Fraction(lo * up, down), Fraction(hi * up, down), prec)
+
+
+def rung_enclosure(terms, exponent: Fraction, prec: int) -> Enclosure:
+    """The enclosure at one rung of `certify_sign` for the sum of
+    `power_sum(terms, exponent, prec)`, the terms a list; its callers pass
+    partial(rung_enclosure, terms, exponent) as the evaluate.  Below the
+    PRECISION cap it first forms `_rounded_sum`: where that proves the sum
+    straddles 0 at prec, its exact enclosure (sign None) is returned and
+    certify_sign doubles past prec without the sum.  Otherwise, and at the
+    cap, it is power_sum's enclosure, so the precisions tried and the
+    enclosure certify_sign returns are power_sum's alone."""
+    if prec < caps.PRECISION.limit:
+        enc = _rounded_sum(terms, exponent, prec)
+        if enc is not None and enc.lo < 0 < enc.hi:
+            return enc
+    return power_sum(terms, exponent, prec)
+
+
 def certify_sign(evaluate, start_prec: int = DEFAULT_PRECISION):
     """Call evaluate(prec) -> Enclosure, doubling prec until the sign is
     certified or the PRECISION cap is reached; a start above the cap is
-    clamped to it.  Returns (enclosure, sign_string)."""
+    clamped to it.  Returns (enclosure, sign_string).  The certified sums
+    pass `rung_enclosure`, whose rungs that exact integer rounding proves
+    undecided cost no interval sum."""
     cap = caps.PRECISION.limit
     prec = min(max(start_prec, 8), cap)
     while True:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import caps
-from .certreal import DEFAULT_PRECISION, Enclosure, certify_sign, check_precision, power_sum
+from .certreal import DEFAULT_PRECISION, Enclosure, certify_sign, check_precision, power_sum, rung_enclosure
 from .perm import cycle_string, embed_head, fixed_fraction
 
 FLOAT_TOLERANCE_BITS = 40
@@ -590,7 +590,7 @@ def gram_verdict(
     square = scale * scale
     base_of = dict(build.bases)
     terms = [(Fraction(t, square), base_of[c].numerator, base_of[c].denominator) for c, t in totals.items()]
-    enc, sign = certify_sign(partial(power_sum, terms, exponent), start_prec=precision)
+    enc, sign = certify_sign(partial(rung_enclosure, terms, exponent), start_prec=precision)
     if sign == "negative":
         return GramVerdict(
             "not PSD",

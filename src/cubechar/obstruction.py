@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import caps
-from .certreal import DEFAULT_PRECISION, Enclosure, certify_sign, check_precision, power_sum
+from .certreal import DEFAULT_PRECISION, Enclosure, certify_sign, check_precision, power_sum, rung_enclosure
 from .errors import CapExceededError, FalsificationError, InternalInconsistencyError
 
 #: noninteger_witness rejects alpha this close to an integer.
@@ -162,12 +162,15 @@ def _c_alpha_terms(m: int):
 
 def c_alpha_integer(n: int, m: int) -> int:
     """C_n(m) by the alternating sum (criterion 7 checks it against m!(S(n,m) +
-    S(n,m-1))), capped by `_check_exact_caps` and by the DIGITS cap."""
-    if n < 0:
-        raise ValueError("exponent must be non-negative")
-    if m < 1:
-        raise ValueError("m must be positive")
-    _check_exact_caps(n, m)
+    S(n,m-1))), its arguments checked by `check_m_range` alone, which applies
+    `_check_exact_caps`; the printed value is capped by DIGITS."""
+    check_m_range(n, m, m)
+    return _c_alpha_exact(n, m)
+
+
+def _c_alpha_exact(n: int, m: int) -> int:
+    """The alternating sum C_n(m) of every exact route, after its entry's
+    `check_m_range`."""
     total = sum(c * b**n for c, b, _ in _c_alpha_terms(m))
     caps.check_digits(total)
     if total < 0:
@@ -218,14 +221,15 @@ def check_m_range(alpha: Fraction, lo: int, hi: int, precision: int = DEFAULT_PR
     bits, so each of its m terms escalates to a precision of that order: up
     to the REAL_SUM_M cap a sign takes at most about half a minute."""
     alpha = Fraction(alpha)
-    caps.check_digits(alpha.numerator, alpha.denominator)
-    if alpha < 0:
+    num, den = alpha.numerator, alpha.denominator
+    caps.check_digits(num, den)
+    if num < 0:
         raise ValueError("alpha must be non-negative")
     check_precision(precision)
     if lo < 1:
         raise ValueError("m must be positive")
-    if alpha.denominator == 1:
-        _check_exact_caps(int(alpha), hi)
+    if den == 1:
+        _check_exact_caps(num, hi)
     else:
         caps.REAL_SUM_M.check(hi)
 
@@ -233,7 +237,7 @@ def check_m_range(alpha: Fraction, lo: int, hi: int, precision: int = DEFAULT_PR
 def _interval_report(alpha: Fraction, m: int, start_prec: int) -> ObstructionReport:
     """C_alpha(m) at non-integer alpha, its sign certified by doubling the
     working precision from start_prec; 'undetermined' at the PRECISION cap."""
-    enc, sign = certify_sign(partial(power_sum, list(_c_alpha_terms(m)), alpha), start_prec=start_prec)
+    enc, sign = certify_sign(partial(rung_enclosure, list(_c_alpha_terms(m)), alpha), start_prec=start_prec)
     return ObstructionReport(alpha, m, sign, "interval", enclosure=enc)
 
 
@@ -250,7 +254,7 @@ def c_alpha_real(alpha: Fraction, m: int, precision: int = DEFAULT_PRECISION) ->
     check_m_range(alpha, m, m, precision)
     alpha = Fraction(alpha)
     if alpha.denominator == 1:
-        value = c_alpha_integer(int(alpha), m)
+        value = _c_alpha_exact(int(alpha), m)
         sign = "zero" if value == 0 else ("positive" if value > 0 else "negative")
         return ObstructionReport(alpha, m, sign, "exact", exact_value=value)
     return _interval_report(alpha, m, precision)
@@ -298,7 +302,7 @@ def alt_trace_closed_form(alpha: Fraction, m: int):
     alpha = Fraction(alpha)
     fact = math.factorial(m)
     if alpha.denominator == 1:
-        return Fraction(c_alpha_integer(int(alpha), m), fact * m ** int(alpha))
+        return Fraction(_c_alpha_exact(int(alpha), m), fact * m ** int(alpha))
     return power_sum(_c_alpha_terms(m), alpha, DEFAULT_PRECISION, divisor=(fact, m, 1))
 
 
@@ -375,14 +379,16 @@ def _witness_precision(alpha: Fraction, m: int, precision: int) -> tuple:
 
 
 def noninteger_witness_scan(alpha: Fraction, precision: int = DEFAULT_PRECISION) -> tuple:
-    """First m <= floor(alpha)+4 with certified C_alpha(m) < 0, by certifying
-    every m from 2 up, each doubling from `precision` as `c_alpha_real` does;
-    the oracle for `noninteger_witness`.  The whole range is checked by
-    `check_m_range` before the first sum, then alpha is refused as the
-    witness refuses it.
+    """First m <= floor(alpha)+4 whose C_alpha(m) is not certified
+    non-negative, by certifying every m from 2 up, each doubling from
+    `precision` as `c_alpha_real` does; the oracle for `noninteger_witness`.
+    The whole range is checked by `check_m_range` before the first sum, then
+    alpha is refused as the witness refuses it.
 
-    Returns (m, ObstructionReport).  Raises FalsificationError if no certified
-    negative value exists in the scanned range.
+    Returns (m, ObstructionReport) at the first m whose sign is negative or
+    'undetermined' at the precision cap, which the report's sign says, as
+    the witness does.  Raises FalsificationError only when every m in
+    2..floor(alpha)+4 is certified non-negative.
     """
     alpha = Fraction(alpha)
     hi = math.floor(alpha) + 4
@@ -390,6 +396,6 @@ def noninteger_witness_scan(alpha: Fraction, precision: int = DEFAULT_PRECISION)
     _check_noninteger(alpha)
     for m in range(2, hi + 1):
         report = _interval_report(alpha, m, precision)
-        if report.sign == "negative":
+        if report.sign in ("negative", "undetermined"):
             return m, report
     raise FalsificationError(f"no certified-negative C_alpha(m) for alpha={alpha} with m <= {hi}")

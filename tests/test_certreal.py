@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import libmp
 
-from cubechar import Alpha, caps, certreal
+from cubechar import Alpha, caps, certreal, obstruction
 from cubechar.certreal import (
     DEFAULT_PRECISION,
     Enclosure,
@@ -18,7 +18,7 @@ from cubechar.certreal import (
     power_sum,
 )
 from cubechar.errors import CapExceededError
-from cubechar.obstruction import _c_alpha_terms, _witness_precision
+from cubechar.obstruction import _c_alpha_terms, _witness_precision, c_alpha_real
 
 
 def _recording(tried, decide_at=None):
@@ -364,8 +364,21 @@ def _assert_holds_the_exact_enclosure(enc: Enclosure, terms, exponent: Fraction)
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 1 << 400), st.integers(1, 70))
 def test_integer_roots_are_floors(n, b):
+    """The tests' root and the package's are the same floor."""
     root = _iroot(n, b)
     assert root**b <= n < (root + 1) ** b
+    assert certreal._iroot(n, b) == root
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 1 << 200), st.integers(1, 70), st.sampled_from((-1, 0, 1)))
+def test_integer_roots_at_and_beside_exact_powers(r, b, step):
+    """At r^b the root is r exactly, one below it r - 1: the two cases a
+    start above the root or a last Newton step could get wrong."""
+    n = max(r**b + step, 0)
+    root = certreal._iroot(n, b)
+    assert root**b <= n < (root + 1) ** b
+    assert root == _iroot(n, b)
 
 
 @settings(max_examples=150, deadline=None)
@@ -383,6 +396,106 @@ def test_power_sum_holds_the_integer_root_enclosure(terms, exponent, prec):
     terms = [(c, num, den) for c, (num, den) in terms]
     for part in [terms] + [[term] for term in terms]:
         _assert_holds_the_exact_enclosure(power_sum(part, exponent, prec), part, exponent)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(coefficients, wide_bases), min_size=1, max_size=6),
+    st.one_of(exponents, rational_alphas),
+    st.integers(64, 320),
+    st.booleans(),
+    st.one_of(st.none(), st.tuples(st.integers(-3, 3), st.integers(1, 60))),
+)
+def test_the_rounded_sum_lies_inside_power_sum(terms, exponent, prec, mirror, tiny):
+    """`_rounded_sum` at prec holds the integer-root enclosure at
+    `_oracle_bits` and lies inside power_sum's enclosure at prec, so where
+    it straddles 0, power_sum's sign is undecided.  Mirrored terms (each
+    negated on an equal base of other integers) sum to exactly 0, and a
+    tiny term c / 2^(k exponent) moves them just off it: there the rounded
+    sum straddles often, for the sum and for each term alone."""
+    terms = [(c, num, den) for c, (num, den) in terms]
+    if mirror:
+        terms += [(-c, 3 * num, 3 * den) for c, num, den in terms]
+    if tiny is not None:
+        terms.append((tiny[0], 1, 1 << tiny[1]))
+    for part in [terms] + [[term] for term in terms]:
+        enc = certreal._rounded_sum(part, exponent, prec)
+        if enc is None:  # an integer past EXACT_POWER: the rung is summed as before
+            continue
+        lo, hi = _exact_enclosure(part, exponent, _oracle_bits(part, exponent, prec))
+        assert enc.prec == prec and enc.lo <= lo <= hi <= enc.hi
+        summed = power_sum(part, exponent, prec)
+        assert summed.lo <= enc.lo and enc.hi <= summed.hi
+        if enc.lo < 0 < enc.hi:
+            assert summed.sign() is None
+
+
+def test_the_rounded_sum_declines_past_the_exact_power_cap():
+    """An integer of more than EXACT_POWER.limit bits is never formed: 3^a
+    for a = EXACT_POWER.limit has about 1.58 times as many."""
+    alpha = Fraction(caps.EXACT_POWER.limit * 2 + 1, 2)
+    assert certreal._rounded_sum([(1, 3, 1)], alpha, 64) is None
+    assert certreal._rounded_sum([(1, 3, 1)], Fraction(5, 2), 64) is not None
+
+
+def _power_sums_counted(monkeypatch) -> list:
+    """The precision of every power_sum call from here on."""
+    summed, real_power_sum = [], certreal.power_sum
+
+    def counting(terms, exponent, prec, divisor=None):
+        summed.append(prec)
+        return real_power_sum(terms, exponent, prec, divisor)
+
+    monkeypatch.setattr(certreal, "power_sum", counting)
+    return summed
+
+
+def _certify_trails(monkeypatch) -> list:
+    """The precisions each certify_sign call of obstruction tries, through a
+    recording evaluate as the benchmark's trace wraps it."""
+    trails, real_certify = [], obstruction.certify_sign
+
+    def recording(evaluate, start_prec):
+        tried = []
+        trails.append(tried)
+        return real_certify(lambda prec: tried.append(prec) or evaluate(prec), start_prec)
+
+    monkeypatch.setattr(obstruction, "certify_sign", recording)
+    return trails
+
+
+@pytest.mark.parametrize(
+    "alpha, m, trail",
+    [
+        (Fraction(43, 4), 78, [64, 128, 256]),
+        (Fraction(29, 3), 76, [64, 128, 256]),
+        (Fraction(3, 2), 60, [64, 128]),
+    ],
+)
+def test_only_the_deciding_rung_is_summed(alpha, m, trail, monkeypatch):
+    """certify_sign still tries every rung, but the rounded sums prove the
+    undecided ones, so power_sum runs once, at the rung that decides, and
+    its enclosure is the one reported."""
+    summed = _power_sums_counted(monkeypatch)
+    trails = _certify_trails(monkeypatch)
+    report = c_alpha_real(alpha, m)
+    assert trails == [trail] and summed == [trail[-1]]
+    monkeypatch.undo()
+    assert report.enclosure == power_sum(list(_c_alpha_terms(m)), alpha, trail[-1])
+    assert report.sign == ("negative" if (m - math.ceil(alpha)) % 2 == 0 else "positive")
+
+
+def test_the_rung_at_the_precision_cap_is_always_summed(monkeypatch):
+    """At the cap certify_sign stops, so its enclosure is reported: it is
+    power_sum's, undecided, even where the rounded sum proves it straddles."""
+    monkeypatch.setattr(caps, "PRECISION", dataclasses.replace(caps.PRECISION, limit=128))
+    terms = list(_c_alpha_terms(78))
+    assert certreal._rounded_sum(terms, Fraction(43, 4), 128).lo < 0
+    summed = _power_sums_counted(monkeypatch)
+    trails = _certify_trails(monkeypatch)
+    report = c_alpha_real(Fraction(43, 4), 78)
+    assert trails == [[64, 128]] and summed == [128] and report.sign == "undetermined"
+    assert report.enclosure == power_sum(terms, Fraction(43, 4), 128)
 
 
 def test_a_power_sum_encloses_its_exponent_once_per_working_precision(monkeypatch):

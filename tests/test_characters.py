@@ -833,8 +833,9 @@ def witness_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(witness_cases())
 def test_gram_witness_terms_match_the_fraction_sums(case):
-    """The terms `gram_verdict` hands to `power_sum` for a float-path
-    candidate have the oracle's keys, order and values, a zero total too."""
+    """The terms `gram_verdict` hands to `rung_enclosure` (and so to
+    `power_sum`) for a float-path candidate have the oracle's keys, order
+    and values, a zero total too."""
     elements, candidate, cancels = case
     build = gram_build(elements)
     captured = []
@@ -845,7 +846,7 @@ def test_gram_witness_terms_match_the_fraction_sums(case):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(characters, "psd_check_float", lambda mat: (False, candidate))
-        mp.setattr(characters, "power_sum", capture)
+        mp.setattr(characters, "rung_enclosure", capture)
         with pytest.raises(_Captured):
             gram_verdict(Alpha(Fraction(3, 2)), build, "auto")
     expected = _witness_terms_by_fractions(candidate, build)

@@ -502,6 +502,11 @@ GOLDEN = [
         0,
     ),
     (
+        "obstruction_roots_m60_78.json",
+        ["obstruction", "--alpha", "12/5,29/8,47/10,25/3", "--m", "60..78", "--format", "json"],
+        0,
+    ),
+    (
         "obstruction_witness_201_2.json",
         ["obstruction", "--witness", "--alpha", "201/2", "--format", "json"],
         0,

@@ -489,6 +489,31 @@ def test_witness_undetermined_at_precision_cap(monkeypatch):
     assert report.enclosure.prec == 64 and report.enclosure.sign() is None
 
 
+def test_scan_returns_a_sign_undetermined_at_the_precision_cap(monkeypatch):
+    """The scan reports, as the witness does, the first m whose sign the
+    capped precision cannot certify, instead of scanning on and raising."""
+    monkeypatch.setattr(caps, "PRECISION", dataclasses.replace(caps.PRECISION, limit=64))
+    m, report = noninteger_witness_scan(Fraction(1001, 2))
+    assert (report.m, report.sign, report.method) == (m, "undetermined", "interval")
+    assert 2 <= m < 503 and report.enclosure.prec == 64 and report.enclosure.sign() is None
+
+
+def test_scan_stops_at_the_first_sign_not_certified_non_negative(monkeypatch):
+    """Certified positive signs are scanned past; the first negative or
+    undetermined one is returned, whatever follows it."""
+    signs = {2: "positive", 3: "zero", 4: "undetermined", 5: "negative"}
+    seen = []
+
+    def certify(evaluate, start_prec):
+        seen.append(len(seen) + 2)
+        return None, signs[seen[-1]]
+
+    monkeypatch.setattr(obstruction, "certify_sign", certify)
+    expected = obstruction.ObstructionReport(Fraction(7, 2), 4, "undetermined", "interval")
+    assert noninteger_witness_scan(Fraction(7, 2)) == (4, expected)
+    assert seen == [2, 3, 4]
+
+
 def test_witness_raises_only_for_a_certified_non_negative_sign(monkeypatch):
     for sign in ("positive", "zero"):
         monkeypatch.setattr(obstruction, "certify_sign", lambda evaluate, start_prec: (None, sign))
@@ -575,6 +600,29 @@ def test_every_entry_checks_its_arguments_once(entry, monkeypatch):
     checks = _counted_checks(monkeypatch)
     ENTRIES[entry](Fraction(3, 2), 4, 64)
     assert len(checks) == 1
+
+
+@pytest.mark.parametrize(
+    "entry, args",
+    [(c_alpha_real, (30, 20)), (alt_trace_closed_form, (30, 8)), (c_alpha_integer, (30, 20))],
+    ids=["c_alpha_real", "alt_trace_closed_form", "c_alpha_integer"],
+)
+def test_every_exact_route_checks_its_caps_once(entry, args, monkeypatch):
+    """check_m_range is the one check of each exact route: the shared exact
+    sum after it applies no cap check of its own."""
+    calls = []
+    check = obstruction._check_exact_caps
+    monkeypatch.setattr(obstruction, "_check_exact_caps", lambda *a: calls.append(a) or check(*a))
+    entry(*args)
+    assert calls == [args]
+
+
+def test_c_alpha_integer_refuses_through_check_m_range():
+    """c_alpha_integer's argument errors are check_m_range's."""
+    with pytest.raises(ValueError, match="alpha must be non-negative"):
+        c_alpha_integer(-1, 3)
+    with pytest.raises(ValueError, match="m must be positive"):
+        c_alpha_integer(3, 0)
 
 
 def test_alpha_zero_is_exact_with_zero_to_the_zero_one():
